@@ -117,8 +117,50 @@ def _fmt(q: Fraction) -> str:
     return f"{format_rational(q)} (~ {float(q):.6f})"
 
 
-def _emit(obj, args):
+def _emit(obj):
     print(json.dumps(obj, indent=2))
+
+
+def _coalitions(phi: dict) -> list:
+    """Projection entries by coalition size, then members."""
+    return sorted(phi.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+
+def _projection_json(projection) -> dict:
+    return {
+        "anonymous": projection.anonymous,
+        "phi": {
+            ",".join(map(str, sorted(t))): format_rational(v)
+            for t, v in _coalitions(projection.phi)
+        },
+    }
+
+
+def _qmr_json(table) -> dict:
+    return {
+        "k_star": table.k_star,
+        "welfare": _pair(table.best_welfare),
+        "table": {str(k): format_rational(w) for k, w in table.table.items()},
+    }
+
+
+def _wmr_json(rule, w: Fraction) -> dict:
+    return {
+        "weights": [format_rational(x) for x in rule.weights],
+        "quorum": format_rational(rule.quorum),
+        "tie": format_rational(rule.tie_value),
+        "welfare": _pair(w),
+    }
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_rat_arg(text, flag):
@@ -153,8 +195,7 @@ def cmd_solve(args) -> int:
                 ],
                 "lp": report.lp_stats,
                 "mechanism": mechanism_to_json(report.mechanism),
-            },
-            args,
+            }
         )
         return 0
     print(f"optimal welfare: {_fmt(report.welfare)}")
@@ -191,18 +232,9 @@ def cmd_compare(args) -> int:
         flags.append("weighted-rule welfare is 0; ratios undefined")
     if args.format == "json":
         payload = {
-            "qmr": {
-                "k_star": qmr.k_star,
-                "welfare": _pair(qmr.best_welfare),
-                "table": {str(k): format_rational(w) for k, w in qmr.table.items()},
-            },
+            "qmr": _qmr_json(qmr),
             "opt": {"welfare": _pair(opt.welfare)},
-            "wmr": {
-                "weights": [format_rational(w) for w in wmr.weights],
-                "quorum": format_rational(wmr.quorum),
-                "tie": format_rational(wmr.tie_value),
-                "welfare": _pair(wmr_welfare),
-            },
+            "wmr": _wmr_json(wmr, wmr_welfare),
             "ratios": None
             if ratios is None
             else {
@@ -211,7 +243,7 @@ def cmd_compare(args) -> int:
             },
             "flags": flags,
         }
-        _emit(payload, args)
+        _emit(payload)
         return 0
     print(f"best qualified majority: k = {qmr.k_star}, welfare {_fmt(qmr.best_welfare)}")
     for k, w in qmr.table.items():
@@ -221,14 +253,11 @@ def cmd_compare(args) -> int:
         f"weighted rule: weights {[format_rational(w) for w in wmr.weights]}, "
         f"quorum {format_rational(wmr.quorum)}, welfare {_fmt(wmr_welfare)}"
     )
-    if ratios is None:
-        for note in flags:
-            print(f"flag: {note}")
-    else:
+    if ratios is not None:
         print(f"qmr/wmr: {_fmt(ratios['qmr_over_wmr'])} = {float(ratios['qmr_over_wmr']) * 100:.2f}%")
         print(f"opt/wmr: {_fmt(ratios['opt_over_wmr'])} = {float(ratios['opt_over_wmr']) * 100:.2f}%")
-        for note in flags:
-            print(f"flag: {note}")
+    for note in flags:
+        print(f"flag: {note}")
     return 0
 
 
@@ -243,14 +272,7 @@ def cmd_check(args) -> int:
     hat_info = None
     hat_error = None
     try:
-        projection = ordinal_projection(env, rule)
-        hat_info = {
-            "anonymous": projection.anonymous,
-            "phi": {
-                ",".join(map(str, sorted(t))): format_rational(v)
-                for t, v in sorted(projection.phi.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-            },
-        }
+        hat_info = _projection_json(ordinal_projection(env, rule))
     except (ZeroProbabilityCoalition, ValueError) as exc:
         hat_error = str(exc)
     if args.format == "json":
@@ -282,7 +304,7 @@ def cmd_check(args) -> int:
             ],
             "hat": hat_info if hat_error is None else {"error": hat_error},
         }
-        _emit(payload, args)
+        _emit(payload)
         return 0
     print(f"anonymous: {'yes' if anonymous else 'no'}")
     if audit.satisfied:
@@ -314,21 +336,10 @@ def cmd_hatf(args) -> int:
     except (ZeroProbabilityCoalition, ValueError) as exc:
         raise InputError(str(exc)) from None
     if args.format == "json":
-        _emit(
-            {
-                "anonymous": projection.anonymous,
-                "phi": {
-                    ",".join(map(str, sorted(t))): format_rational(v)
-                    for t, v in sorted(
-                        projection.phi.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-                    )
-                },
-            },
-            args,
-        )
+        _emit(_projection_json(projection))
         return 0
     print(f"projection anonymous: {'yes' if projection.anonymous else 'no'}")
-    for t, v in sorted(projection.phi.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+    for t, v in _coalitions(projection.phi):
         members = ",".join(map(str, sorted(t))) or "-"
         print(f"  coalition {{{members}}} -> {_fmt(v)}")
     return 0
@@ -339,14 +350,7 @@ def cmd_qmr(args) -> int:
     _check_size(env, args.force_large)
     table = qmr_best(env)
     if args.format == "json":
-        _emit(
-            {
-                "k_star": table.k_star,
-                "welfare": _pair(table.best_welfare),
-                "table": {str(k): format_rational(w) for k, w in table.table.items()},
-            },
-            args,
-        )
+        _emit(_qmr_json(table))
         return 0
     print(f"best threshold: k = {table.k_star}, welfare {_fmt(table.best_welfare)}")
     for k, w in table.table.items():
@@ -361,16 +365,7 @@ def cmd_wmr(args) -> int:
     rule = wmr_build(env, tie)
     w = welfare(env, rule)
     if args.format == "json":
-        _emit(
-            {
-                "weights": [format_rational(x) for x in rule.weights],
-                "quorum": format_rational(rule.quorum),
-                "tie": format_rational(rule.tie_value),
-                "welfare": _pair(w),
-                "flags": list(rule.notes),
-            },
-            args,
-        )
+        _emit({**_wmr_json(rule, w), "flags": list(rule.notes)})
         return 0
     print(
         f"weights: {[format_rational(x) for x in rule.weights]}, "
@@ -404,7 +399,7 @@ def cmd_demo_theorem2(args) -> int:
             "strict_gap": report.strict_gap,
             "ratio": None if report.ratio is None else _pair(report.ratio),
         }
-        _emit(payload, args)
+        _emit(payload)
         return 0
     print(f"family member: n={report.n}, M={format_rational(report.M)}, eps={format_rational(report.eps)}")
     print(f"best qualified majority (k={report.qmr.k_star}): {_fmt(report.qmr.best_welfare)}")
@@ -435,7 +430,10 @@ def _suite_theorem1(args) -> bool:
 def _suite_theorem2(args) -> bool:
     M = _parse_rat_arg(args.M, "--M")
     eps = _parse_rat_arg(args.eps, "--eps")
-    report = run_theorem2_demo(args.n, M, eps)
+    try:
+        report = run_theorem2_demo(args.n, M, eps)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     print(
         f"n={report.n} M={format_rational(M)} eps={format_rational(eps)}: "
         f"qmr {_fmt(report.qmr.best_welfare)}, opt {_fmt(report.opt.welfare)}"
@@ -513,7 +511,7 @@ def _suite_example1(args) -> bool:
     if welfare(env, projection.hat) != welfare(env, rule):
         print("FAIL example1: projection changed welfare")
         return False
-    for t, value in sorted(projection.phi.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+    for t, value in _coalitions(projection.phi):
         members = ",".join(map(str, sorted(t))) or "-"
         print(f"  coalition {{{members}}} -> {format_rational(value)}")
     print("PASS example1: projection blocks {1, 1/3, 1/4, 7/12}, not anonymous, welfare preserved")
@@ -603,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named assertion suite")
     p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--M", default="10")

@@ -28,6 +28,8 @@ __all__ = [
     "validate_environment",
     "agent_stats",
     "profile_probability",
+    "profiles",
+    "multiset_distribution",
     "environment_from_json",
     "environment_to_json",
 ]
@@ -270,6 +272,37 @@ def profile_probability(env: Environment, profile: Sequence[Fraction]) -> Fracti
         if result == 0:
             return Fraction(0)
     return result
+
+
+def profiles(agents: Sequence[AgentDistribution]):
+    """Stream ``(ordered profile, probability)`` over profiles of positive
+    probability, in lexicographic order, without storing them (there may be
+    |V|^n). A zero-probability prefix is dropped with all its extensions."""
+    supports = [[(v, p) for v, p in agent.items if p] for agent in agents]
+
+    def extend(prefix, prob, depth):
+        if depth == len(supports):
+            yield prefix, prob
+            return
+        for v, p in supports[depth]:
+            yield from extend(prefix + (v,), prob * p, depth + 1)
+
+    return extend((), Fraction(1), 0)
+
+
+def multiset_distribution(agents: Sequence[AgentDistribution]) -> dict:
+    """Probability of each sorted report multiset of positive probability,
+    built one agent at a time: all an anonymous rule sees of the reports."""
+    dist = {(): Fraction(1)}
+    for agent in agents:
+        step: dict[tuple, Fraction] = {}
+        for key, prob in dist.items():
+            for v, p in agent.items:
+                if p:
+                    m = tuple(sorted(key + (v,)))
+                    step[m] = step.get(m, 0) + prob * p
+        dist = step
+    return dist
 
 
 def environment_from_json(obj) -> Environment:

@@ -17,6 +17,10 @@ On top of these: interim allocations, the incentive-compatibility audit
 (flat interims within each sign, negative side below positive side),
 exact welfare two ways, the ordinal conditional-expectation projection,
 and the qualified/weighted majority benchmarks.
+
+Expectations are sums over the kernels of :mod:`anonvote.environments`:
+``multiset_distribution`` for anonymous rules and the threshold table,
+``profiles`` (ordered) for other rules and the coalition projection.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from typing import Iterable, Mapping, Sequence
 from .environments import (
     Environment,
     agent_stats,
-    profile_probability,
+    multiset_distribution,
+    profiles,
 )
 from .rationals import format_rational, parse_rational
 
@@ -299,6 +304,14 @@ def is_anonymous_rule(rule) -> bool:
     return False
 
 
+def _outcomes(agents, rule):
+    """``(profile, probability)`` pairs to weight ``rule`` by: report
+    multisets if it is anonymous, ordered profiles otherwise."""
+    if is_anonymous_rule(rule):
+        return multiset_distribution(agents).items()
+    return profiles(agents)
+
+
 def interim_allocation(env: Environment, rule, i: int, v: Fraction) -> Fraction:
     """Expected allocation when agent ``i`` reports ``v`` and others are truthful.
 
@@ -307,24 +320,16 @@ def interim_allocation(env: Environment, rule, i: int, v: Fraction) -> Fraction:
     """
     if v not in env.values:
         raise ValueError(f"report {v} not in the support")
-    others = [env.agents[j] for j in range(env.n) if j != i]
-    total = Fraction(0)
-    for rest in itertools.product(env.values.values, repeat=env.n - 1):
-        prob = Fraction(1)
-        for agent, value in zip(others, rest):
-            prob *= agent.prob(value)
-            if prob == 0:
-                break
-        if prob == 0:
-            continue
-        profile = rest[:i] + (v,) + rest[i:]
-        total += prob * rule.evaluate(profile)
-    return total
+    return interim_table(env, rule, i)[v]
 
 
 def interim_table(env: Environment, rule, i: int) -> dict:
     """Interim allocation of agent ``i`` at every report in the support."""
-    return {v: interim_allocation(env, rule, i, v) for v in env.values}
+    table = dict.fromkeys(env.values, Fraction(0))
+    for rest, prob in _outcomes(env.agents[:i] + env.agents[i + 1 :], rule):
+        for v in table:
+            table[v] += prob * rule.evaluate(rest[:i] + (v,) + rest[i:])
+    return table
 
 
 class BicViolation:
@@ -410,12 +415,13 @@ def check_bic(env: Environment, rule) -> BicReport:
 
 
 def welfare(env: Environment, rule) -> Fraction:
-    """Expected total value on the reform event, by full profile enumeration."""
+    """Expected total value on the reform event.
+
+    Anonymous rules are summed over report multisets, other rules over the
+    ordered profiles of positive probability.
+    """
     total = Fraction(0)
-    for profile in itertools.product(env.values.values, repeat=env.n):
-        prob = profile_probability(env, profile)
-        if prob == 0:
-            continue
+    for profile, prob in _outcomes(env.agents, rule):
         value_sum = sum(profile, Fraction(0))
         if value_sum == 0:
             continue
@@ -481,10 +487,7 @@ def ordinal_projection(env: Environment, rule) -> ProjectionResult:
         )
     mass: dict[frozenset, Fraction] = {}
     weighted: dict[frozenset, Fraction] = {}
-    for profile in itertools.product(env.values.values, repeat=env.n):
-        prob = profile_probability(env, profile)
-        if prob == 0:
-            continue
+    for profile, prob in profiles(env.agents):
         t = coalition(profile)
         mass[t] = mass.get(t, Fraction(0)) + prob
         weighted[t] = weighted.get(t, Fraction(0)) + prob * rule.evaluate(profile)
@@ -517,11 +520,8 @@ class QmrTable:
 def qmr_best(env: Environment) -> QmrTable:
     """Exact welfare of f^(k) for k = 0..n+1; smallest maximizer wins ties."""
     buckets = [Fraction(0)] * (env.n + 1)
-    for profile in itertools.product(env.values.values, repeat=env.n):
-        prob = profile_probability(env, profile)
-        if prob == 0:
-            continue
-        buckets[len(coalition(profile))] += prob * sum(profile, Fraction(0))
+    for m, prob in multiset_distribution(env.agents).items():
+        buckets[sum(1 for v in m if v > 0)] += prob * sum(m, Fraction(0))
     table: dict[int, Fraction] = {}
     running = Fraction(0)
     for k in range(env.n + 1, -1, -1):

@@ -16,12 +16,12 @@ rules.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .environments import (
     Environment,
     agent_stats,
+    multiset_distribution,
     validate_environment,
 )
 from .mechanisms import (
@@ -63,20 +63,11 @@ class OptLpIndex:
 
 
 def _interim_coefficients(env: Environment, i: int, index: OptLpIndex) -> dict:
-    """Per report v: LP row c with c[m] = P(others' profile sorts with v into m)."""
-    others = [env.agents[j] for j in range(env.n) if j != i]
+    """Per report v: LP row c with c[m] = P(others' reports sort with v into m)."""
     rows = {v: [Fraction(0)] * len(index) for v in env.values}
-    for rest in itertools.product(env.values.values, repeat=env.n - 1):
-        prob = Fraction(1)
-        for agent, value in zip(others, rest):
-            prob *= agent.prob(value)
-            if prob == 0:
-                break
-        if prob == 0:
-            continue
+    for rest, prob in multiset_distribution(env.agents[:i] + env.agents[i + 1 :]).items():
         for v in env.values:
-            m = tuple(sorted(rest + (v,)))
-            rows[v][index.position[m]] += prob
+            rows[v][index.position[tuple(sorted(rest + (v,)))]] = prob
     return rows
 
 
@@ -90,27 +81,14 @@ def build_opt_lp(env: Environment, deduplicate: bool = True):
     """
     index = OptLpIndex(env.values.values, env.n)
     objective = [Fraction(0)] * len(index)
-    for profile in itertools.product(env.values.values, repeat=env.n):
-        prob = Fraction(1)
-        for agent, value in zip(env.agents, profile):
-            prob *= agent.prob(value)
-            if prob == 0:
-                break
-        if prob == 0:
-            continue
-        objective[index.position[tuple(sorted(profile))]] += prob * sum(
-            profile, Fraction(0)
-        )
+    for m, prob in multiset_distribution(env.agents).items():
+        objective[index.position[m]] = prob * sum(m, Fraction(0))
 
-    if deduplicate:
-        representatives = []
-        seen = []
-        for i, agent in enumerate(env.agents):
-            if agent not in seen:
-                seen.append(agent)
-                representatives.append(i)
-    else:
-        representatives = list(range(env.n))
+    representatives = [
+        i
+        for i, agent in enumerate(env.agents)
+        if not deduplicate or agent not in env.agents[:i]
+    ]
 
     negatives = env.values.negatives
     positives = env.values.positives
@@ -120,21 +98,9 @@ def build_opt_lp(env: Environment, deduplicate: bool = True):
         interim = _interim_coefficients(env, i, index)
         for group in (negatives, positives):
             for a, b in zip(group, group[1:]):
-                eq_rows.append(
-                    (
-                        [x - y for x, y in zip(interim[a], interim[b])],
-                        Fraction(0),
-                    )
-                )
-        ineq_rows.append(
-            (
-                [
-                    x - y
-                    for x, y in zip(interim[negatives[-1]], interim[positives[0]])
-                ],
-                Fraction(0),
-            )
-        )
+                eq_rows.append(([x - y for x, y in zip(interim[a], interim[b])], Fraction(0)))
+        lo, hi = interim[negatives[-1]], interim[positives[0]]
+        ineq_rows.append(([x - y for x, y in zip(lo, hi)], Fraction(0)))
 
     lp = LinearProgram(
         num_vars=len(index),

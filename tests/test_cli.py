@@ -136,6 +136,23 @@ def test_verify_theorem2_fails_without_a_gap(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "lemma3", "aux"])
+def test_verify_rejects_fewer_than_one_trial(suite, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", suite, "--trials", "0"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "--trials" in captured.err
+
+
+def test_verify_theorem2_outside_the_family_is_an_input_error(capsys):
+    assert main(["verify", "theorem2", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "at least 3 agents" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["solve", "--env", missing]) == 2

@@ -12,7 +12,9 @@ from anonvote.environments import (
     agent_stats,
     environment_from_json,
     environment_to_json,
+    multiset_distribution,
     profile_probability,
+    profiles,
     validate_environment,
 )
 from anonvote.experiments import make_theorem2_env, random_environment
@@ -174,6 +176,55 @@ def test_profile_probabilities_sum_to_one():
             for p in itertools.product(env.values.values, repeat=env.n)
         )
         assert total == 1
+
+
+# ------------------------------------------------------- probability kernel
+
+
+def kernel_environments():
+    """Seeded full-support draws with n <= 4 and |V| <= 5, plus a limit case."""
+    rng = random.Random(11)
+    envs = [random_environment(rng, n_agents=n, max_values=5) for n in (2, 3, 4) * 4]
+    return envs + [make_theorem2_env(3, 10, 0)]
+
+
+def enumerated(env):
+    """Oracle: every ordered profile with its probability, zeros included."""
+    for profile in itertools.product(env.values.values, repeat=env.n):
+        yield profile, profile_probability(env, profile)
+
+
+def test_profiles_yield_exactly_the_positive_profiles_in_order():
+    for env in kernel_environments():
+        expected = [(p, q) for p, q in enumerated(env) if q != 0]
+        assert list(profiles(env.agents)) == expected
+
+
+def test_profiles_stream_without_building_the_profile_space():
+    # 8 agents over 8 values: 16.7M profiles, only the first few are visited
+    values = ValueSet([-4, -3, -2, -1, 1, 2, 3, 4])
+    dist = AgentDistribution({v: Fraction(1, 8) for v in values})
+    first = list(itertools.islice(profiles([dist] * 8), 3))
+    assert [p for p, _ in first] == [
+        (Fraction(-4),) * 7 + (Fraction(v),) for v in (-4, -3, -2)
+    ]
+    assert all(q == Fraction(1, 8 ** 8) for _, q in first)
+
+
+def test_multiset_distribution_equals_the_grouped_enumeration():
+    for env in kernel_environments():
+        grouped: dict = {}
+        for profile, q in enumerated(env):
+            if q != 0:
+                key = tuple(sorted(profile))
+                grouped[key] = grouped.get(key, Fraction(0)) + q
+        assert multiset_distribution(env.agents) == grouped
+        assert sum(grouped.values()) == 1
+
+
+def test_kernels_of_no_agents_hold_the_empty_profile():
+    assert list(profiles([])) == [((), 1)]
+    assert multiset_distribution([]) == {(): 1}
 
 
 # --------------------------------------------------------------------- JSON

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from anonvote.environments import AgentDistribution, Environment, ValueSet
+from anonvote.environments import (
+    AgentDistribution,
+    Environment,
+    ValueSet,
+    profile_probability,
+)
 from anonvote.experiments import (
     example1_fixture,
     make_fstar,
@@ -339,6 +344,63 @@ def test_two_agent_balance_identity():
         lhs = p1 * audit.c_plus[0] + (1 - p1) * audit.c_minus[0]
         rhs = p2 * audit.c_plus[1] + (1 - p2) * audit.c_minus[1]
         assert lhs == rhs
+
+
+# ------------------------------------------ probability kernels vs. oracle
+
+
+def oracle_welfare(env, rule):
+    return sum(
+        (
+            profile_probability(env, p) * sum(p, Fraction(0)) * rule.evaluate(p)
+            for p in itertools.product(env.values.values, repeat=env.n)
+        ),
+        Fraction(0),
+    )
+
+
+def oracle_interims(env, rule, i):
+    others = Environment(env.values, env.agents[:i] + env.agents[i + 1 :])
+    return {
+        v: sum(
+            (
+                profile_probability(others, rest) * rule.evaluate(rest[:i] + (v,) + rest[i:])
+                for rest in itertools.product(env.values.values, repeat=env.n - 1)
+            ),
+            Fraction(0),
+        )
+        for v in env.values
+    }
+
+
+def oracle_rules(env, rng):
+    """QMR k = 0..n+1, an equal-weight WMR, a random BIC vertex and the
+    utilitarian WMR (the last one not anonymous)."""
+    rules = [QualifiedMajorityRule(k) for k in range(env.n + 2)]
+    rules.append(WeightedMajorityRule([1] * env.n, Fraction(env.n, 2)))
+    rules.append(random_feasible_mechanism(env, rng))
+    rules.append(wmr_build(env))
+    return rules
+
+
+def oracle_environments(rng):
+    shapes = ((2, 5), (3, 5), (4, 4)) * 2
+    envs = [random_environment(rng, n_agents=n, max_values=v) for n, v in shapes]
+    return envs + [make_theorem2_env(3, 10, 0)]
+
+
+def test_welfare_and_interims_equal_the_enumeration():
+    rng = random.Random(23)
+    for env in oracle_environments(rng):
+        for rule in oracle_rules(env, rng):
+            assert welfare(env, rule) == oracle_welfare(env, rule)
+            audit = check_bic(env, rule)
+            assert len(audit.interims) == env.n or not audit.satisfied
+            for i, table in enumerate(audit.interims):
+                assert table == oracle_interims(env, rule, i)
+        qmr = qmr_best(env)
+        for k, w in qmr.table.items():
+            assert w == oracle_welfare(env, QualifiedMajorityRule(k))
 
 
 # --------------------------------------------------------------------- JSON
