@@ -61,10 +61,14 @@ class InputError(Exception):
 
 def _load_json(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
@@ -126,6 +130,13 @@ def _coalitions(phi: dict) -> list:
     return sorted(phi.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
 
+def _print_projection(projection):
+    print(f"projection anonymous: {'yes' if projection.anonymous else 'no'}")
+    for t, v in _coalitions(projection.phi):
+        members = ",".join(map(str, sorted(t))) or "-"
+        print(f"  coalition {{{members}}} -> {_fmt(v)}")
+
+
 def _projection_json(projection) -> dict:
     return {
         "anonymous": projection.anonymous,
@@ -168,6 +179,13 @@ def _parse_rat_arg(text, flag):
         return parse_rational(text)
     except RationalParseError as exc:
         raise InputError(f"{flag}: {exc}") from None
+
+
+def _wmr_rule(env, args):
+    try:
+        return wmr_build(env, _parse_rat_arg(args.tie, "--tie"))
+    except ValueError as exc:
+        raise InputError(f"--tie: {exc}") from None
 
 
 # ---------------------------------------------------------------- commands
@@ -216,10 +234,9 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     env = _load_environment(args.env)
     _check_size(env, args.force_large)
-    tie = _parse_rat_arg(args.tie, "--tie")
+    wmr = _wmr_rule(env, args)
     qmr = qmr_best(env)
     opt = solve_opt(env)
-    wmr = wmr_build(env, tie)
     wmr_welfare = welfare(env, wmr)
     flags = list(wmr.notes)
     ratios = None
@@ -269,10 +286,10 @@ def cmd_check(args) -> int:
     anonymous = is_anonymous_rule(rule)
     audit = check_bic(env, rule)
     w = welfare(env, rule)
-    hat_info = None
+    projection = None
     hat_error = None
     try:
-        hat_info = _projection_json(ordinal_projection(env, rule))
+        projection = ordinal_projection(env, rule)
     except (ZeroProbabilityCoalition, ValueError) as exc:
         hat_error = str(exc)
     if args.format == "json":
@@ -302,7 +319,7 @@ def cmd_check(args) -> int:
                 {format_rational(v): format_rational(q) for v, q in sorted(t.items())}
                 for t in audit.interims
             ],
-            "hat": hat_info if hat_error is None else {"error": hat_error},
+            "hat": {"error": hat_error} if projection is None else _projection_json(projection),
         }
         _emit(payload)
         return 0
@@ -317,12 +334,10 @@ def cmd_check(args) -> int:
     else:
         print(f"incentive compatible: no ({audit.witness})")
     print(f"welfare: {_fmt(w)}")
-    if hat_error is None:
-        print(f"projection anonymous: {'yes' if hat_info['anonymous'] else 'no'}")
-        for key, value in hat_info["phi"].items():
-            print(f"  coalition {{{key}}} -> {value}")
-    else:
+    if projection is None:
         print(f"projection unavailable: {hat_error}")
+    else:
+        _print_projection(projection)
     return 0
 
 
@@ -338,10 +353,7 @@ def cmd_hatf(args) -> int:
     if args.format == "json":
         _emit(_projection_json(projection))
         return 0
-    print(f"projection anonymous: {'yes' if projection.anonymous else 'no'}")
-    for t, v in _coalitions(projection.phi):
-        members = ",".join(map(str, sorted(t))) or "-"
-        print(f"  coalition {{{members}}} -> {_fmt(v)}")
+    _print_projection(projection)
     return 0
 
 
@@ -361,8 +373,7 @@ def cmd_qmr(args) -> int:
 def cmd_wmr(args) -> int:
     env = _load_environment(args.env)
     _check_size(env, args.force_large)
-    tie = _parse_rat_arg(args.tie, "--tie")
-    rule = wmr_build(env, tie)
+    rule = _wmr_rule(env, args)
     w = welfare(env, rule)
     if args.format == "json":
         _emit({**_wmr_json(rule, w), "flags": list(rule.notes)})
@@ -511,9 +522,7 @@ def _suite_example1(args) -> bool:
     if welfare(env, projection.hat) != welfare(env, rule):
         print("FAIL example1: projection changed welfare")
         return False
-    for t, value in _coalitions(projection.phi):
-        members = ",".join(map(str, sorted(t))) or "-"
-        print(f"  coalition {{{members}}} -> {format_rational(value)}")
+    _print_projection(projection)
     print("PASS example1: projection blocks {1, 1/3, 1/4, 7/12}, not anonymous, welfare preserved")
     return True
 

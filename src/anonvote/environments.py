@@ -323,6 +323,9 @@ def environment_from_json(obj) -> Environment:
         raw_agents = obj["agents"]
     except KeyError as exc:
         raise InvalidEnvironment(f"environment JSON missing key {exc}") from None
+    for key, raw in (("values", raw_values), ("agents", raw_agents)):
+        if not isinstance(raw, list):
+            raise InvalidEnvironment(f"environment JSON {key!r} must be a list")
     values = ValueSet(raw_values)
     expected_keys = {format_rational(v) for v in values}
     agents = []
@@ -330,6 +333,8 @@ def environment_from_json(obj) -> Environment:
         if not isinstance(raw, dict) or "probs" not in raw:
             raise InvalidEnvironment(f"agent {i}: expected an object with 'probs'")
         probs = raw["probs"]
+        if not isinstance(probs, dict):
+            raise InvalidEnvironment(f"agent {i}: 'probs' must be an object")
         keys = {format_rational(parse_rational(k)) for k in probs.keys()}
         if keys != expected_keys:
             raise InvalidEnvironment(

@@ -641,16 +641,22 @@ def mechanism_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("mechanism JSON must be an object with a 'kind' field")
     kind = obj["kind"]
-    if kind == "anonymous":
-        allocation = {_parse_key(k): v for k, v in obj["allocation"].items()}
-        return AnonymousSCF(obj["values"], int(obj["n"]), allocation)
+
+    def field(key, expected, what):
+        value = obj[key]
+        if not isinstance(value, expected) or isinstance(value, bool):
+            raise ValueError(f"mechanism field {key!r} must be {what}, got {value!r}")
+        return value
+
+    if kind in ("anonymous", "ordered_table"):
+        table_key = "allocation" if kind == "anonymous" else "table"
+        table = {_parse_key(k): v for k, v in field(table_key, dict, "an object").items()}
+        rule_class = AnonymousSCF if kind == "anonymous" else OrderedTableSCF
+        return rule_class(field("values", list, "a list"), field("n", int, "an integer"), table)
     if kind == "qmr":
-        return QualifiedMajorityRule(int(obj["k"]))
+        return QualifiedMajorityRule(field("k", int, "an integer"))
     if kind == "wmr":
         return WeightedMajorityRule(
-            obj["weights"], obj["quorum"], obj.get("tie", Fraction(1, 2))
+            field("weights", list, "a list"), obj["quorum"], obj.get("tie", Fraction(1, 2))
         )
-    if kind == "ordered_table":
-        table = {_parse_key(k): v for k, v in obj["table"].items()}
-        return OrderedTableSCF(obj["values"], int(obj["n"]), table)
     raise ValueError(f"unknown mechanism kind {kind!r}")

@@ -2,12 +2,15 @@
 
 Two independent engines:
 
-* :func:`solve`: a two-phase simplex for maximization with native handling
-  of per-variable bounds. Pivots follow Bland's rule (lowest eligible index
-  enters, lowest-index blocking variable leaves), which makes runs
-  deterministic and guarantees termination on degenerate instances. No
-  floating point and no tolerances appear anywhere: every comparison is an
-  exact Fraction comparison.
+* :func:`solve`: a bounded-variable simplex for maximization. Every row
+  gets one slack column, fixed at [0, 0] on an equality row and in
+  [0, inf) on an inequality row; a phase 1 over artificial columns runs
+  only for rows whose slack would start outside those bounds, so an LP
+  with zero right-hand sides (the welfare program) starts feasible. Pivots
+  follow Bland's rule (lowest eligible index enters, lowest-index blocking
+  variable leaves), which makes runs deterministic and guarantees
+  termination on degenerate instances. No floating point and no tolerances
+  appear anywhere: every comparison is an exact Fraction comparison.
 
 * :func:`vertex_enumerate`: an exhaustive search over candidate vertices
   (assignments of variables to a bound or to the set determined by active
@@ -121,66 +124,59 @@ _BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 
 
 class _Tableau:
-    """Mutable simplex state over shifted variables (all lower bounds at 0)."""
+    """Mutable simplex state over shifted variables (all lower bounds at 0).
+
+    Columns are the structural variables, then one slack per row (bounds
+    [0, 0] on an equality row, [0, inf) on an inequality row), then one
+    artificial for each row whose slack would start outside its bounds.
+    Every other row starts with its slack basic, so phase 1 runs only when
+    some row starts infeasible.
+    """
 
     def __init__(self, lp: LinearProgram):
         n = lp.num_vars
         self.n_struct = n
         self.shift = list(lp.lower)
+        rows = [(coeffs, rhs, True) for coeffs, rhs in lp.eq_rows] + [
+            (coeffs, rhs, False) for coeffs, rhs in lp.ineq_rows
+        ]
+        m = len(rows)
+        shifted = [
+            rhs - sum((c * lo for c, lo in zip(coeffs, self.shift)), Fraction(0))
+            for coeffs, rhs, _ in rows
+        ]
+        starts_infeasible = [
+            b < 0 or (is_eq and b != 0) for (_, _, is_eq), b in zip(rows, shifted)
+        ]
+        self.artificials = list(range(n + m, n + m + sum(starts_infeasible)))
+        self.num_cols = n + m + len(self.artificials)
         self.ub: list = [
             None if hi is None else hi - lo for lo, hi in zip(lp.lower, lp.upper)
         ]
-        self.rows: list[list[Fraction]] = []
-        row_kinds = []
-        for coeffs, rhs in lp.eq_rows:
-            row_kinds.append(("eq", coeffs, rhs))
-        for coeffs, rhs in lp.ineq_rows:
-            row_kinds.append(("ineq", coeffs, rhs))
-        self.n_slack = sum(1 for kind, _, _ in row_kinds if kind == "ineq")
-        self.num_cols = n + self.n_slack
+        self.ub += [Fraction(0) if is_eq else None for _, _, is_eq in rows]
+        self.ub += [None] * len(self.artificials)
         self.x: list[Fraction] = [Fraction(0)] * self.num_cols
         self.status: list[int] = [_AT_LOWER] * self.num_cols
         self.basis: list[int] = []
-        self.artificials: list[int] = []
+        self.rows: list[list[Fraction]] = []
         self.pivots = 0
 
-        slack_idx = n
-        for kind, coeffs, rhs in row_kinds:
-            shifted = rhs - sum(
-                (c * lo for c, lo in zip(coeffs, self.shift)), Fraction(0)
-            )
-            row = [Fraction(c) for c in coeffs] + [Fraction(0)] * self.n_slack
-            if kind == "ineq":
-                row[slack_idx] = Fraction(1)
-                this_slack = slack_idx
-                slack_idx += 1
-            else:
-                this_slack = None
-            if kind == "ineq" and shifted >= 0:
-                self.basis.append(this_slack)
-                self.status[this_slack] = _BASIC
-                self.x[this_slack] = shifted
-                self.rows.append(row)
-                continue
-            # needs an artificial; keep its column +1 by negating the row if required
-            if shifted < 0:
-                row = [-a for a in row]
-                shifted = -shifted
-            art = self.num_cols
-            self.num_cols += 1
-            for other in self.rows:
-                other.append(Fraction(0))
-            row.extend([Fraction(0)] * (art - len(row)))
-            row.append(Fraction(1))
-            self.x.append(shifted)
-            self.status.append(_BASIC)
-            self.artificials.append(art)
-            self.basis.append(art)
+        next_art = iter(self.artificials)
+        for r, ((coeffs, _, _), b, bad) in enumerate(zip(rows, shifted, starts_infeasible)):
+            row = [Fraction(c) for c in coeffs] + [Fraction(0)] * (self.num_cols - n)
+            row[n + r] = Fraction(1)
+            bv = n + r
+            if bad:
+                # keep the artificial's column +1 and its start value >= 0
+                if b < 0:
+                    row = [-a for a in row]
+                    b = -b
+                bv = next(next_art)
+                row[bv] = Fraction(1)
             self.rows.append(row)
-        # slack columns created after earlier artificial rows need padding
-        for row in self.rows:
-            row.extend([Fraction(0)] * (self.num_cols - len(row)))
-        self.ub.extend([None] * (self.num_cols - len(self.ub)))
+            self.basis.append(bv)
+            self.status[bv] = _BASIC
+            self.x[bv] = b
 
     def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
         z = list(cost) + [Fraction(0)] * (self.num_cols - len(cost))
@@ -252,47 +248,12 @@ class _Tableau:
                 factor = z[e]
                 z[:] = [a - factor * b for a, b in zip(z, pivot_row)]
 
-    def drop_artificials(self):
-        """Pivot basic artificials out, dropping redundant rows."""
-        r = 0
-        while r < len(self.rows):
-            bv = self.basis[r]
-            if bv not in self.artificials:
-                r += 1
-                continue
-            if self.x[bv] != 0:
-                raise SimplexError("artificial variable basic at nonzero value")
-            pivot_col = -1
-            for j in range(self.num_cols):
-                if j in self.artificials or self.status[j] == _BASIC:
-                    continue
-                if self.rows[r][j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col == -1:
-                del self.rows[r]
-                del self.basis[r]
-                self.status[bv] = _AT_LOWER
-                continue
-            # degenerate pivot: entering variable stays at its current value
-            self.status[bv] = _AT_LOWER
-            self.status[pivot_col] = _BASIC
-            self.basis[r] = pivot_col
-            pivot_row = self.rows[r]
-            piv = pivot_row[pivot_col]
-            self.rows[r] = pivot_row = [a / piv for a in pivot_row]
-            for k, row in enumerate(self.rows):
-                if k != r and row[pivot_col] != 0:
-                    factor = row[pivot_col]
-                    self.rows[k] = [a - factor * b for a, b in zip(row, pivot_row)]
-            self.pivots += 1
-            r += 1
-        for art in self.artificials:
-            self.ub[art] = Fraction(0)  # barred from ever re-entering
-
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Exact two-phase simplex; returns optimal vertex, infeasible, or unbounded."""
+    """Exact simplex, with a phase 1 only for rows that start infeasible.
+
+    Returns the optimal vertex, or the status infeasible or unbounded.
+    """
     tab = _Tableau(lp)
 
     if tab.artificials:
@@ -305,12 +266,11 @@ def solve(lp: LinearProgram) -> LpSolution:
             raise SimplexError("phase 1 cannot be unbounded")
         if any(tab.x[a] != 0 for a in tab.artificials):
             return LpSolution("infeasible", pivots=tab.pivots)
-        tab.drop_artificials()
+        # a basic artificial at 0 is now a fixed basic variable
+        for art in tab.artificials:
+            tab.ub[art] = Fraction(0)
 
-    phase2_cost = [Fraction(c) for c in lp.objective] + [Fraction(0)] * (
-        tab.num_cols - tab.n_struct
-    )
-    z = tab.reduced_costs(phase2_cost)
+    z = tab.reduced_costs(lp.objective)
     status = tab.optimize(z)
     if status == "unbounded":
         return LpSolution("unbounded", pivots=tab.pivots)
@@ -318,9 +278,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     x = [tab.shift[j] + tab.x[j] for j in range(tab.n_struct)]
     _verify_point(lp, x)
     value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
-    basis = frozenset(
-        bv for bv in tab.basis if bv < tab.n_struct
-    )
+    basis = frozenset(bv for bv in tab.basis if bv < tab.n_struct)
     return LpSolution("optimal", x, value, basis, tab.pivots)
 
 

@@ -178,6 +178,78 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+_GAMMA0 = environment_to_json(make_theorem2_env(3, 10, 0))
+_FSTAR = mechanism_to_json(make_fstar(3, 10))
+_HALVES = {"probs": {"-1": "1/2", "1": "1/2"}}
+
+
+@pytest.mark.parametrize(
+    "command, env, mech, flags",
+    [
+        ("solve", "directory", None, []),
+        ("solve", b'{"values": ["\xff"]}', None, []),
+        ("solve", {"values": 5, "agents": [_HALVES]}, None, []),
+        ("solve", {"values": ["-1", "1"], "agents": 5}, None, []),
+        ("solve", {"values": ["-1", "1"], "agents": [{"probs": ["1/2", "1/2"]}]}, None, []),
+        ("check", _GAMMA0, {"kind": "qmr", "k": 1.5}, []),
+        ("check", _GAMMA0, {"kind": "qmr", "k": True}, []),
+        ("check", _GAMMA0, {**_FSTAR, "n": 3.0}, []),
+        ("check", _GAMMA0, {"kind": "wmr", "weights": "123", "quorum": "1"}, []),
+        ("check", _GAMMA0, {**_FSTAR, "allocation": list(_FSTAR["allocation"].values())}, []),
+        ("check", _GAMMA0, {**_FSTAR, "kind": "ordered_table", "table": []}, []),
+        ("wmr", _GAMMA0, None, ["--tie", "2"]),
+        ("compare", _GAMMA0, None, ["--tie", "2"]),
+    ],
+    ids=[
+        "env-directory",
+        "env-not-utf8",
+        "values-not-list",
+        "agents-not-list",
+        "probs-not-object",
+        "k-fraction",
+        "k-bool",
+        "n-float",
+        "weights-string",
+        "allocation-list",
+        "table-list",
+        "wmr-tie-above-1",
+        "compare-tie-above-1",
+    ],
+)
+def test_malformed_inputs_exit_2_without_a_traceback(
+    command, env, mech, flags, tmp_path, capsys
+):
+    env_path = tmp_path / "env.json"
+    if env == "directory":
+        env_path.mkdir()
+    elif isinstance(env, bytes):
+        env_path.write_bytes(env)
+    else:
+        env_path.write_text(json.dumps(env))
+    argv = [command, "--env", str(env_path), *flags]
+    if mech is not None:
+        mech_path = tmp_path / "mech.json"
+        mech_path.write_text(json.dumps(mech))
+        argv += ["--mech", str(mech_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_check_and_hatf_print_the_same_coalitions(example1_files, capsys):
+    env_path, mech_path = example1_files
+
+    def coalition_lines(command):
+        assert main([command, "--env", env_path, "--mech", mech_path]) == 0
+        out = capsys.readouterr().out
+        return [line for line in out.splitlines() if "coalition" in line]
+
+    lines = coalition_lines("hatf")
+    assert "  coalition {-} -> 7/12 (~ 0.583333)" in lines
+    assert coalition_lines("check") == lines
+
+
 def test_size_guard_requires_force_large(tmp_path, capsys):
     dist = {"probs": {"-1": "1/2", "1": "1/2"}}
     env = {"values": ["-1", "1"], "agents": [dist] * 9}

@@ -46,6 +46,29 @@ def test_equality_row():
     assert sol.x == [F(0), F(1)]
 
 
+def test_homogeneous_equality_row_starts_feasible():
+    # the slack of a zero-rhs equality row starts inside its [0, 0] bounds,
+    # so no phase 1 runs and x = 0 is already optimal
+    sol = solve(LinearProgram(1, [-1], eq_rows=[([1], 0)]))
+    assert (sol.status, sol.x, sol.pivots) == ("optimal", [F(0)], 0)
+
+
+@pytest.mark.parametrize(
+    "eq",
+    [
+        [([1, 1], 1), ([2, 2], 2)],
+        [([1, 1, 0], 1), ([1, 1, 0], 1), ([0, 1, 1], 1)],
+    ],
+)
+def test_redundant_equality_rows_agree_with_the_oracle(eq):
+    # each redundant row keeps an artificial basic at 0 after phase 1
+    lp = box_lp([F(i + 1) for i in range(len(eq[0][0]))], eq=eq)
+    sol = solve(lp)
+    oracle = vertex_enumerate(lp)
+    assert sol.status == oracle.status == "optimal"
+    assert sol.objective_value == oracle.objective_value
+
+
 def test_infeasible_toy_system():
     # x <= 0 together with x >= 1 inside the unit box
     lp = box_lp([1], ineq=[([1], 0), ([-1], -1)])
