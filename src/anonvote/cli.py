@@ -1,11 +1,10 @@
-"""Command line front end.
+"""Command line front end; ``anonvote <command> --help`` lists each command's options.
 
-Subcommands: ``solve`` (optimal anonymous incentive-compatible rule for an
-environment file), ``compare`` (best qualified-majority vs. optimal vs.
-weighted-majority welfare), ``check`` (audit a mechanism file against an
-environment), ``hatf`` (coalition projection), ``qmr`` / ``wmr``
-(benchmark rules), ``verify`` (named assertion suites) and
-``demo-theorem2`` (the two-type family walkthrough).
+Every data command (``solve``, ``compare``, ``check``, ``hatf``, ``qmr``,
+``wmr``, ``demo-theorem2``) computes one JSON payload: ``--format json``
+prints it, and ``--format table`` (the default) prints a text view of that
+same payload. ``verify`` runs a named assertion suite and prints one
+PASS/FAIL line.
 
 Exit codes: 0 on success/pass, 1 when a verify suite fails an assertion,
 2 on input errors. All reported comparisons are computed on exact
@@ -34,6 +33,7 @@ from .experiments import (
 )
 from .mechanisms import (
     AnonymousSCF,
+    BicViolation,
     OrderedTableSCF,
     QualifiedMajorityRule,
     WeightedMajorityRule,
@@ -104,47 +104,40 @@ _SIZE_LIMIT = 8
 
 
 def _check_size(env, force_large: bool):
-    if force_large:
-        return
-    if env.n > _SIZE_LIMIT or len(env.values) > _SIZE_LIMIT:
+    if not force_large and max(env.n, len(env.values)) > _SIZE_LIMIT:
         raise InputError(
             f"refusing n > {_SIZE_LIMIT} or |V| > {_SIZE_LIMIT} without --force-large "
             f"(got n={env.n}, |V|={len(env.values)})"
         )
 
 
-def _pair(q: Fraction) -> dict:
-    return {"exact": format_rational(q), "decimal": float(q)}
+def _pair(q: Fraction | None) -> dict | None:
+    return None if q is None else {"exact": format_rational(q), "decimal": float(q)}
 
 
-def _fmt(q: Fraction) -> str:
+def _rational_table(table: dict) -> dict:
+    return {format_rational(v): format_rational(q) for v, q in sorted(table.items())}
+
+
+def _fmt(q) -> str:
+    """Exact value with a decimal annotation; ``q`` is a Fraction or an exact string."""
+    q = Fraction(q)
     return f"{format_rational(q)} (~ {float(q):.6f})"
 
 
-def _emit(obj):
-    print(json.dumps(obj, indent=2))
-
-
-def _coalitions(phi: dict) -> list:
-    """Projection entries by coalition size, then members."""
-    return sorted(phi.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
-
-def _print_projection(projection):
-    print(f"projection anonymous: {'yes' if projection.anonymous else 'no'}")
-    for t, v in _coalitions(projection.phi):
-        members = ",".join(map(str, sorted(t))) or "-"
-        print(f"  coalition {{{members}}} -> {_fmt(v)}")
-
-
 def _projection_json(projection) -> dict:
+    """Coalition entries ordered by coalition size, then members."""
+    phi = sorted(projection.phi.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     return {
         "anonymous": projection.anonymous,
-        "phi": {
-            ",".join(map(str, sorted(t))): format_rational(v)
-            for t, v in _coalitions(projection.phi)
-        },
+        "phi": {",".join(map(str, sorted(t))): format_rational(v) for t, v in phi},
     }
+
+
+def _print_projection(hat: dict):
+    print(f"projection anonymous: {'yes' if hat['anonymous'] else 'no'}")
+    for members, v in hat["phi"].items():
+        print(f"  coalition {{{members or '-'}}} -> {_fmt(v)}")
 
 
 def _qmr_json(table) -> dict:
@@ -153,6 +146,11 @@ def _qmr_json(table) -> dict:
         "welfare": _pair(table.best_welfare),
         "table": {str(k): format_rational(w) for k, w in table.table.items()},
     }
+
+
+def _print_thresholds(table: dict):
+    for k, w in table.items():
+        print(f"  k={k}: {_fmt(w)}")
 
 
 def _wmr_json(rule, w: Fraction) -> dict:
@@ -188,52 +186,48 @@ def _wmr_rule(env, args):
         raise InputError(f"--tie: {exc}") from None
 
 
-# ---------------------------------------------------------------- commands
+def _theorem2_report(args):
+    M = _parse_rat_arg(args.M, "--M")
+    eps = _parse_rat_arg(args.eps, "--eps")
+    try:
+        return run_theorem2_demo(args.n, M, eps)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
-def cmd_solve(args) -> int:
-    env = _load_environment(args.env)
-    _check_size(env, args.force_large)
+# ------------------------- commands: each returns the JSON payload its _print_* renders
+
+
+def cmd_solve(args, env) -> dict:
     report = solve_opt(env)
-    if args.format == "json":
-        _emit(
+    return {
+        "welfare": _pair(report.welfare),
+        "interims": [
             {
-                "welfare": _pair(report.welfare),
-                "interims": [
-                    {
-                        "agent": i,
-                        "c_minus": format_rational(report.c_minus[i]),
-                        "c_plus": format_rational(report.c_plus[i]),
-                        "table": {
-                            format_rational(v): format_rational(q)
-                            for v, q in sorted(report.interims[i].items())
-                        },
-                    }
-                    for i in range(env.n)
-                ],
-                "lp": report.lp_stats,
-                "mechanism": mechanism_to_json(report.mechanism),
+                "agent": i,
+                "c_minus": format_rational(report.c_minus[i]),
+                "c_plus": format_rational(report.c_plus[i]),
+                "table": _rational_table(report.interims[i]),
             }
-        )
-        return 0
-    print(f"optimal welfare: {_fmt(report.welfare)}")
-    print(f"lp: {report.lp_stats}")
-    for i in range(env.n):
-        print(
-            f"agent {i}: c- = {format_rational(report.c_minus[i])}, "
-            f"c+ = {format_rational(report.c_plus[i])}"
-        )
+            for i in range(env.n)
+        ],
+        "lp": report.lp_stats,
+        "mechanism": mechanism_to_json(report.mechanism),
+    }
+
+
+def _print_solve(payload):
+    print(f"optimal welfare: {_fmt(payload['welfare']['exact'])}")
+    print(f"lp: {payload['lp']}")
+    for row in payload["interims"]:
+        print(f"agent {row['agent']}: c- = {row['c_minus']}, c+ = {row['c_plus']}")
     print("nonzero allocations:")
-    for m, q in sorted(report.mechanism.allocation.items()):
-        if q != 0:
-            key = ",".join(format_rational(v) for v in m)
+    for key, q in payload["mechanism"]["allocation"].items():
+        if q != "0":
             print(f"  {{{key}}} -> {_fmt(q)}")
-    return 0
 
 
-def cmd_compare(args) -> int:
-    env = _load_environment(args.env)
-    _check_size(env, args.force_large)
+def cmd_compare(args, env) -> dict:
     wmr = _wmr_rule(env, args)
     qmr = qmr_best(env)
     opt = solve_opt(env)
@@ -242,221 +236,170 @@ def cmd_compare(args) -> int:
     ratios = None
     if wmr_welfare != 0:
         ratios = {
-            "qmr_over_wmr": qmr.best_welfare / wmr_welfare,
-            "opt_over_wmr": opt.welfare / wmr_welfare,
+            name: {**_pair(q), "percent": float(q) * 100}
+            for name, q in (
+                ("qmr_over_wmr", qmr.best_welfare / wmr_welfare),
+                ("opt_over_wmr", opt.welfare / wmr_welfare),
+            )
         }
     else:
         flags.append("weighted-rule welfare is 0; ratios undefined")
-    if args.format == "json":
-        payload = {
-            "qmr": _qmr_json(qmr),
-            "opt": {"welfare": _pair(opt.welfare)},
-            "wmr": _wmr_json(wmr, wmr_welfare),
-            "ratios": None
-            if ratios is None
-            else {
-                name: {**_pair(value), "percent": float(value) * 100}
-                for name, value in ratios.items()
-            },
-            "flags": flags,
-        }
-        _emit(payload)
-        return 0
-    print(f"best qualified majority: k = {qmr.k_star}, welfare {_fmt(qmr.best_welfare)}")
-    for k, w in qmr.table.items():
-        print(f"  k={k}: {_fmt(w)}")
-    print(f"optimal anonymous rule welfare: {_fmt(opt.welfare)}")
+    return {
+        "qmr": _qmr_json(qmr),
+        "opt": {"welfare": _pair(opt.welfare)},
+        "wmr": _wmr_json(wmr, wmr_welfare),
+        "ratios": ratios,
+        "flags": flags,
+    }
+
+
+def _print_compare(payload):
+    qmr, wmr = payload["qmr"], payload["wmr"]
+    print(f"best qualified majority: k = {qmr['k_star']}, welfare {_fmt(qmr['welfare']['exact'])}")
+    _print_thresholds(qmr["table"])
+    print(f"optimal anonymous rule welfare: {_fmt(payload['opt']['welfare']['exact'])}")
     print(
-        f"weighted rule: weights {[format_rational(w) for w in wmr.weights]}, "
-        f"quorum {format_rational(wmr.quorum)}, welfare {_fmt(wmr_welfare)}"
+        f"weighted rule: weights {wmr['weights']}, "
+        f"quorum {wmr['quorum']}, welfare {_fmt(wmr['welfare']['exact'])}"
     )
-    if ratios is not None:
-        print(f"qmr/wmr: {_fmt(ratios['qmr_over_wmr'])} = {float(ratios['qmr_over_wmr']) * 100:.2f}%")
-        print(f"opt/wmr: {_fmt(ratios['opt_over_wmr'])} = {float(ratios['opt_over_wmr']) * 100:.2f}%")
-    for note in flags:
+    for name, ratio in (payload["ratios"] or {}).items():
+        label = name.replace("_over_", "/")
+        print(f"{label}: {_fmt(ratio['exact'])} = {ratio['percent']:.2f}%")
+    for note in payload["flags"]:
         print(f"flag: {note}")
-    return 0
 
 
-def cmd_check(args) -> int:
-    env = _load_environment(args.env)
-    _check_size(env, args.force_large)
-    rule = _load_mechanism(args.mech)
-    _check_support(env, rule)
+def cmd_check(args, env, rule) -> dict:
     anonymous = is_anonymous_rule(rule)
     audit = check_bic(env, rule)
     w = welfare(env, rule)
-    projection = None
-    hat_error = None
     try:
-        projection = ordinal_projection(env, rule)
+        hat = _projection_json(ordinal_projection(env, rule))
     except (ZeroProbabilityCoalition, ValueError) as exc:
-        hat_error = str(exc)
-    if args.format == "json":
-        payload = {
-            "anonymous": anonymous,
-            "bic": {
-                "satisfied": audit.satisfied,
-                "witness": None
-                if audit.witness is None
-                else {
-                    "agent": audit.witness.agent,
-                    "report": format_rational(audit.witness.report),
-                    "other_report": format_rational(audit.witness.other_report),
-                    "interim": format_rational(audit.witness.interim),
-                    "other_interim": format_rational(audit.witness.other_interim),
-                    "kind": audit.witness.kind,
-                },
-                "c_minus": None
-                if not audit.satisfied
-                else [format_rational(c) for c in audit.c_minus],
-                "c_plus": None
-                if not audit.satisfied
-                else [format_rational(c) for c in audit.c_plus],
+        hat = {"error": str(exc)}
+    witness = audit.witness
+    return {
+        "anonymous": anonymous,
+        "bic": {
+            "satisfied": audit.satisfied,
+            "witness": None
+            if witness is None
+            else {
+                "agent": witness.agent,
+                "report": format_rational(witness.report),
+                "other_report": format_rational(witness.other_report),
+                "interim": format_rational(witness.interim),
+                "other_interim": format_rational(witness.other_interim),
+                "kind": witness.kind,
             },
-            "welfare": _pair(w),
-            "interims": [
-                {format_rational(v): format_rational(q) for v, q in sorted(t.items())}
-                for t in audit.interims
-            ],
-            "hat": {"error": hat_error} if projection is None else _projection_json(projection),
-        }
-        _emit(payload)
-        return 0
-    print(f"anonymous: {'yes' if anonymous else 'no'}")
-    if audit.satisfied:
+            "c_minus": None
+            if not audit.satisfied
+            else [format_rational(c) for c in audit.c_minus],
+            "c_plus": None
+            if not audit.satisfied
+            else [format_rational(c) for c in audit.c_plus],
+        },
+        "welfare": _pair(w),
+        "interims": [_rational_table(t) for t in audit.interims],
+        "hat": hat,
+    }
+
+
+def _print_check(payload):
+    print(f"anonymous: {'yes' if payload['anonymous'] else 'no'}")
+    bic = payload["bic"]
+    if bic["satisfied"]:
         print("incentive compatible: yes")
-        for i in range(env.n):
-            print(
-                f"  agent {i}: c- = {format_rational(audit.c_minus[i])}, "
-                f"c+ = {format_rational(audit.c_plus[i])}"
-            )
+        for i, (c_minus, c_plus) in enumerate(zip(bic["c_minus"], bic["c_plus"])):
+            print(f"  agent {i}: c- = {c_minus}, c+ = {c_plus}")
     else:
-        print(f"incentive compatible: no ({audit.witness})")
-    print(f"welfare: {_fmt(w)}")
-    if projection is None:
-        print(f"projection unavailable: {hat_error}")
+        print(f"incentive compatible: no ({BicViolation(**bic['witness'])})")
+    print(f"welfare: {_fmt(payload['welfare']['exact'])}")
+    if "error" in payload["hat"]:
+        print(f"projection unavailable: {payload['hat']['error']}")
     else:
-        _print_projection(projection)
-    return 0
+        _print_projection(payload["hat"])
 
 
-def cmd_hatf(args) -> int:
-    env = _load_environment(args.env)
-    _check_size(env, args.force_large)
-    rule = _load_mechanism(args.mech)
-    _check_support(env, rule)
+def cmd_hatf(args, env, rule) -> dict:
     try:
-        projection = ordinal_projection(env, rule)
+        return _projection_json(ordinal_projection(env, rule))
     except (ZeroProbabilityCoalition, ValueError) as exc:
         raise InputError(str(exc)) from None
-    if args.format == "json":
-        _emit(_projection_json(projection))
-        return 0
-    _print_projection(projection)
-    return 0
 
 
-def cmd_qmr(args) -> int:
-    env = _load_environment(args.env)
-    _check_size(env, args.force_large)
-    table = qmr_best(env)
-    if args.format == "json":
-        _emit(_qmr_json(table))
-        return 0
-    print(f"best threshold: k = {table.k_star}, welfare {_fmt(table.best_welfare)}")
-    for k, w in table.table.items():
-        print(f"  k={k}: {_fmt(w)}")
-    return 0
+def cmd_qmr(args, env) -> dict:
+    return _qmr_json(qmr_best(env))
 
 
-def cmd_wmr(args) -> int:
-    env = _load_environment(args.env)
-    _check_size(env, args.force_large)
+def _print_qmr(payload):
+    print(f"best threshold: k = {payload['k_star']}, welfare {_fmt(payload['welfare']['exact'])}")
+    _print_thresholds(payload["table"])
+
+
+def cmd_wmr(args, env) -> dict:
     rule = _wmr_rule(env, args)
-    w = welfare(env, rule)
-    if args.format == "json":
-        _emit({**_wmr_json(rule, w), "flags": list(rule.notes)})
-        return 0
-    print(
-        f"weights: {[format_rational(x) for x in rule.weights]}, "
-        f"quorum {format_rational(rule.quorum)}, tie {format_rational(rule.tie_value)}"
-    )
-    print(f"welfare: {_fmt(w)}")
-    for note in rule.notes:
+    return {**_wmr_json(rule, welfare(env, rule)), "flags": list(rule.notes)}
+
+
+def _print_wmr(payload):
+    print(f"weights: {payload['weights']}, quorum {payload['quorum']}, tie {payload['tie']}")
+    print(f"welfare: {_fmt(payload['welfare']['exact'])}")
+    for note in payload["flags"]:
         print(f"flag: {note}")
-    return 0
 
 
-def cmd_demo_theorem2(args) -> int:
-    n = args.n
-    M = _parse_rat_arg(args.M, "--M")
-    eps = _parse_rat_arg(args.eps, "--eps")
-    try:
-        report = run_theorem2_demo(n, M, eps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    if args.format == "json":
-        payload = {
-            "n": report.n,
-            "M": format_rational(report.M),
-            "eps": format_rational(report.eps),
-            "best_qmr": {"k_star": report.qmr.k_star, "welfare": _pair(report.qmr.best_welfare)},
-            "opt_welfare": _pair(report.opt.welfare),
-            "fstar_welfare": None
-            if report.fstar_welfare is None
-            else _pair(report.fstar_welfare),
-            "wmr_welfare": _pair(report.wmr_welfare),
-            "strict_gap": report.strict_gap,
-            "ratio": None if report.ratio is None else _pair(report.ratio),
-        }
-        _emit(payload)
-        return 0
-    print(f"family member: n={report.n}, M={format_rational(report.M)}, eps={format_rational(report.eps)}")
-    print(f"best qualified majority (k={report.qmr.k_star}): {_fmt(report.qmr.best_welfare)}")
-    print(f"optimal anonymous rule: {_fmt(report.opt.welfare)}")
-    if report.fstar_welfare is not None:
-        print(f"override rule welfare: {_fmt(report.fstar_welfare)}")
-    print(f"weighted rule welfare: {_fmt(report.wmr_welfare)}")
-    print(f"strict cardinal gap: {'yes' if report.strict_gap else 'no'}")
-    if report.ratio is not None:
-        print(f"opt/qmr ratio: {_fmt(report.ratio)}")
-    return 0
+def cmd_demo_theorem2(args) -> dict:
+    report = _theorem2_report(args)
+    return {
+        "n": report.n,
+        "M": format_rational(report.M),
+        "eps": format_rational(report.eps),
+        "best_qmr": {"k_star": report.qmr.k_star, "welfare": _pair(report.qmr.best_welfare)},
+        "opt_welfare": _pair(report.opt.welfare),
+        "fstar_welfare": _pair(report.fstar_welfare),
+        "wmr_welfare": _pair(report.wmr_welfare),
+        "strict_gap": report.strict_gap,
+        "ratio": _pair(report.ratio),
+    }
 
 
-# ------------------------------------------------------------ verify suites
+def _print_demo_theorem2(payload):
+    qmr = payload["best_qmr"]
+    print(f"family member: n={payload['n']}, M={payload['M']}, eps={payload['eps']}")
+    print(f"best qualified majority (k={qmr['k_star']}): {_fmt(qmr['welfare']['exact'])}")
+    print(f"optimal anonymous rule: {_fmt(payload['opt_welfare']['exact'])}")
+    if payload["fstar_welfare"] is not None:
+        print(f"override rule welfare: {_fmt(payload['fstar_welfare']['exact'])}")
+    print(f"weighted rule welfare: {_fmt(payload['wmr_welfare']['exact'])}")
+    print(f"strict cardinal gap: {'yes' if payload['strict_gap'] else 'no'}")
+    if payload["ratio"] is not None:
+        print(f"opt/qmr ratio: {_fmt(payload['ratio']['exact'])}")
 
 
-def _suite_theorem1(args) -> bool:
+# ----------------- verify suites: each returns (passed, message) for main's PASS/FAIL line
+
+
+def _suite_theorem1(args):
     campaign = verify_theorem1(args.trials, args.seed)
     if campaign.passed:
-        print(f"PASS theorem1: {campaign.trials} random 2-agent environments, all exact matches")
-        return True
-    print(f"FAIL theorem1: {len(campaign.failures)} mismatches")
-    for failure in campaign.failures[:3]:
-        print(json.dumps(failure, indent=2))
-    return False
+        return True, f"{campaign.trials} random 2-agent environments, all exact matches"
+    shown = "".join("\n" + json.dumps(failure, indent=2) for failure in campaign.failures[:3])
+    return False, f"{len(campaign.failures)} mismatches{shown}"
 
 
-def _suite_theorem2(args) -> bool:
-    M = _parse_rat_arg(args.M, "--M")
-    eps = _parse_rat_arg(args.eps, "--eps")
-    try:
-        report = run_theorem2_demo(args.n, M, eps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def _suite_theorem2(args):
+    report = _theorem2_report(args)
     print(
-        f"n={report.n} M={format_rational(M)} eps={format_rational(eps)}: "
+        f"n={report.n} M={format_rational(report.M)} eps={format_rational(report.eps)}: "
         f"qmr {_fmt(report.qmr.best_welfare)}, opt {_fmt(report.opt.welfare)}"
     )
     if report.strict_gap:
-        print("PASS theorem2: optimal cardinal rule strictly beats every qualified majority")
-        return True
-    print("FAIL theorem2: no strict gap found")
-    return False
+        return True, "optimal cardinal rule strictly beats every qualified majority"
+    return False, "no strict gap found"
 
 
-def _suite_lemma3(args) -> bool:
+def _suite_lemma3(args):
     rng = random.Random(args.seed)
     checked = 0
     for _ in range(args.trials):
@@ -464,14 +407,12 @@ def _suite_lemma3(args) -> bool:
         for rule in (solve_opt(env).mechanism, random_feasible_mechanism(env, rng)):
             report = lemma3_bounds(env, rule)
             if not report.satisfied:
-                print(f"FAIL lemma3: bound violated: {report}")
-                return False
+                return False, f"bound violated: {report}"
             checked += 1
-    print(f"PASS lemma3: both influence bounds hold on {checked} mechanisms")
-    return True
+    return True, f"both influence bounds hold on {checked} mechanisms"
 
 
-def _suite_aux(args) -> bool:
+def _suite_aux(args):
     rng = random.Random(args.seed)
     for _ in range(args.trials):
         env = random_environment(rng, n_agents=2)
@@ -480,72 +421,57 @@ def _suite_aux(args) -> bool:
         p2 = agent_stats(env, 1).p
         for point in (corners.first, corners.second):
             if p1 * point.c2_plus - (1 - p1) * point.c2_minus != p1 * p1:
-                print("FAIL aux: first influence constraint not tight at a corner")
-                return False
+                return False, "first influence constraint not tight at a corner"
             if p2 * point.c1_plus - (1 - p2) * point.c1_minus != p2 * p2:
-                print("FAIL aux: second influence constraint not tight at a corner")
-                return False
+                return False, "second influence constraint not tight at a corner"
         for k, point in ((1, corners.first), (2, corners.second)):
             audit = check_bic(env, QualifiedMajorityRule(k))
             observed = (audit.c_plus[0], audit.c_minus[0], audit.c_plus[1], audit.c_minus[1])
             expected = (point.c1_plus, point.c1_minus, point.c2_plus, point.c2_minus)
             if observed != expected:
-                print(f"FAIL aux: k={k} interims {observed} differ from corner {expected}")
-                return False
+                return False, f"k={k} interims {observed} differ from corner {expected}"
         best = max(
             welfare(env, QualifiedMajorityRule(1)), welfare(env, QualifiedMajorityRule(2))
         )
         if corners.best_value() != best or solve_opt(env).welfare != best:
-            print("FAIL aux: corner optimum does not match the program optimum")
-            return False
-    print(f"PASS aux: corner candidates match majority-rule interims on {args.trials} environments")
-    return True
+            return False, "corner optimum does not match the program optimum"
+    return True, f"corner candidates match majority-rule interims on {args.trials} environments"
 
 
-def _suite_example1(args) -> bool:
+def _suite_example1(args):
     env, rule, hat_expected = example1_fixture()
     if not rule.is_anonymous():
-        print("FAIL example1: rule is not anonymous")
-        return False
+        return False, "rule is not anonymous"
     audit = check_bic(env, rule)
     if not audit.satisfied:
-        print(f"FAIL example1: rule is not incentive compatible: {audit.witness}")
-        return False
+        return False, f"rule is not incentive compatible: {audit.witness}"
     projection = ordinal_projection(env, rule)
     for profile, expected in hat_expected.table.items():
         if projection.hat.evaluate(profile) != expected:
-            print(f"FAIL example1: projection at {profile} is not {expected}")
-            return False
+            return False, f"projection at {profile} is not {expected}"
     if projection.anonymous:
-        print("FAIL example1: projection unexpectedly anonymous")
-        return False
+        return False, "projection unexpectedly anonymous"
     if welfare(env, projection.hat) != welfare(env, rule):
-        print("FAIL example1: projection changed welfare")
-        return False
-    _print_projection(projection)
-    print("PASS example1: projection blocks {1, 1/3, 1/4, 7/12}, not anonymous, welfare preserved")
-    return True
+        return False, "projection changed welfare"
+    _print_projection(_projection_json(projection))
+    return True, "projection blocks {1, 1/3, 1/4, 7/12}, not anonymous, welfare preserved"
 
 
-def _suite_ratio(args) -> bool:
+def _suite_ratio(args):
     m_values = [Fraction(10), Fraction(100), Fraction(1000)]
     rows = cardinal_ordinal_ratio_sweep(m_values)
     previous = None
     for row in rows:
         closed_form = 4 * row.M / (2 * row.M + 1)
         if row.ratio != closed_form:
-            print(f"FAIL ratio: M={row.M}: got {row.ratio}, closed form {closed_form}")
-            return False
+            return False, f"M={row.M}: got {row.ratio}, closed form {closed_form}"
         if row.ratio >= 2:
-            print(f"FAIL ratio: M={row.M}: ratio {row.ratio} is not below 2")
-            return False
+            return False, f"M={row.M}: ratio {row.ratio} is not below 2"
         if previous is not None and row.ratio <= previous:
-            print(f"FAIL ratio: not strictly increasing at M={row.M}")
-            return False
+            return False, f"not strictly increasing at M={row.M}"
         previous = row.ratio
         print(f"  M={row.M}: ratio {_fmt(row.ratio)}")
-    print("PASS ratio: ratios match 4M/(2M+1), strictly increasing, below 2")
-    return True
+    return True, "ratios match 4M/(2M+1), strictly increasing, below 2"
 
 
 _SUITES = {
@@ -558,12 +484,19 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    suite = _SUITES[args.suite]
-    return 0 if suite(args) else 1
-
-
 # ------------------------------------------------------------------ parser
+
+
+def _data_options(p, func, render, env=True, mech=False):
+    """Declare a data command's inputs (with the size guard) and ``--format``."""
+    if env:
+        p.add_argument("--env", required=True, metavar="FILE", help="environment JSON file")
+    if mech:
+        p.add_argument("--mech", required=True, metavar="FILE", help="mechanism JSON file")
+    p.add_argument("--format", choices=("json", "table"), default="table")
+    if env:
+        p.add_argument("--force-large", action="store_true", help="lift the n/|V| size guard")
+    p.set_defaults(func=func, render=render)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -573,40 +506,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, env=True, mech=False, fmt=True):
-        if env:
-            p.add_argument("--env", required=True, metavar="FILE", help="environment JSON file")
-        if mech:
-            p.add_argument("--mech", required=True, metavar="FILE", help="mechanism JSON file")
-        if fmt:
-            p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--force-large", action="store_true", help="lift the n/|V| size guard")
-
     p = sub.add_parser("solve", help="optimal anonymous incentive-compatible rule")
-    common(p)
-    p.set_defaults(func=cmd_solve)
+    _data_options(p, cmd_solve, _print_solve)
 
     p = sub.add_parser("compare", help="qualified-majority vs optimal vs weighted-majority welfare")
-    common(p)
+    _data_options(p, cmd_compare, _print_compare)
     p.add_argument("--tie", default="1/2", help="weighted-rule tie allocation (rational)")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check", help="audit a mechanism against an environment")
-    common(p, mech=True)
-    p.set_defaults(func=cmd_check)
+    _data_options(p, cmd_check, _print_check, mech=True)
 
     p = sub.add_parser("hatf", help="coalition projection of a mechanism")
-    common(p, mech=True)
-    p.set_defaults(func=cmd_hatf)
+    _data_options(p, cmd_hatf, _print_projection, mech=True)
 
     p = sub.add_parser("qmr", help="welfare table of all qualified majority thresholds")
-    common(p)
-    p.set_defaults(func=cmd_qmr)
+    _data_options(p, cmd_qmr, _print_qmr)
 
     p = sub.add_parser("wmr", help="utilitarian weighted majority rule")
-    common(p)
+    _data_options(p, cmd_wmr, _print_wmr)
     p.add_argument("--tie", default="1/2", help="tie allocation (rational)")
-    p.set_defaults(func=cmd_wmr)
 
     p = sub.add_parser("verify", help="run a named assertion suite")
     p.add_argument("suite", choices=sorted(_SUITES))
@@ -615,26 +533,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--M", default="10")
     p.add_argument("--eps", default="1/1000")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("demo-theorem2", help="walk through one two-type family member")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--M", default="10")
     p.add_argument("--eps", default="0")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.set_defaults(func=cmd_demo_theorem2)
+    _data_options(p, cmd_demo_theorem2, _print_demo_theorem2, env=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":
+            passed, message = _SUITES[args.suite](args)
+            print(f"{'PASS' if passed else 'FAIL'} {args.suite}: {message}")
+            return 0 if passed else 1
+        inputs = []
+        if "env" in args:
+            env = _load_environment(args.env)
+            _check_size(env, args.force_large)
+            inputs.append(env)
+            if "mech" in args:
+                rule = _load_mechanism(args.mech)
+                _check_support(env, rule)
+                inputs.append(rule)
+        payload = args.func(args, *inputs)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        args.render(payload)
+    return 0
 
 
 if __name__ == "__main__":

@@ -90,7 +90,12 @@ class AgentDistribution:
     __slots__ = ("items", "probs", "name")
 
     def __init__(self, probs: Mapping, name: str | None = None):
-        parsed = {parse_rational(v): parse_rational(p) for v, p in probs.items()}
+        parsed = {}
+        for key, p in probs.items():
+            v = parse_rational(key)
+            if v in parsed:
+                raise InvalidEnvironment(f"probs give value {format_rational(v)} twice")
+            parsed[v] = parse_rational(p)
         self.items = tuple(sorted(parsed.items()))
         self.probs = parsed
         self.name = name
@@ -327,7 +332,6 @@ def environment_from_json(obj) -> Environment:
         if not isinstance(raw, list):
             raise InvalidEnvironment(f"environment JSON {key!r} must be a list")
     values = ValueSet(raw_values)
-    expected_keys = {format_rational(v) for v in values}
     agents = []
     for i, raw in enumerate(raw_agents):
         if not isinstance(raw, dict) or "probs" not in raw:
@@ -335,12 +339,12 @@ def environment_from_json(obj) -> Environment:
         probs = raw["probs"]
         if not isinstance(probs, dict):
             raise InvalidEnvironment(f"agent {i}: 'probs' must be an object")
-        keys = {format_rational(parse_rational(k)) for k in probs.keys()}
-        if keys != expected_keys:
+        agent = AgentDistribution(probs, name=raw.get("name"))
+        if set(agent.probs) != set(values):
             raise InvalidEnvironment(
                 f"agent {i}: probs keys must match the value set exactly"
             )
-        agents.append(AgentDistribution(probs, name=raw.get("name")))
+        agents.append(agent)
     env = Environment(values, agents)
     validate_environment(env).raise_on_errors()
     return env

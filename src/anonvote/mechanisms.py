@@ -96,9 +96,10 @@ class AnonymousSCF:
         self.n = n
         table = {}
         for key, prob in allocation.items():
-            table[canonical_multiset(tuple(parse_rational(v) for v in key))] = (
-                parse_rational(prob)
-            )
+            m = canonical_multiset(tuple(parse_rational(v) for v in key))
+            if m in table:
+                raise ValueError(f"allocation table gives multiset {_multiset_key(m)} twice")
+            table[m] = parse_rational(prob)
         expected = all_multisets(self.values, n)
         missing = [m for m in expected if m not in table]
         if missing:
@@ -214,7 +215,10 @@ class OrderedTableSCF:
         self.n = n
         parsed = {}
         for key, prob in table.items():
-            parsed[tuple(parse_rational(v) for v in key)] = parse_rational(prob)
+            profile = tuple(parse_rational(v) for v in key)
+            if profile in parsed:
+                raise ValueError(f"ordered table gives profile {_multiset_key(profile)} twice")
+            parsed[profile] = parse_rational(prob)
         expected = set(itertools.product(self.values, repeat=n))
         if set(parsed) != expected:
             raise ValueError("ordered table must cover every ordered profile exactly once")
@@ -598,10 +602,6 @@ def _multiset_key(multiset: tuple) -> str:
     return ",".join(format_rational(v) for v in multiset)
 
 
-def _parse_key(key: str) -> tuple:
-    return tuple(parse_rational(part) for part in key.split(","))
-
-
 def mechanism_to_json(rule) -> dict:
     """Serialize any rule kind to its JSON object form."""
     if isinstance(rule, AnonymousSCF):
@@ -642,21 +642,28 @@ def mechanism_from_json(obj):
         raise ValueError("mechanism JSON must be an object with a 'kind' field")
     kind = obj["kind"]
 
-    def field(key, expected, what):
+    def field(key, expected=None, what=None):
+        if key not in obj:
+            raise ValueError(f"mechanism JSON missing field {key!r}")
         value = obj[key]
-        if not isinstance(value, expected) or isinstance(value, bool):
+        if expected and (not isinstance(value, expected) or isinstance(value, bool)):
             raise ValueError(f"mechanism field {key!r} must be {what}, got {value!r}")
         return value
 
     if kind in ("anonymous", "ordered_table"):
         table_key = "allocation" if kind == "anonymous" else "table"
-        table = {_parse_key(k): v for k, v in field(table_key, dict, "an object").items()}
+        # keys stay unparsed here, so the rule sees (and rejects) a repeated one
+        table = {tuple(k.split(",")): v for k, v in field(table_key, dict, "an object").items()}
+        values = field("values", list, "a list")
+        n = field("n", int, "an integer")
+        if n < 1:
+            raise ValueError(f"mechanism field 'n' must be a positive integer, got {n}")
         rule_class = AnonymousSCF if kind == "anonymous" else OrderedTableSCF
-        return rule_class(field("values", list, "a list"), field("n", int, "an integer"), table)
+        return rule_class(values, n, table)
     if kind == "qmr":
         return QualifiedMajorityRule(field("k", int, "an integer"))
     if kind == "wmr":
         return WeightedMajorityRule(
-            field("weights", list, "a list"), obj["quorum"], obj.get("tie", Fraction(1, 2))
+            field("weights", list, "a list"), field("quorum"), obj.get("tie", Fraction(1, 2))
         )
     raise ValueError(f"unknown mechanism kind {kind!r}")

@@ -1,4 +1,6 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -286,3 +288,305 @@ def test_unknown_suite_is_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "mystery"])
     assert excinfo.value.code == 2
+
+
+# ----------------------------------------------------------- table output
+
+_EX1_VALUES = ["-2", "-1", "1", "2"]
+# anonymous, yet it reforms only when both report negative: fails BIC
+_NON_BIC = {
+    "kind": "anonymous",
+    "n": 2,
+    "values": _EX1_VALUES,
+    "allocation": {
+        f"{a},{b}": "1" if b.startswith("-") else "0"
+        for a, b in itertools.combinations_with_replacement(_EX1_VALUES, 2)
+    },
+}
+
+_GOLDEN = {
+    "compare": (
+        ["compare", "--env", "{gamma0}"],
+        """\
+best qualified majority: k = 3, welfare 21/8 (~ 2.625000)
+  k=0: -90 (~ -90.000000)
+  k=1: -519/8 (~ -64.875000)
+  k=2: -69/4 (~ -17.250000)
+  k=3: 21/8 (~ 2.625000)
+  k=4: 0 (~ 0.000000)
+optimal anonymous rule welfare: 5 (~ 5.000000)
+weighted rule: weights ['110', '110', '2'], quorum 201, welfare 5 (~ 5.000000)
+qmr/wmr: 21/40 (~ 0.525000) = 52.50%
+opt/wmr: 1 (~ 1.000000) = 100.00%
+""",
+    ),
+    "qmr": (
+        ["qmr", "--env", "{gamma0}"],
+        """\
+best threshold: k = 3, welfare 21/8 (~ 2.625000)
+  k=0: -90 (~ -90.000000)
+  k=1: -519/8 (~ -64.875000)
+  k=2: -69/4 (~ -17.250000)
+  k=3: 21/8 (~ 2.625000)
+  k=4: 0 (~ 0.000000)
+""",
+    ),
+    "wmr": (
+        ["wmr", "--env", "{gamma0}"],
+        """\
+weights: ['110', '110', '2'], quorum 201, tie 1/2
+welfare: 5 (~ 5.000000)
+""",
+    ),
+    "wmr-tie": (
+        ["wmr", "--env", "{gamma0}", "--tie", "1/3"],
+        """\
+weights: ['110', '110', '2'], quorum 201, tie 1/3
+welfare: 5 (~ 5.000000)
+""",
+    ),
+    "check-fstar": (
+        ["check", "--env", "{gamma0}", "--mech", "{fstar}"],
+        """\
+anonymous: yes
+incentive compatible: yes
+  agent 0: c- = 0, c+ = 1/2
+  agent 1: c- = 0, c+ = 1/2
+  agent 2: c- = 1/4, c+ = 1/4
+welfare: 5 (~ 5.000000)
+projection anonymous: no
+  coalition {-} -> 0 (~ 0.000000)
+  coalition {0} -> 0 (~ 0.000000)
+  coalition {1} -> 0 (~ 0.000000)
+  coalition {2} -> 0 (~ 0.000000)
+  coalition {0,1} -> 1 (~ 1.000000)
+  coalition {0,2} -> 0 (~ 0.000000)
+  coalition {1,2} -> 0 (~ 0.000000)
+  coalition {0,1,2} -> 1 (~ 1.000000)
+""",
+    ),
+    "hatf-fstar": (
+        ["hatf", "--env", "{gamma0}", "--mech", "{fstar}"],
+        """\
+projection anonymous: no
+  coalition {-} -> 0 (~ 0.000000)
+  coalition {0} -> 0 (~ 0.000000)
+  coalition {1} -> 0 (~ 0.000000)
+  coalition {2} -> 0 (~ 0.000000)
+  coalition {0,1} -> 1 (~ 1.000000)
+  coalition {0,2} -> 0 (~ 0.000000)
+  coalition {1,2} -> 0 (~ 0.000000)
+  coalition {0,1,2} -> 1 (~ 1.000000)
+""",
+    ),
+    "check-example1": (
+        ["check", "--env", "{example1_env}", "--mech", "{example1_rule}"],
+        """\
+anonymous: yes
+incentive compatible: yes
+  agent 0: c- = 1/2, c+ = 1/2
+  agent 1: c- = 1/2, c+ = 1/2
+welfare: -37/48 (~ -0.770833)
+projection anonymous: no
+  coalition {-} -> 7/12 (~ 0.583333)
+  coalition {0} -> 1/3 (~ 0.333333)
+  coalition {1} -> 1/4 (~ 0.250000)
+  coalition {0,1} -> 1 (~ 1.000000)
+""",
+    ),
+    "hatf-example1": (
+        ["hatf", "--env", "{example1_env}", "--mech", "{example1_rule}"],
+        """\
+projection anonymous: no
+  coalition {-} -> 7/12 (~ 0.583333)
+  coalition {0} -> 1/3 (~ 0.333333)
+  coalition {1} -> 1/4 (~ 0.250000)
+  coalition {0,1} -> 1 (~ 1.000000)
+""",
+    ),
+    "check-not-bic": (
+        ["check", "--env", "{example1_env}", "--mech", "{non_bic}"],
+        """\
+anonymous: yes
+incentive compatible: no (BicViolation(agent=0, monotonicity: interim(-1)=3/4 vs interim(1)=0))
+welfare: -41/24 (~ -1.708333)
+projection anonymous: yes
+  coalition {-} -> 1 (~ 1.000000)
+  coalition {0} -> 0 (~ 0.000000)
+  coalition {1} -> 0 (~ 0.000000)
+  coalition {0,1} -> 0 (~ 0.000000)
+""",
+    ),
+    "demo-limit": (
+        ["demo-theorem2", "--eps", "0"],
+        """\
+family member: n=3, M=10, eps=0
+best qualified majority (k=3): 21/8 (~ 2.625000)
+optimal anonymous rule: 5 (~ 5.000000)
+override rule welfare: 5 (~ 5.000000)
+weighted rule welfare: 5 (~ 5.000000)
+strict cardinal gap: yes
+opt/qmr ratio: 40/21 (~ 1.904762)
+""",
+    ),
+    "demo-eps": (
+        ["demo-theorem2", "--eps", "1/1000"],
+        """\
+family member: n=3, M=10, eps=1/1000
+best qualified majority (k=3): 10491/4000 (~ 2.622750)
+optimal anonymous rule: 811659931/167000000 (~ 4.860239)
+weighted rule welfare: 9937/2000 (~ 4.968500)
+strict cardinal gap: yes
+opt/qmr ratio: 811659931/437999250 (~ 1.853108)
+""",
+    ),
+    "verify-example1": (
+        ["verify", "example1"],
+        """\
+projection anonymous: no
+  coalition {-} -> 7/12 (~ 0.583333)
+  coalition {0} -> 1/3 (~ 0.333333)
+  coalition {1} -> 1/4 (~ 0.250000)
+  coalition {0,1} -> 1 (~ 1.000000)
+PASS example1: projection blocks {1, 1/3, 1/4, 7/12}, not anonymous, welfare preserved
+""",
+    ),
+    "verify-ratio": (
+        ["verify", "ratio"],
+        """\
+  M=10: ratio 40/21 (~ 1.904762)
+  M=100: ratio 400/201 (~ 1.990050)
+  M=1000: ratio 4000/2001 (~ 1.999000)
+PASS ratio: ratios match 4M/(2M+1), strictly increasing, below 2
+""",
+    ),
+}
+
+
+@pytest.fixture()
+def golden_files(gamma0_file, example1_files, tmp_path):
+    env_path, rule_path = example1_files
+    files = {"gamma0": gamma0_file, "example1_env": env_path, "example1_rule": rule_path}
+    for name, mech in (("fstar", _FSTAR), ("non_bic", _NON_BIC)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(mech))
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_table_output_is_pinned(case, golden_files, capsys):
+    argv, expected = _GOLDEN[case]
+    assert main([arg.format(**golden_files) for arg in argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+def test_solve_table_shows_its_json_payload(gamma0_file, capsys):
+    code, payload = run_json(capsys, ["solve", "--env", gamma0_file, "--format", "json"])
+    assert code == 0
+    assert main(["solve", "--env", gamma0_file, "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    agents = [f"agent {row['agent']}: c- = {row['c_minus']}, c+ = {row['c_plus']}"
+              for row in payload["interims"]]
+    assert [line for line in lines if line.startswith("agent ")] == agents
+    nonzero = [f"  {{{key}}} -> {q} (~ {float(Fraction(q)):.6f})"
+               for key, q in payload["mechanism"]["allocation"].items() if q != "0"]
+    assert lines[lines.index("nonzero allocations:") + 1:] == nonzero
+
+
+# ------------------------------------------------------- malformed inputs
+
+_TWO_HALVES = {"values": ["-1", "1"], "agents": [_HALVES, _HALVES]}
+
+
+@pytest.mark.parametrize(
+    "env, mech, named",
+    [
+        (
+            {"values": ["-1", "1"], "agents": [{"probs": {"-1": "1/2", "1": "0", "2/2": "1/2"}}, _HALVES]},
+            None,
+            "value 1 twice",
+        ),
+        (
+            _GAMMA0,
+            {**_FSTAR, "allocation": {**_FSTAR["allocation"], "1,-1,-100": "1"}},
+            "multiset -100,-1,1 twice",
+        ),
+        (
+            _TWO_HALVES,
+            {
+                "kind": "ordered_table",
+                "n": 2,
+                "values": ["-1", "1"],
+                "table": {"-1,-1": "0", "-1,1": "0", "1,-1": "1", "1,1": "1", "2/2,-1": "0"},
+            },
+            "profile 1,-1 twice",
+        ),
+    ],
+    ids=["probs", "anonymous-allocation", "ordered-table"],
+)
+def test_a_key_given_twice_is_rejected(env, mech, named, tmp_path, capsys):
+    env_path = tmp_path / "env.json"
+    env_path.write_text(json.dumps(env))
+    argv = ["solve", "--env", str(env_path)]
+    if mech is not None:
+        mech_path = tmp_path / "mech.json"
+        mech_path.write_text(json.dumps(mech))
+        argv = ["check", "--env", str(env_path), "--mech", str(mech_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+
+
+def _without(mech, key):
+    return {k: v for k, v in mech.items() if k != key}
+
+
+_ORDERED = {
+    "kind": "ordered_table",
+    "n": 2,
+    "values": ["-1", "1"],
+    "table": {"-1,-1": "0", "-1,1": "0", "1,-1": "0", "1,1": "1"},
+}
+_WMR = {"kind": "wmr", "weights": ["1", "1"], "quorum": "1"}
+
+
+@pytest.mark.parametrize(
+    "mech, named",
+    [
+        ({**_FSTAR, "n": -1}, "field 'n' must be a positive integer"),
+        ({**_FSTAR, "n": 0}, "field 'n' must be a positive integer"),
+        ({**_ORDERED, "n": -1}, "field 'n' must be a positive integer"),
+        ({"kind": "qmr"}, "missing field 'k'"),
+        (_without(_FSTAR, "n"), "missing field 'n'"),
+        (_without(_FSTAR, "values"), "missing field 'values'"),
+        (_without(_FSTAR, "allocation"), "missing field 'allocation'"),
+        (_without(_ORDERED, "table"), "missing field 'table'"),
+        (_without(_WMR, "weights"), "missing field 'weights'"),
+        (_without(_WMR, "quorum"), "missing field 'quorum'"),
+    ],
+    ids=[
+        "anonymous-n-negative",
+        "anonymous-n-zero",
+        "ordered-n-negative",
+        "no-k",
+        "no-n",
+        "no-values",
+        "no-allocation",
+        "no-table",
+        "no-weights",
+        "no-quorum",
+    ],
+)
+def test_mechanism_errors_name_the_field(mech, named, tmp_path, capsys):
+    env_path = tmp_path / "env.json"
+    env_path.write_text(json.dumps(_TWO_HALVES))
+    mech_path = tmp_path / "mech.json"
+    mech_path.write_text(json.dumps(mech))
+    assert main(["check", "--env", str(env_path), "--mech", str(mech_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
