@@ -60,9 +60,16 @@ class InputError(Exception):
 
 
 def _load_json(path: str):
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            twice = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise InputError(f"{path}: key {json.dumps(twice)} given twice in one object")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
     except OSError as exc:

@@ -9,8 +9,10 @@ Two independent engines:
   with zero right-hand sides (the welfare program) starts feasible. Pivots
   follow Bland's rule (lowest eligible index enters, lowest-index blocking
   variable leaves), which makes runs deterministic and guarantees
-  termination on degenerate instances. No floating point and no tolerances
-  appear anywhere: every comparison is an exact Fraction comparison.
+  termination on degenerate instances. Each tableau row is integers over
+  one positive denominator, divided by its gcd after every update, so a
+  pivot does no gcd per entry; basic values, bounds and the ratio test stay
+  Fractions. No floating point and no tolerances appear anywhere.
 
 * :func:`vertex_enumerate`: an exhaustive search over candidate vertices
   (assignments of variables to a bound or to the set determined by active
@@ -23,19 +25,14 @@ Two independent engines:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .rationals import format_rational, parse_rational
 
-__all__ = [
-    "LinearProgram",
-    "LpSolution",
-    "SimplexError",
-    "GuardExceeded",
-    "solve",
-    "vertex_enumerate",
-]
+__all__ = ["LinearProgram", "LpSolution", "SimplexError", "GuardExceeded", "solve",
+           "vertex_enumerate"]
 
 
 class SimplexError(RuntimeError):
@@ -60,14 +57,10 @@ class LinearProgram:
         self.objective = [parse_rational(c) for c in objective]
         if len(self.objective) != num_vars:
             raise ValueError("objective length mismatch")
-        self.eq_rows = [
-            ([parse_rational(a) for a in coeffs], parse_rational(rhs))
-            for coeffs, rhs in eq_rows
-        ]
-        self.ineq_rows = [
-            ([parse_rational(a) for a in coeffs], parse_rational(rhs))
-            for coeffs, rhs in ineq_rows
-        ]
+        self.eq_rows, self.ineq_rows = (
+            [([parse_rational(a) for a in coeffs], parse_rational(rhs)) for coeffs, rhs in block]
+            for block in (eq_rows, ineq_rows)
+        )
         for coeffs, _ in self.eq_rows + self.ineq_rows:
             if len(coeffs) != num_vars:
                 raise ValueError("constraint row length mismatch")
@@ -86,14 +79,11 @@ class LinearProgram:
     def debug_dump(self) -> str:
         """Plain-text matrix form for external cross-checking."""
         lines = [f"maximize {' '.join(format_rational(c) for c in self.objective)}"]
-        for coeffs, rhs in self.eq_rows:
-            lines.append(
-                " ".join(format_rational(a) for a in coeffs) + " == " + format_rational(rhs)
-            )
-        for coeffs, rhs in self.ineq_rows:
-            lines.append(
-                " ".join(format_rational(a) for a in coeffs) + " <= " + format_rational(rhs)
-            )
+        for block, sense in ((self.eq_rows, "=="), (self.ineq_rows, "<=")):
+            lines += [
+                f"{' '.join(format_rational(a) for a in coeffs)} {sense} {format_rational(rhs)}"
+                for coeffs, rhs in block
+            ]
         bounds = " ".join(
             f"[{format_rational(lo)},{'inf' if hi is None else format_rational(hi)}]"
             for lo, hi in zip(self.lower, self.upper)
@@ -103,16 +93,26 @@ class LinearProgram:
 
 
 class LpSolution:
-    """Solver outcome: status plus, when optimal, an exact vertex."""
+    """Solver outcome: status, an exact vertex when optimal, and pivot counters.
 
-    __slots__ = ("status", "x", "objective_value", "basis", "pivots")
+    ``degenerate_pivots`` counts pivots of step length 0, ``bound_flips`` those
+    where the entering variable reaches its own bound, and ``max_den_bits`` is
+    the bit length of the largest row denominator the tableau reached.
+    """
 
-    def __init__(self, status, x=None, objective_value=None, basis=frozenset(), pivots=0):
+    __slots__ = ("status", "x", "objective_value", "basis", "pivots",
+                 "degenerate_pivots", "bound_flips", "max_den_bits")
+
+    def __init__(self, status, x=None, objective_value=None, basis=frozenset(), pivots=0,
+                 degenerate_pivots=0, bound_flips=0, max_den_bits=0):
         self.status = status
         self.x = x
         self.objective_value = objective_value
         self.basis = basis
         self.pivots = pivots
+        self.degenerate_pivots = degenerate_pivots
+        self.bound_flips = bound_flips
+        self.max_den_bits = max_den_bits
 
     def __repr__(self):
         if self.status != "optimal":
@@ -123,6 +123,11 @@ class LpSolution:
 _BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 
 
+def _times(t: Fraction, num: int, den: int) -> Fraction:
+    """t * num / den for integers num and den > 0, with one normalization."""
+    return Fraction(t.numerator * num, t.denominator * den) if t else t
+
+
 class _Tableau:
     """Mutable simplex state over shifted variables (all lower bounds at 0).
 
@@ -131,39 +136,37 @@ class _Tableau:
     artificial for each row whose slack would start outside its bounds.
     Every other row starts with its slack basic, so phase 1 runs only when
     some row starts infeasible.
+
+    Each constraint row and the reduced-cost row ``z`` is a pair
+    ``(integers, positive denominator)`` standing for the exact rational
+    row, so Bland's rule sees the same signs and ratios, and takes the same
+    pivots, as it would over Fractions.
     """
 
     def __init__(self, lp: LinearProgram):
         n = lp.num_vars
         self.n_struct = n
         self.shift = list(lp.lower)
-        rows = [(coeffs, rhs, True) for coeffs, rhs in lp.eq_rows] + [
-            (coeffs, rhs, False) for coeffs, rhs in lp.ineq_rows
-        ]
+        rows = [(*row, True) for row in lp.eq_rows] + [(*row, False) for row in lp.ineq_rows]
         m = len(rows)
-        shifted = [
-            rhs - sum((c * lo for c, lo in zip(coeffs, self.shift)), Fraction(0))
-            for coeffs, rhs, _ in rows
-        ]
-        starts_infeasible = [
-            b < 0 or (is_eq and b != 0) for (_, _, is_eq), b in zip(rows, shifted)
-        ]
+        shifted = [rhs - sum((c * lo for c, lo in zip(coeffs, self.shift)), Fraction(0))
+                   for coeffs, rhs, _ in rows]
+        starts_infeasible = [b < 0 or (is_eq and b != 0) for (_, _, is_eq), b in zip(rows, shifted)]
         self.artificials = list(range(n + m, n + m + sum(starts_infeasible)))
         self.num_cols = n + m + len(self.artificials)
-        self.ub: list = [
-            None if hi is None else hi - lo for lo, hi in zip(lp.lower, lp.upper)
-        ]
+        self.ub: list = [None if hi is None else hi - lo for lo, hi in zip(lp.lower, lp.upper)]
         self.ub += [Fraction(0) if is_eq else None for _, _, is_eq in rows]
         self.ub += [None] * len(self.artificials)
         self.x: list[Fraction] = [Fraction(0)] * self.num_cols
         self.status: list[int] = [_AT_LOWER] * self.num_cols
         self.basis: list[int] = []
-        self.rows: list[list[Fraction]] = []
-        self.pivots = 0
+        self.rows: list[tuple[list[int], int]] = []
+        self.pivots = self.degenerate = self.flips = 0
+        self.max_den = 1
 
         next_art = iter(self.artificials)
         for r, ((coeffs, _, _), b, bad) in enumerate(zip(rows, shifted, starts_infeasible)):
-            row = [Fraction(c) for c in coeffs] + [Fraction(0)] * (self.num_cols - n)
+            row = list(coeffs) + [Fraction(0)] * (self.num_cols - n)
             row[n + r] = Fraction(1)
             bv = n + r
             if bad:
@@ -173,80 +176,98 @@ class _Tableau:
                     b = -b
                 bv = next(next_art)
                 row[bv] = Fraction(1)
-            self.rows.append(row)
+            self.rows.append(self._integer_row(row))
             self.basis.append(bv)
             self.status[bv] = _BASIC
             self.x[bv] = b
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        z = list(cost) + [Fraction(0)] * (self.num_cols - len(cost))
-        for r, bv in enumerate(self.basis):
-            coeff = z[bv]
-            if coeff != 0:
-                row = self.rows[r]
-                z = [zj - coeff * aj for zj, aj in zip(z, row)]
-        return z
+    def _reduced(self, num: list[int], den: int) -> tuple[list[int], int]:
+        """num / den with the common content divided out."""
+        g = math.gcd(den, *num)
+        if g > 1:
+            num, den = [v // g for v in num], den // g
+        self.max_den = max(self.max_den, den)
+        return num, den
 
-    def optimize(self, z: list[Fraction]) -> str:
+    def _integer_row(self, values: list[Fraction]) -> tuple[list[int], int]:
+        den = math.lcm(*(v.denominator for v in values))
+        return self._reduced([v.numerator * (den // v.denominator) for v in values], den)
+
+    def _eliminate(self, row, pivot, e: int):
+        """row - row[e] * pivot, where pivot's entry e is 1."""
+        (a, d), (q, dq) = row, pivot
+        f = a[e]
+        return self._reduced([ai * dq - f * qi for ai, qi in zip(a, q)], d * dq)
+
+    def price(self, cost: list[Fraction]):
+        """Set ``z`` to the reduced costs of ``cost`` under the current basis."""
+        self.z = self._integer_row(list(cost) + [Fraction(0)] * (self.num_cols - len(cost)))
+        for r, bv in enumerate(self.basis):
+            if self.z[0][bv] != 0:
+                self.z = self._eliminate(self.z, self.rows[r], bv)
+
+    def optimize(self) -> str:
         """Run Bland pivoting to optimality; returns 'optimal' or 'unbounded'."""
         while True:
-            entering = -1
-            direction = 0
-            for j in range(self.num_cols):
-                st = self.status[j]
-                if st == _BASIC:
-                    continue
-                if self.ub[j] == 0:
-                    continue  # fixed column can never improve
-                if st == _AT_LOWER and z[j] > 0:
-                    entering, direction = j, 1
+            e, direction = -1, 0
+            for j, zj in enumerate(self.z[0]):
+                if zj == 0 or self.status[j] == _BASIC or self.ub[j] == 0:
+                    continue  # basic, or fixed at 0: cannot improve
+                if zj > 0 and self.status[j] == _AT_LOWER:
+                    e, direction = j, 1
                     break
-                if st == _AT_UPPER and z[j] < 0:
-                    entering, direction = j, -1
+                if zj < 0 and self.status[j] == _AT_UPPER:
+                    e, direction = j, -1
                     break
-            if entering == -1:
+            if e == -1:
                 return "optimal"
-            e = entering
             # ratio test: how far can x[e] move before a bound blocks it
             candidates = []
             if self.ub[e] is not None:
                 candidates.append((self.ub[e], e, None, None))
             for r, bv in enumerate(self.basis):
-                g = direction * self.rows[r][e]
+                a, d = self.rows[r]
+                g = direction * a[e]
                 if g > 0:
-                    candidates.append((self.x[bv] / g, bv, r, _AT_LOWER))
+                    candidates.append((_times(self.x[bv], d, g), bv, r, _AT_LOWER))
                 elif g < 0 and self.ub[bv] is not None:
-                    candidates.append(((self.ub[bv] - self.x[bv]) / (-g), bv, r, _AT_UPPER))
+                    candidates.append((_times(self.ub[bv] - self.x[bv], d, -g), bv, r, _AT_UPPER))
             if not candidates:
                 return "unbounded"
             t_min = min(t for t, _, _, _ in candidates)
-            _, var, row_idx, hit = min(
-                (c for c in candidates if c[0] == t_min), key=lambda c: c[1]
-            )
-            self.x[e] += direction * t_min
-            for r, bv in enumerate(self.basis):
-                self.x[bv] -= direction * t_min * self.rows[r][e]
+            _, _, row_idx, hit = min((c for c in candidates if c[0] == t_min), key=lambda c: c[1])
             self.pivots += 1
+            if t_min == 0:
+                self.degenerate += 1
+            else:
+                step = direction * t_min
+                self.x[e] += step
+                for r, bv in enumerate(self.basis):
+                    a, d = self.rows[r]
+                    if a[e] != 0:
+                        self.x[bv] -= _times(step, a[e], d)
             if row_idx is None:
+                self.flips += 1
                 self.status[e] = _AT_UPPER if self.status[e] == _AT_LOWER else _AT_LOWER
                 continue
-            leaving = self.basis[row_idx]
-            self.status[leaving] = hit
+            self.status[self.basis[row_idx]] = hit
             self.status[e] = _BASIC
             self.basis[row_idx] = e
-            pivot_row = self.rows[row_idx]
-            piv = pivot_row[e]
+            p = self.rows[row_idx][0]
+            piv = p[e]
             if piv == 0:
                 raise SimplexError("zero pivot selected")
-            if piv != 1:
-                self.rows[row_idx] = pivot_row = [a / piv for a in pivot_row]
+            # the pivot row divided by its entry e
+            self.rows[row_idx] = pivot = self._reduced([a if piv > 0 else -a for a in p], abs(piv))
             for r, row in enumerate(self.rows):
-                if r != row_idx and row[e] != 0:
-                    factor = row[e]
-                    self.rows[r] = [a - factor * b for a, b in zip(row, pivot_row)]
-            if z[e] != 0:
-                factor = z[e]
-                z[:] = [a - factor * b for a, b in zip(z, pivot_row)]
+                if r != row_idx and row[0][e] != 0:
+                    self.rows[r] = self._eliminate(row, pivot, e)
+            if self.z[0][e] != 0:
+                self.z = self._eliminate(self.z, pivot, e)
+
+    def counters(self) -> dict:
+        return {"pivots": self.pivots, "degenerate_pivots": self.degenerate,
+                "bound_flips": self.flips, "max_den_bits": self.max_den.bit_length()}
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -257,29 +278,25 @@ def solve(lp: LinearProgram) -> LpSolution:
     tab = _Tableau(lp)
 
     if tab.artificials:
-        phase1_cost = [Fraction(0)] * tab.num_cols
-        for art in tab.artificials:
-            phase1_cost[art] = Fraction(-1)
-        z = tab.reduced_costs(phase1_cost)
-        status = tab.optimize(z)
-        if status != "optimal":
+        arts = len(tab.artificials)  # the last columns
+        tab.price([Fraction(0)] * (tab.num_cols - arts) + [Fraction(-1)] * arts)
+        if tab.optimize() != "optimal":
             raise SimplexError("phase 1 cannot be unbounded")
         if any(tab.x[a] != 0 for a in tab.artificials):
-            return LpSolution("infeasible", pivots=tab.pivots)
+            return LpSolution("infeasible", **tab.counters())
         # a basic artificial at 0 is now a fixed basic variable
         for art in tab.artificials:
             tab.ub[art] = Fraction(0)
 
-    z = tab.reduced_costs(lp.objective)
-    status = tab.optimize(z)
-    if status == "unbounded":
-        return LpSolution("unbounded", pivots=tab.pivots)
+    tab.price(lp.objective)
+    if tab.optimize() == "unbounded":
+        return LpSolution("unbounded", **tab.counters())
 
     x = [tab.shift[j] + tab.x[j] for j in range(tab.n_struct)]
     _verify_point(lp, x)
     value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
     basis = frozenset(bv for bv in tab.basis if bv < tab.n_struct)
-    return LpSolution("optimal", x, value, basis, tab.pivots)
+    return LpSolution("optimal", x, value, basis, **tab.counters())
 
 
 def _verify_point(lp: LinearProgram, x: Sequence[Fraction]):
@@ -349,18 +366,14 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12, node_budget: int = 5
         if hi is None:
             raise ValueError(f"vertex enumeration needs finite bounds (variable {j})")
 
-    rows = [(coeffs, rhs, True) for coeffs, rhs in lp.eq_rows] + [
-        (coeffs, rhs, False) for coeffs, rhs in lp.ineq_rows
-    ]
+    rows = [(*row, True) for row in lp.eq_rows] + [(*row, False) for row in lp.ineq_rows]
     n = lp.num_vars
     c = lp.objective
     lower, upper = lp.lower, lp.upper
 
     in_some_row = [any(row[0][j] != 0 for row in rows) for j in range(n)]
     loose = [j for j in range(n) if not in_some_row[j]]
-    loose_x = {
-        j: (upper[j] if c[j] > 0 else lower[j]) for j in loose
-    }
+    loose_x = {j: (upper[j] if c[j] > 0 else lower[j]) for j in loose}
     loose_value = sum((c[j] * loose_x[j] for j in loose), Fraction(0))
 
     order: list[int] = []
@@ -393,11 +406,8 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12, node_budget: int = 5
     n_rows = len(rows)
     eq_idx = [i for i, row in enumerate(rows) if row[2]]
     ineq_idx = [i for i, row in enumerate(rows) if not row[2]]
-    ineq_subsets = [
-        list(s)
-        for size in range(len(ineq_idx) + 1)
-        for s in itertools.combinations(ineq_idx, size)
-    ]
+    ineq_subsets = [list(s) for size in range(len(ineq_idx) + 1)
+                    for s in itertools.combinations(ineq_idx, size)]
 
     # incremental per-row interval state over not-yet-pinned variables
     fixed_sum = [Fraction(0)] * n_rows
@@ -412,9 +422,7 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12, node_budget: int = 5
             int_lo[i] += min(pts)
             int_hi[i] += max(pts)
 
-    obj_rest = sum(
-        (max(c[j] * lower[j], c[j] * upper[j]) for j in order), Fraction(0)
-    )
+    obj_rest = sum((max(c[j] * lower[j], c[j] * upper[j]) for j in order), Fraction(0))
 
     state: dict[int, tuple[str, Fraction | None]] = {}
     best: dict = {"value": None, "x": None, "free": None}
@@ -453,24 +461,16 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12, node_budget: int = 5
             for i in ineq_idx:
                 if i in subset:
                     continue
-                total = fixed_sum[i] + sum(
-                    (rows[i][0][j] * free_vals[j] for j in free), Fraction(0)
-                )
+                total = fixed_sum[i] + sum(rows[i][0][j] * free_vals[j] for j in free)
                 if total > rows[i][1]:
                     ok = False
                     break
             if not ok:
                 continue
-            value = assigned_obj + sum(
-                (c[j] * free_vals[j] for j in free), Fraction(0)
-            )
+            value = assigned_obj + sum((c[j] * free_vals[j] for j in free), Fraction(0))
             if best["value"] is None or value > best["value"]:
-                snapshot = {}
-                for j, (kind, val) in state.items():
-                    snapshot[j] = val
-                snapshot.update(free_vals)
                 best["value"] = value
-                best["x"] = snapshot
+                best["x"] = {j: val for j, (_, val) in state.items()} | free_vals
                 best["free"] = frozenset(free)
 
     def descend(pos: int, assigned_obj: Fraction, rest_bound: Fraction, free: list[int]):
@@ -494,8 +494,7 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12, node_budget: int = 5
         else:
             states = (("pin", upper[j]), ("pin", lower[j]), ("free", None))
         touched = [i for i in range(n_rows) if rows[i][0][j] != 0]
-        contrib_lo = {}
-        contrib_hi = {}
+        contrib_lo, contrib_hi = {}, {}
         for i in touched:
             a = rows[i][0][j]
             pts = (a * lower[j], a * upper[j])

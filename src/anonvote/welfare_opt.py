@@ -166,6 +166,9 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
         "eq_rows": len(lp.eq_rows),
         "ineq_rows": len(lp.ineq_rows),
         "pivots": solution.pivots,
+        "degenerate_pivots": solution.degenerate_pivots,
+        "bound_flips": solution.bound_flips,
+        "max_den_bits": solution.max_den_bits,
     }
     return OptimalMechanismReport(
         mechanism, direct, audit.c_minus, audit.c_plus, audit.interims, lp_stats

@@ -50,3 +50,39 @@ def random_lp(rng) -> LinearProgram:
         lower=lower,
         upper=upper,
     )
+
+
+def rational_lp(rng) -> LinearProgram:
+    """A :func:`random_lp` draw rewritten with rational data.
+
+    Each variable is substituted by a positive rational multiple of itself,
+    which makes the bounds and coefficients fractional; then every row and
+    the objective are multiplied by a positive rational, and about one upper
+    bound in five is dropped (None), which may make the draw unbounded.
+    """
+    lp = random_lp(rng)
+
+    def ratio():
+        return Fraction(rng.randint(1, 12), rng.randint(1, 12))
+
+    cols = [ratio() for _ in range(lp.num_vars)]
+
+    def rescale(coeffs):
+        return [a * s for a, s in zip(coeffs, cols)]
+
+    def rows(block):
+        out = []
+        for coeffs, rhs in block:
+            k = ratio()
+            out.append((rescale([k * a for a in coeffs]), k * rhs))
+        return out
+
+    k = ratio()
+    return LinearProgram(
+        num_vars=lp.num_vars,
+        objective=rescale([k * c for c in lp.objective]),
+        eq_rows=rows(lp.eq_rows),
+        ineq_rows=rows(lp.ineq_rows),
+        lower=[lo / s for lo, s in zip(lp.lower, cols)],
+        upper=[None if rng.random() < 0.2 else hi / s for hi, s in zip(lp.upper, cols)],
+    )

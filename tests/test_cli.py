@@ -590,3 +590,34 @@ def test_mechanism_errors_name_the_field(mech, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "env_text, mech_text, named",
+    [
+        (
+            '{"values": ["-1", "1"], "agents": [{"probs": {"-1": "1/2", "1": "0", "1": "1/2"}},'
+            ' {"probs": {"-1": "1/2", "1": "1/2"}}]}',
+            None,
+            'key "1" given twice',
+        ),
+        (
+            json.dumps(_TWO_HALVES),
+            '{"kind": "qmr", "k": 1, "k": 2}',
+            'key "k" given twice',
+        ),
+    ],
+    ids=["environment-probs", "mechanism-field"],
+)
+def test_a_repeated_json_key_is_an_input_error(env_text, mech_text, named, tmp_path, capsys):
+    env_path = tmp_path / "env.json"
+    env_path.write_text(env_text)
+    argv = ["solve", "--env", str(env_path)]
+    if mech_text is not None:
+        mech_path = tmp_path / "mech.json"
+        mech_path.write_text(mech_text)
+        argv = ["check", "--env", str(env_path), "--mech", str(mech_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err

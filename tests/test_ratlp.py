@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _lpgen import random_lp
+from _lpgen import random_lp, rational_lp
 from anonvote.ratlp import GuardExceeded, LinearProgram, solve, vertex_enumerate
 
 
@@ -171,6 +171,63 @@ def test_positive_scaling_keeps_the_vertex():
             assert other.objective_value == Fraction(3, 2) * base.objective_value
 
 
+def _scale_rows(rng, lp, keep_phase1_rows):
+    """Multiply rows by random positive rationals. With keep_phase1_rows, a
+    row whose slack starts outside its bounds (it gets an artificial) is
+    left as it is."""
+
+    def block(rows, is_eq):
+        out = []
+        for coeffs, rhs in rows:
+            slack = rhs - sum((a * lo for a, lo in zip(coeffs, lp.lower)), Fraction(0))
+            if keep_phase1_rows and (slack < 0 or (is_eq and slack != 0)):
+                k = F(1)
+            else:
+                k = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+            out.append(([k * a for a in coeffs], k * rhs))
+        return out
+
+    return LinearProgram(
+        lp.num_vars, lp.objective, block(lp.eq_rows, True), block(lp.ineq_rows, False),
+        lp.lower, lp.upper,
+    )
+
+
+def test_row_scaling_keeps_blands_path():
+    # scaling a row rescales its slack, a change of variable that Bland's rule
+    # does not see; an artificial's scale would enter the phase-1 objective,
+    # so rows that start infeasible keep theirs in the first comparison
+    rng = random.Random(11)
+    statuses = set()
+    for _ in range(150):
+        lp = rational_lp(rng)
+        base = solve(lp)
+        statuses.add(base.status)
+        same_path = solve(_scale_rows(rng, lp, keep_phase1_rows=True))
+        assert (same_path.status, same_path.x, same_path.basis, same_path.pivots) == (
+            base.status, base.x, base.basis, base.pivots
+        )
+        assert (same_path.degenerate_pivots, same_path.bound_flips) == (
+            base.degenerate_pivots, base.bound_flips
+        )
+        every_row = solve(_scale_rows(rng, lp, keep_phase1_rows=False))
+        assert (every_row.status, every_row.objective_value) == (
+            base.status, base.objective_value
+        )
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_pivot_counters_are_bounded_by_the_pivot_count():
+    rng = random.Random(12)
+    for _ in range(100):
+        sol = solve(rational_lp(rng))
+        assert 0 <= sol.degenerate_pivots <= sol.pivots
+        assert 0 <= sol.bound_flips <= sol.pivots
+        assert sol.max_den_bits >= 1
+    flip = solve(box_lp([1]))  # x enters and stops at its own upper bound
+    assert (flip.pivots, flip.degenerate_pivots, flip.bound_flips) == (1, 0, 1)
+
+
 # -------------------------------------------------------- oracle agreement
 
 
@@ -208,3 +265,18 @@ def test_two_agent_uniform_welfare_program_by_both_engines():
     sol = solve(lp)
     oracle = vertex_enumerate(lp)
     assert sol.objective_value == oracle.objective_value == half
+
+
+def test_oracle_agrees_with_simplex_on_rational_instances():
+    rng = random.Random(23)
+    seen = {"optimal": 0, "infeasible": 0}
+    for _ in range(200):
+        lp = rational_lp(rng)
+        if None in lp.upper:
+            continue  # the oracle needs finite bounds
+        fast = solve(lp)
+        slow = vertex_enumerate(lp)
+        assert fast.status == slow.status
+        assert fast.objective_value == slow.objective_value
+        seen[fast.status] += 1
+    assert seen["optimal"] >= 30 and seen["infeasible"] >= 2

@@ -101,6 +101,39 @@ def test_returned_mechanism_is_audited_and_consistent():
     assert report.lp_stats["variables"] == 20
 
 
+@pytest.mark.parametrize(
+    "env, pivots, optimum",
+    [
+        (make_theorem2_env(3, 10, 0), 10, F(5)),
+        (
+            make_theorem2_env(4, 10, Fraction(1, 1000)),
+            72,
+            Fraction(1235112064850635437915071771, 481490062905687875000000000),
+        ),
+        (example1_fixture()[0], 7, Fraction(1, 4)),
+    ],
+    ids=["two-type-n3-limit", "two-type-n4", "example1"],
+)
+def test_blands_path_is_pinned(env, pivots, optimum):
+    # a change of pivot rule or of the tableau's arithmetic shows up here first
+    report = solve_opt(env)
+    assert report.lp_stats["pivots"] == pivots
+    assert report.welfare == optimum
+
+
+def test_pivot_counters_in_lp_stats():
+    stats = solve_opt(make_theorem2_env(3, 10, 0)).lp_stats
+    assert stats["degenerate_pivots"] <= stats["pivots"]
+    assert stats["bound_flips"] <= stats["pivots"]
+    counters = ("pivots", "degenerate_pivots", "bound_flips", "max_den_bits")
+    assert {k: stats[k] for k in counters} == {
+        "pivots": 10,
+        "degenerate_pivots": 8,
+        "bound_flips": 0,
+        "max_den_bits": 4,
+    }
+
+
 def test_optimum_dominates_every_threshold_rule():
     rng = random.Random(29)
     for _ in range(6):
