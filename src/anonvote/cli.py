@@ -26,6 +26,7 @@ from .environments import (
 from .experiments import (
     cardinal_ordinal_ratio_sweep,
     example1_fixture,
+    make_theorem2_env,
     random_environment,
     random_feasible_mechanism,
     run_theorem2_demo,
@@ -197,6 +198,7 @@ def _theorem2_report(args):
     M = _parse_rat_arg(args.M, "--M")
     eps = _parse_rat_arg(args.eps, "--eps")
     try:
+        _check_size(make_theorem2_env(args.n, M, eps), args.force_large)
         return run_theorem2_demo(args.n, M, eps)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -501,8 +503,7 @@ def _data_options(p, func, render, env=True, mech=False):
     if mech:
         p.add_argument("--mech", required=True, metavar="FILE", help="mechanism JSON file")
     p.add_argument("--format", choices=("json", "table"), default="table")
-    if env:
-        p.add_argument("--force-large", action="store_true", help="lift the n/|V| size guard")
+    p.add_argument("--force-large", action="store_true", help="lift the n/|V| size guard")
     p.set_defaults(func=func, render=render)
 
 
@@ -540,6 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--M", default="10")
     p.add_argument("--eps", default="1/1000")
+    p.add_argument("--force-large", action="store_true", help="lift the theorem2 suite's n guard")
 
     p = sub.add_parser("demo-theorem2", help="walk through one two-type family member")
     p.add_argument("--n", type=int, default=3)

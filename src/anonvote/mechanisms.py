@@ -26,6 +26,7 @@ Expectations are sums over the kernels of :mod:`anonvote.environments`:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -80,6 +81,26 @@ def all_multisets(values: Iterable[Fraction], n: int) -> list[tuple]:
     return list(itertools.combinations_with_replacement(sorted(values), n))
 
 
+def _check_domain(what: str, table: Mapping, count: int, expected: Iterable, values, n: int):
+    """Raise unless ``table`` is keyed by exactly the ``count`` keys the lazy
+    ``expected`` yields. A table of the wrong size is refused before any key
+    is enumerated; at the right size, with distinct ``values``, every key of
+    n support values means none is missing, and a foreign key means one is."""
+    support = set(values)
+    if len(support) != len(values):
+        raise ValueError("mechanism value set contains duplicates")
+    if len(table) != count:
+        shown = count if count < 10**15 else f"about 10^{len(str(count)) - 1}"
+        raise ValueError(f"{what} table has {len(table)} entries, expected {shown}")
+    foreign = [k for k in table if len(k) != n or not support.issuperset(k)]
+    if foreign:
+        missing = next(k for k in expected if k not in table)
+        raise ValueError(
+            f"{what} table has foreign key {_multiset_key(min(foreign))} "
+            f"and lacks {_multiset_key(missing)}"
+        )
+
+
 def coalition(profile: Sequence[Fraction]) -> frozenset[int]:
     """Indices of agents reporting a strictly positive value."""
     return frozenset(i for i, v in enumerate(profile) if v > 0)
@@ -100,13 +121,9 @@ class AnonymousSCF:
             if m in table:
                 raise ValueError(f"allocation table gives multiset {_multiset_key(m)} twice")
             table[m] = parse_rational(prob)
-        expected = all_multisets(self.values, n)
-        missing = [m for m in expected if m not in table]
-        if missing:
-            raise ValueError(f"allocation table incomplete, e.g. missing {missing[0]}")
-        if len(table) != len(expected):
-            extra = set(table) - set(expected)
-            raise ValueError(f"allocation table has foreign multisets, e.g. {sorted(extra)[0]}")
+        count = math.comb(len(self.values) + n - 1, n)
+        expected = itertools.combinations_with_replacement(self.values, n)
+        _check_domain("allocation", table, count, expected, self.values, n)
         for m, p in table.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"allocation at {m} is {p}, outside [0, 1]")
@@ -219,9 +236,8 @@ class OrderedTableSCF:
             if profile in parsed:
                 raise ValueError(f"ordered table gives profile {_multiset_key(profile)} twice")
             parsed[profile] = parse_rational(prob)
-        expected = set(itertools.product(self.values, repeat=n))
-        if set(parsed) != expected:
-            raise ValueError("ordered table must cover every ordered profile exactly once")
+        expected = itertools.product(self.values, repeat=n)
+        _check_domain("ordered", parsed, len(self.values) ** n, expected, self.values, n)
         for key, p in parsed.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"allocation at {key} is {p}, outside [0, 1]")

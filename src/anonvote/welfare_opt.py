@@ -71,46 +71,33 @@ def _interim_coefficients(env: Environment, i: int, index: OptLpIndex) -> dict:
     return rows
 
 
-def build_opt_lp(env: Environment, deduplicate: bool = True):
+def build_opt_lp(env: Environment):
     """Emit the exact LP whose optimum is the best anonymous BIC rule.
 
-    Returns ``(LinearProgram, OptLpIndex)``. With ``deduplicate`` (the
-    default), constraint blocks are generated once per distinct agent
-    distribution; disabling it emits one block per agent, which has the same
-    solution set.
+    Returns ``(LinearProgram, OptLpIndex)``. Constraint rows are generated
+    once per distinct agent distribution: agents of one type have identical
+    interim coefficients, so their rows would repeat.
     """
     index = OptLpIndex(env.values.values, env.n)
     objective = [Fraction(0)] * len(index)
     for m, prob in multiset_distribution(env.agents).items():
         objective[index.position[m]] = prob * sum(m, Fraction(0))
 
-    representatives = [
-        i
-        for i, agent in enumerate(env.agents)
-        if not deduplicate or agent not in env.agents[:i]
-    ]
-
     negatives = env.values.negatives
     positives = env.values.positives
     eq_rows = []
     ineq_rows = []
-    for i in representatives:
+    for i, agent in enumerate(env.agents):
+        if agent in env.agents[:i]:
+            continue
         interim = _interim_coefficients(env, i, index)
         for group in (negatives, positives):
             for a, b in zip(group, group[1:]):
-                eq_rows.append(([x - y for x, y in zip(interim[a], interim[b])], Fraction(0)))
+                eq_rows.append([x - y for x, y in zip(interim[a], interim[b])])
         lo, hi = interim[negatives[-1]], interim[positives[0]]
-        ineq_rows.append(([x - y for x, y in zip(lo, hi)], Fraction(0)))
+        ineq_rows.append([x - y for x, y in zip(lo, hi)])
 
-    lp = LinearProgram(
-        num_vars=len(index),
-        objective=objective,
-        eq_rows=eq_rows,
-        ineq_rows=ineq_rows,
-        lower=[Fraction(0)] * len(index),
-        upper=[Fraction(1)] * len(index),
-    )
-    return lp, index
+    return LinearProgram(len(index), objective, eq_rows, ineq_rows), index
 
 
 def mechanism_from_vertex(env: Environment, index: OptLpIndex, x) -> AnonymousSCF:
@@ -138,18 +125,13 @@ class OptimalMechanismReport:
 def solve_opt(env: Environment) -> OptimalMechanismReport:
     """Solve the program and audit the returned vertex before reporting it.
 
-    The zero rule is always feasible, so an infeasible status indicates an
-    internal error. The reconstructed mechanism is re-checked for incentive
-    compatibility and its welfare is recomputed two independent ways; any
-    disagreement raises :class:`SimplexError`.
+    The reconstructed mechanism is re-checked for incentive compatibility
+    and its welfare is recomputed two independent ways; any disagreement
+    raises :class:`SimplexError`.
     """
     validate_environment(env).raise_on_errors()
     lp, index = build_opt_lp(env)
     solution = solve(lp)
-    if solution.status != "optimal":
-        raise SimplexError(
-            f"welfare program reported {solution.status}, but the zero rule is feasible"
-        )
     mechanism = mechanism_from_vertex(env, index, solution.x)
     audit = check_bic(env, mechanism)
     if not audit.satisfied:

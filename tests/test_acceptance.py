@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from _lpgen import random_lp
+from _lpgen import fractional_optimum, random_lp
 from anonvote.cli import main as cli_main
 from anonvote.environments import environment_to_json
 from anonvote.experiments import (
@@ -105,7 +105,6 @@ def test_criterion_2_limit_point_headline_numbers():
         assert report.welfare == 5
         lp, _ = build_opt_lp(env)
         oracle = vertex_enumerate(lp, max_vars=20)
-        assert oracle.status == "optimal"
         assert oracle.objective_value == 5
         remember(env, fstar)
         remember(env, report.mechanism)
@@ -197,30 +196,24 @@ def test_criterion_8_weighted_rule_benchmark(tmp_path, capsys):
 def test_criterion_9_solver_integrity():
     with criterion(9, "oracle agreement, anti-cycling, interim identity on all rules", 120.0):
         rng = random.Random(99)
-        optimal_seen = 0
+        fractional_seen = 0
         for _ in range(50):
             lp = random_lp(rng)
             fast = solve(lp)
-            slow = vertex_enumerate(lp)
-            assert fast.status == slow.status
-            if fast.status == "optimal":
-                assert fast.objective_value == slow.objective_value
-                optimal_seen += 1
-        assert optimal_seen >= 15
+            assert fast.objective_value == vertex_enumerate(lp).objective_value
+            fractional_seen += fractional_optimum(fast)
+        assert fractional_seen >= 8
 
+        # Beale's cycling instance; its row x3 <= 1 is the unit box's
         cycling = LinearProgram(
             num_vars=4,
             objective=[Fraction(3, 4), -150, Fraction(1, 50), -6],
             ineq_rows=[
-                ([Fraction(1, 4), -60, Fraction(-1, 25), 9], 0),
-                ([Fraction(1, 2), -90, Fraction(-1, 50), 3], 0),
-                ([0, 0, 1, 0], 1),
+                [Fraction(1, 4), -60, Fraction(-1, 25), 9],
+                [Fraction(1, 2), -90, Fraction(-1, 50), 3],
             ],
-            lower=[F(0)] * 4,
-            upper=[None] * 4,
         )
         degenerate = solve(cycling)
-        assert degenerate.status == "optimal"
         assert degenerate.objective_value == Fraction(1, 20)
 
         assert len(ENCOUNTERED_BIC) > 200

@@ -262,6 +262,20 @@ def test_size_guard_requires_force_large(tmp_path, capsys):
     assert main(["solve", "--env", str(path), "--force-large"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo-theorem2", "--n", "12", "--M", "30", "--eps", "1/1000"],
+        ["verify", "theorem2", "--n", "12", "--M", "30"],
+    ],
+    ids=["demo-theorem2", "verify-theorem2"],
+)
+def test_theorem2_commands_keep_the_size_guard(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "refusing n > 8" in err and "--force-large" in err and "n=12" in err
+
+
 def test_support_mismatch_is_an_input_error(gamma0_file, tmp_path, capsys):
     mech = tmp_path / "wrong.json"
     mech.write_text(json.dumps(mechanism_to_json(make_fstar(3, 100))))
@@ -620,4 +634,53 @@ def test_a_repeated_json_key_is_an_input_error(env_text, mech_text, named, tmp_p
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
+
+
+def _check_two_halves(mech, tmp_path, capsys):
+    env_path = tmp_path / "env.json"
+    env_path.write_text(json.dumps(_TWO_HALVES))
+    mech_path = tmp_path / "mech.json"
+    mech_path.write_text(json.dumps(mech))
+    code = main(["check", "--env", str(env_path), "--mech", str(mech_path)])
+    return code, capsys.readouterr().err
+
+
+def test_a_table_of_the_wrong_size_is_refused_by_its_entry_count(tmp_path, capsys):
+    # 3001 multisets of 3000 reports over two values: the count alone refuses
+    # the table, without enumerating them or printing one
+    mech = {"kind": "anonymous", "n": 3000, "values": ["-1", "1"], "allocation": {}}
+    code, err = _check_two_halves(mech, tmp_path, capsys)
+    assert code == 2
+    assert "allocation table has 0 entries, expected 3001" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "mech, named",
+    [
+        (
+            {"kind": "anonymous", "n": 2, "values": ["-1", "1"],
+             "allocation": {"-1,-1": "0", "-1,1": "0", "1,2": "1"}},
+            "allocation table has foreign key 1,2 and lacks 1,1",
+        ),
+        (
+            {**_ORDERED, "table": {"-1,-1": "0", "-1,1": "0", "1,-1": "0", "1,3": "1"}},
+            "ordered table has foreign key 1,3 and lacks 1,1",
+        ),
+        (
+            {**_ORDERED, "table": {"-1,-1": "0"}},
+            "ordered table has 1 entries, expected 4",
+        ),
+        (
+            {"kind": "anonymous", "n": 2, "values": ["-1", "1", "2/2"],
+             "allocation": {"-1,-1": "0", "-1,1": "0", "1,1": "1"}},
+            "mechanism value set contains duplicates",
+        ),
+    ],
+    ids=["anonymous-foreign", "ordered-foreign", "ordered-short", "repeated-value"],
+)
+def test_table_domain_errors_are_named(mech, named, tmp_path, capsys):
+    code, err = _check_two_halves(mech, tmp_path, capsys)
+    assert code == 2
     assert named in err

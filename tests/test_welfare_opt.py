@@ -22,9 +22,10 @@ from anonvote.mechanisms import (
     symmetric_threshold,
     welfare,
 )
-from anonvote.ratlp import solve, vertex_enumerate
+from anonvote.ratlp import vertex_enumerate
 from anonvote.welfare_opt import (
     AuxPoint,
+    _interim_coefficients,
     aux_corners,
     build_opt_lp,
     lemma3_bounds,
@@ -64,22 +65,24 @@ def test_fstar_is_feasible_for_the_limit_program():
     lp, index = build_opt_lp(env)
     fstar = make_fstar(3, 10)
     x = [fstar.allocation[m] for m in index.multisets]
-    for coeffs, rhs in lp.eq_rows:
-        assert sum((c * v for c, v in zip(coeffs, x)), F(0)) == rhs
-    for coeffs, rhs in lp.ineq_rows:
-        assert sum((c * v for c, v in zip(coeffs, x)), F(0)) <= rhs
+    for coeffs in lp.eq_rows:
+        assert sum((c * v for c, v in zip(coeffs, x)), F(0)) == 0
+    for coeffs in lp.ineq_rows:
+        assert sum((c * v for c, v in zip(coeffs, x)), F(0)) <= 0
     objective = sum((c * v for c, v in zip(lp.objective, x)), F(0))
     assert objective == 5
 
 
-def test_deduplication_does_not_change_the_optimum():
+def test_agents_of_one_type_have_identical_interim_rows():
+    # the fact behind emitting constraint rows once per distinct type
     rng = random.Random(19)
     for n in (2, 3):
         env = random_symmetric_environment(rng, n)
-        merged, _ = build_opt_lp(env, deduplicate=True)
-        expanded, _ = build_opt_lp(env, deduplicate=False)
-        assert len(expanded.ineq_rows) == n * len(merged.ineq_rows)
-        assert solve(merged).objective_value == solve(expanded).objective_value
+        lp, index = build_opt_lp(env)
+        assert len(lp.ineq_rows) == 1
+        first = _interim_coefficients(env, 0, index)
+        for i in range(1, n):
+            assert _interim_coefficients(env, i, index) == first
 
 
 # ------------------------------------------------------------- the optimum
