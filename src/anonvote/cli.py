@@ -255,7 +255,7 @@ def cmd_compare(args, env) -> dict:
         flags.append("weighted-rule welfare is 0; ratios undefined")
     return {
         "qmr": _qmr_json(qmr),
-        "opt": {"welfare": _pair(opt.welfare)},
+        "opt": {"welfare": _pair(opt.welfare), "lp": opt.lp_stats},
         "wmr": _wmr_json(wmr, wmr_welfare),
         "ratios": ratios,
         "flags": flags,

@@ -8,13 +8,22 @@ program has an optimal vertex; there is no infeasible or unbounded case.
 * :func:`solve`: a bounded-variable simplex for maximization. Every row
   gets one slack column, fixed at [0, 0] on an equality row and in
   [0, inf) on an inequality row, and the slacks form the starting basis at
-  x = 0. Pivots follow Bland's rule (lowest eligible index enters,
-  lowest-index blocking variable leaves), which makes runs deterministic
-  and guarantees termination on degenerate instances. Each tableau row is
-  integers over one positive denominator, divided by its gcd after every
-  update, so a pivot does no gcd per entry; basic values, bounds and the
-  ratio test stay Fractions. No floating point and no tolerances appear
-  anywhere.
+  x = 0. The entering column is the eligible one with the largest reduced
+  cost (Dantzig's rule, lowest index on ties). After 50 degenerate pivots
+  in a row the solve switches to Bland's rule (lowest eligible index
+  enters) for good, which guarantees termination; the leaving variable is
+  always the lowest-index blocking one, so runs are deterministic. Each
+  tableau row is integers over one positive denominator, divided by its
+  gcd after every update, so a pivot does no gcd per entry; basic values,
+  bounds and the ratio test stay Fractions. No floating point and no
+  tolerances appear anywhere.
+
+* :func:`certify`: the exact optimality proof every :func:`solve` result
+  passes. The duals y are read off the final tableau's slack columns. In
+  this form, any y with y >= 0 on the inequality rows bounds the optimum by
+  UB(y) = sum_j max(0, c_j - a_j.y) (Neumaier & Shcherbina, Math. Prog.
+  2004), so a feasible point whose value equals UB(y) is optimal, whichever
+  pivot rule or engine proposed it.
 
 * :func:`vertex_enumerate`: an exhaustive search over candidate vertices
   (assignments of variables to 0, to 1 or to the set determined by active
@@ -34,7 +43,7 @@ from typing import Sequence
 from .rationals import parse_rational
 
 __all__ = ["LinearProgram", "LpSolution", "SimplexError", "GuardExceeded", "solve",
-           "vertex_enumerate"]
+           "certify", "vertex_enumerate"]
 
 
 class SimplexError(RuntimeError):
@@ -67,21 +76,24 @@ class LinearProgram:
 
 
 class LpSolution:
-    """An exact optimal vertex and the pivot counters that reached it.
+    """An exact optimal vertex, its duals and the pivot counters that reached it.
 
+    ``duals`` holds one y_r per row, equality rows first, the certificate
+    :func:`certify` accepted (empty from :func:`vertex_enumerate`).
     ``degenerate_pivots`` counts pivots of step length 0, ``bound_flips`` those
     where the entering variable reaches its own bound, and ``max_den_bits`` is
     the bit length of the largest row denominator the tableau reached.
     """
 
-    __slots__ = ("x", "objective_value", "basis", "pivots",
+    __slots__ = ("x", "objective_value", "basis", "duals", "pivots",
                  "degenerate_pivots", "bound_flips", "max_den_bits")
 
-    def __init__(self, x, objective_value, basis=frozenset(), pivots=0,
+    def __init__(self, x, objective_value, basis=frozenset(), duals=(), pivots=0,
                  degenerate_pivots=0, bound_flips=0, max_den_bits=0):
         self.x = x
         self.objective_value = objective_value
         self.basis = basis
+        self.duals = duals
         self.pivots = pivots
         self.degenerate_pivots = degenerate_pivots
         self.bound_flips = bound_flips
@@ -92,6 +104,7 @@ class LpSolution:
 
 
 _BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
+_BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
 
 
 def _times(t: Fraction, num: int, den: int) -> Fraction:
@@ -109,8 +122,8 @@ class _Tableau:
 
     Each constraint row and the reduced-cost row ``z`` is a pair
     ``(integers, positive denominator)`` standing for the exact rational
-    row, so Bland's rule sees the same signs and ratios, and takes the same
-    pivots, as it would over Fractions.
+    row, so pricing compares numerators and sees the same order, and takes
+    the same pivots, as it would over Fractions.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -149,21 +162,27 @@ class _Tableau:
         return self._reduced([ai * dq - f * qi for ai, qi in zip(a, q)], d * dq)
 
     def optimize(self, cost: list[Fraction]):
-        """Price ``cost`` over the slack basis, then run Bland pivoting to optimality."""
+        """Price ``cost`` over the slack basis, then pivot to optimality.
+
+        Dantzig's rule picks the entering column until ``_BLAND_AFTER``
+        degenerate pivots in a row, and Bland's rule from then on.
+        """
         self.z = self._integer_row(list(cost) + [Fraction(0)] * (self.num_cols - len(cost)))
+        bland, stalled = False, 0
         while True:
-            e, direction = -1, 0
+            e, best = -1, 0
             for j, zj in enumerate(self.z[0]):
                 if zj == 0 or self.status[j] == _BASIC or self.ub[j] == 0:
                     continue  # basic, or fixed at 0: cannot improve
-                if zj > 0 and self.status[j] == _AT_LOWER:
-                    e, direction = j, 1
-                    break
-                if zj < 0 and self.status[j] == _AT_UPPER:
-                    e, direction = j, -1
-                    break
+                # > 0 exactly when moving x_j off its bound raises the objective
+                gain = zj if self.status[j] == _AT_LOWER else -zj
+                if gain > best:
+                    e, best = j, gain
+                    if bland:
+                        break
             if e == -1:
                 return
+            direction = 1 if self.z[0][e] > 0 else -1
             # ratio test: how far can x[e] move before a bound blocks it
             candidates = []
             if self.ub[e] is not None:
@@ -182,7 +201,10 @@ class _Tableau:
             self.pivots += 1
             if t_min == 0:
                 self.degenerate += 1
+                stalled += 1
+                bland = bland or stalled >= _BLAND_AFTER
             else:
+                stalled = 0
                 step = direction * t_min
                 self.x[e] += step
                 for r, bv in enumerate(self.basis):
@@ -214,14 +236,48 @@ class _Tableau:
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Exact simplex from the slack basis at x = 0; returns the optimal vertex."""
+    """Exact simplex from the slack basis at x = 0; returns the optimal vertex.
+
+    The vertex is checked feasible and certified optimal by its duals
+    before it is returned; a failure of either raises :class:`SimplexError`.
+    """
     tab = _Tableau(lp)
     tab.optimize(lp.objective)
     x = tab.x[: tab.n_struct]
     _verify_point(lp, x)
     value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
+    z, den = tab.z
+    # slacks cost 0, so a slack's reduced cost is minus its row's dual
+    duals = [Fraction(-zj, den) for zj in z[tab.n_struct:]]
+    certify(lp, duals, value)
     basis = frozenset(bv for bv in tab.basis if bv < tab.n_struct)
-    return LpSolution(x, value, basis, **tab.counters())
+    return LpSolution(x, value, basis, duals, **tab.counters())
+
+
+def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):
+    """Prove that no feasible point of ``lp`` is worth more than ``value``.
+
+    ``duals`` holds one y_r per row, equality rows first. For every feasible
+    x, c.x = sum_j (c_j - a_j.y) x_j + y.(A x) <= UB(y) = sum_j max(0,
+    c_j - a_j.y): A x is 0 on equality rows and <= 0 on inequality rows,
+    where y_r >= 0, and 0 <= x_j <= 1. Raises :class:`SimplexError` unless
+    y_r >= 0 on every inequality row and UB(y) == ``value`` exactly, so a
+    feasible point of that value is optimal.
+    """
+    rows = lp.eq_rows + lp.ineq_rows
+    if len(duals) != len(rows):
+        raise SimplexError(f"{len(duals)} duals for {len(rows)} rows")
+    if any(y < 0 for y in duals[len(lp.eq_rows):]):
+        raise SimplexError("negative dual on an inequality row")
+    reduced = list(lp.objective)
+    for y, coeffs in zip(duals, rows):
+        if y:
+            for j, a in enumerate(coeffs):
+                if a:
+                    reduced[j] -= y * a
+    bound = sum((r for r in reduced if r > 0), Fraction(0))
+    if bound != value:
+        raise SimplexError(f"dual bound {bound} != objective {value}")
 
 
 def _verify_point(lp: LinearProgram, x: Sequence[Fraction]):

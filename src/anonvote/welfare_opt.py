@@ -125,9 +125,10 @@ class OptimalMechanismReport:
 def solve_opt(env: Environment) -> OptimalMechanismReport:
     """Solve the program and audit the returned vertex before reporting it.
 
-    The reconstructed mechanism is re-checked for incentive compatibility
-    and its welfare is recomputed two independent ways; any disagreement
-    raises :class:`SimplexError`.
+    :func:`solve` proves the vertex optimal by its dual bound
+    (:func:`ratlp.certify`). The reconstructed mechanism is re-checked for
+    incentive compatibility and its welfare is recomputed two independent
+    ways; any disagreement raises :class:`SimplexError`.
     """
     validate_environment(env).raise_on_errors()
     lp, index = build_opt_lp(env)
@@ -151,6 +152,7 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
         "degenerate_pivots": solution.degenerate_pivots,
         "bound_flips": solution.bound_flips,
         "max_den_bits": solution.max_den_bits,
+        "certificate": "dual-bound",
     }
     return OptimalMechanismReport(
         mechanism, direct, audit.c_minus, audit.c_plus, audit.interims, lp_stats

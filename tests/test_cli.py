@@ -64,6 +64,13 @@ def test_compare_reports_ratios(gamma0_file, capsys):
     assert payload["ratios"]["qmr_over_wmr"]["exact"] == "21/40"
 
 
+def test_solve_and_compare_report_the_same_certified_lp(gamma0_file, capsys):
+    _, solved = run_json(capsys, ["solve", "--env", gamma0_file, "--format", "json"])
+    _, compared = run_json(capsys, ["compare", "--env", gamma0_file, "--format", "json"])
+    assert solved["lp"]["certificate"] == "dual-bound"
+    assert compared["opt"]["lp"] == solved["lp"]
+
+
 def test_check_and_hatf_on_the_worked_example(example1_files, capsys):
     env_path, mech_path = example1_files
     code, payload = run_json(

@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 
 from _lpgen import fractional_optimum, random_lp, rational_lp
-from anonvote.ratlp import GuardExceeded, LinearProgram, solve, vertex_enumerate
+from anonvote.experiments import random_environment
+from anonvote.ratlp import (
+    GuardExceeded,
+    LinearProgram,
+    SimplexError,
+    certify,
+    solve,
+    vertex_enumerate,
+)
+from anonvote.welfare_opt import build_opt_lp
 
 
 def F(x):
@@ -75,7 +84,8 @@ def test_constructor_validation():
 
 def test_blands_rule_terminates_on_the_classic_cycling_instance():
     # Beale's instance, known to cycle under the largest-coefficient rule;
-    # its third row, x3 <= 1, is supplied by the unit box
+    # its third row, x3 <= 1, is supplied by the unit box. Dantzig pricing
+    # cycles until 50 degenerate pivots in a row hand over to Bland's rule.
     lp = LinearProgram(
         num_vars=4,
         objective=[F(3) / 4, -150, Fraction(1, 50), -6],
@@ -87,8 +97,45 @@ def test_blands_rule_terminates_on_the_classic_cycling_instance():
     sol = solve(lp)
     assert sol.objective_value == Fraction(1, 20)
     assert sol.x == [Fraction(1, 25), F(0), F(1), F(0)]
-    assert (sol.pivots, sol.degenerate_pivots) == (6, 4)
+    assert (sol.pivots, sol.degenerate_pivots) == (54, 52)
     assert vertex_enumerate(lp).objective_value == Fraction(1, 20)
+
+
+# ------------------------------------------------------------ certificate
+
+
+def _mutated_certificates(lp, sol):
+    """(duals, value) pairs that no optimal dual certifies."""
+    y, value = sol.duals, sol.objective_value
+    yield [d + Fraction(1, 7) for d in y], value
+    if value > 0:
+        yield y, value / 2
+        yield y, F(0)
+    for r in range(len(lp.eq_rows), len(y)):
+        yield y[:r] + [Fraction(-1, 7)] + y[r + 1 :], value
+
+
+def test_certify_rejects_mutated_duals_and_values():
+    rng = random.Random(5)
+    for _ in range(200):
+        lp, _ = build_opt_lp(random_environment(rng, 3, 4))
+        sol = solve(lp)
+        assert len(sol.duals) == len(lp.eq_rows) + len(lp.ineq_rows)
+        # one monotonicity row per agent type, and a positive optimum, so
+        # every kind of mutation below is drawn
+        assert lp.ineq_rows and sol.objective_value > 0
+        certify(lp, sol.duals, sol.objective_value)
+        for duals, value in _mutated_certificates(lp, sol):
+            with pytest.raises(SimplexError):
+                certify(lp, duals, value)
+
+
+def test_certify_needs_one_dual_per_row():
+    lp = box_lp([1, 1], ineq=[[1, -1]])
+    sol = solve(lp)
+    assert len(sol.duals) == 1
+    with pytest.raises(SimplexError):
+        certify(lp, sol.duals + [F(0)], sol.objective_value)
 
 
 # ------------------------------------------------------------ determinism
