@@ -2,13 +2,15 @@
 
 Core pieces: exact-rational environments (:mod:`anonvote.environments`),
 voting-rule representations and audits (:mod:`anonvote.mechanisms`), an
-exact simplex with an independent enumeration oracle (:mod:`anonvote.ratlp`),
-the welfare-maximization program (:mod:`anonvote.welfare_opt`), scripted
-reproductions (:mod:`anonvote.experiments`) and a command line front end
-(:mod:`anonvote.cli`).
+exact simplex whose every optimum is proved by its dual bound
+(:mod:`anonvote.ratlp`), the welfare-maximization program
+(:mod:`anonvote.welfare_opt`), scripted reproductions
+(:mod:`anonvote.experiments`) and a command line front end
+(:mod:`anonvote.cli`). The slow oracles the tests check these against are
+not part of the package.
 """
 
-from .rationals import Rational, RationalParseError, format_rational, parse_rational
+from .rationals import RationalParseError, format_rational, parse_rational
 from .environments import (
     AgentDistribution,
     AgentStats,
@@ -19,7 +21,6 @@ from .environments import (
     agent_stats,
     environment_from_json,
     environment_to_json,
-    profile_probability,
     validate_environment,
 )
 from .mechanisms import (
@@ -33,8 +34,6 @@ from .mechanisms import (
     ZeroProbabilityCoalition,
     check_bic,
     coalition,
-    evaluate,
-    interim_allocation,
     mechanism_from_json,
     mechanism_to_json,
     ordinal_projection,
@@ -44,7 +43,7 @@ from .mechanisms import (
     welfare_via_interims,
     wmr_build,
 )
-from .ratlp import GuardExceeded, LinearProgram, LpSolution, SimplexError, solve, vertex_enumerate
+from .ratlp import LinearProgram, LpSolution, SimplexError, solve
 from .welfare_opt import (
     AuxCorners,
     AuxPoint,

@@ -27,7 +27,6 @@ __all__ = [
     "ValidationReport",
     "validate_environment",
     "agent_stats",
-    "profile_probability",
     "profiles",
     "multiset_distribution",
     "environment_from_json",
@@ -267,18 +266,6 @@ def agent_stats(env: Environment, i: int) -> AgentStats:
     return AgentStats(p, u_plus, u_minus, pos_mass, neg_mass)
 
 
-def profile_probability(env: Environment, profile: Sequence[Fraction]) -> Fraction:
-    """Probability of an ordered value profile (agents are independent)."""
-    if len(profile) != env.n:
-        raise ValueError(f"profile has {len(profile)} entries, expected {env.n}")
-    result = Fraction(1)
-    for agent, v in zip(env.agents, profile):
-        result *= agent.prob(v)
-        if result == 0:
-            return Fraction(0)
-    return result
-
-
 def profiles(agents: Sequence[AgentDistribution]):
     """Stream ``(ordered profile, probability)`` over profiles of positive
     probability, in lexicographic order, without storing them (there may be
@@ -339,12 +326,7 @@ def environment_from_json(obj) -> Environment:
         probs = raw["probs"]
         if not isinstance(probs, dict):
             raise InvalidEnvironment(f"agent {i}: 'probs' must be an object")
-        agent = AgentDistribution(probs, name=raw.get("name"))
-        if set(agent.probs) != set(values):
-            raise InvalidEnvironment(
-                f"agent {i}: probs keys must match the value set exactly"
-            )
-        agents.append(agent)
+        agents.append(AgentDistribution(probs, name=raw.get("name")))
     env = Environment(values, agents)
     validate_environment(env).raise_on_errors()
     return env

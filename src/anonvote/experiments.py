@@ -40,13 +40,11 @@ __all__ = [
     "make_fstar",
     "Theorem2Report",
     "run_theorem2_demo",
-    "SweepRow",
     "cardinal_ordinal_ratio_sweep",
     "CampaignReport",
     "verify_theorem1",
     "example1_fixture",
     "random_environment",
-    "random_symmetric_environment",
     "random_feasible_mechanism",
 ]
 
@@ -185,51 +183,25 @@ def run_theorem2_demo(n: int, M, eps) -> Theorem2Report:
     return Theorem2Report(n, M, eps, qmr, opt, fstar_welfare, wmr_rule, wmr_welfare)
 
 
-class SweepRow:
-    __slots__ = ("M", "opt_welfare", "qmr_welfare", "ratio")
+def cardinal_ordinal_ratio_sweep(m_values, n: int = 3) -> list[Theorem2Report]:
+    """The limit point (eps = 0) of the family at each magnitude M, solved.
 
-    def __init__(self, M, opt_welfare, qmr_welfare, ratio):
-        self.M = M
-        self.opt_welfare = opt_welfare
-        self.qmr_welfare = qmr_welfare
-        self.ratio = ratio
-
-    def __repr__(self):
-        return f"SweepRow(M={self.M}, ratio={self.ratio})"
-
-
-def cardinal_ordinal_ratio_sweep(m_values, n: int = 3, eps=Fraction(0)) -> list[SweepRow]:
-    """Optimal-cardinal over best-ordinal welfare ratio across magnitudes M.
-
-    At eps = 0 with three agents the ratio is 4M/(2M+1): strictly increasing
-    in M and approaching, never reaching, 2.
+    Each report's ``ratio`` is optimal-cardinal over best-ordinal welfare;
+    with three agents it is 4M/(2M+1): strictly increasing in M and
+    approaching, never reaching, 2.
     """
-    rows = []
-    for M in m_values:
-        M = parse_rational(M)
-        env = make_theorem2_env(n, M, eps)
-        opt = solve_opt(env).welfare
-        best_qmr = qmr_best(env).best_welfare
-        ratio = None if best_qmr == 0 else opt / best_qmr
-        rows.append(SweepRow(M, opt, best_qmr, ratio))
-    return rows
+    return [run_theorem2_demo(n, M, 0) for M in m_values]
 
 
-def random_environment(
-    rng: random.Random,
-    n_agents: int = 2,
-    max_values: int = 6,
-    max_weight: int = 64,
-    value_magnitude: int = 20,
-) -> Environment:
+def random_environment(rng: random.Random, n_agents: int = 2, max_values: int = 6) -> Environment:
     """Random full-support environment with bounded-denominator probabilities.
 
-    Values are distinct nonzero integers with both signs present; each
-    agent's probabilities are integer weights renormalized exactly, so every
-    support point has positive probability.
+    Values are distinct nonzero integers in [-20, 20] with both signs
+    present; each agent's probabilities are integer weights in [1, 64]
+    renormalized exactly, so every support point has positive probability.
     """
     size = rng.randint(2, max_values)
-    pool = [v for v in range(-value_magnitude, value_magnitude + 1) if v != 0]
+    pool = [v for v in range(-20, 21) if v != 0]
     while True:
         values = rng.sample(pool, size)
         if any(v < 0 for v in values) and any(v > 0 for v in values):
@@ -237,19 +209,12 @@ def random_environment(
     values = sorted(Fraction(v) for v in values)
     agents = []
     for _ in range(n_agents):
-        weights = [rng.randint(1, max_weight) for _ in values]
+        weights = [rng.randint(1, 64) for _ in values]
         total = sum(weights)
         agents.append(
             AgentDistribution({v: Fraction(w, total) for v, w in zip(values, weights)})
         )
     return Environment(ValueSet(values), agents)
-
-
-def random_symmetric_environment(rng: random.Random, n_agents: int) -> Environment:
-    """Random environment whose agents all share one full-support distribution."""
-    max_values = 6 if n_agents <= 3 else 4
-    template = random_environment(rng, n_agents=1, max_values=max_values)
-    return Environment(template.values, [template.agents[0]] * n_agents)
 
 
 def random_feasible_mechanism(env: Environment, rng: random.Random) -> AnonymousSCF:

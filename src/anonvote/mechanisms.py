@@ -47,9 +47,7 @@ __all__ = [
     "WeightedMajorityRule",
     "OrderedTableSCF",
     "OrdinalSCF",
-    "evaluate",
     "is_anonymous_rule",
-    "interim_allocation",
     "interim_table",
     "BicViolation",
     "BicReport",
@@ -109,7 +107,6 @@ def coalition(profile: Sequence[Fraction]) -> frozenset[int]:
 class AnonymousSCF:
     """Total map from every report multiset to an allocation in [0, 1]."""
 
-    kind = "anonymous"
     __slots__ = ("values", "n", "allocation")
 
     def __init__(self, values, n: int, allocation: Mapping):
@@ -156,7 +153,6 @@ class QualifiedMajorityRule:
     are kept so benchmark tables cover the constant rules.
     """
 
-    kind = "qmr"
     __slots__ = ("k",)
 
     def __init__(self, k: int):
@@ -181,7 +177,6 @@ class WeightedMajorityRule:
     limit-mode conventions applied while building the rule.
     """
 
-    kind = "wmr"
     __slots__ = ("weights", "quorum", "tie_value", "notes")
 
     def __init__(self, weights, quorum, tie_value=Fraction(1, 2), notes=()):
@@ -224,7 +219,6 @@ class WeightedMajorityRule:
 class OrderedTableSCF:
     """Explicit SCF keyed by ordered profiles; anonymity checked, not assumed."""
 
-    kind = "ordered_table"
     __slots__ = ("values", "n", "table")
 
     def __init__(self, values, n: int, table: Mapping):
@@ -257,14 +251,6 @@ class OrderedTableSCF:
                 return False
         return True
 
-    def as_anonymous(self) -> AnonymousSCF:
-        if not self.is_anonymous():
-            raise ValueError("table is not permutation invariant")
-        allocation = {
-            m: self.table[m] for m in all_multisets(self.values, self.n)
-        }
-        return AnonymousSCF(self.values, self.n, allocation)
-
     def __repr__(self):
         return f"OrderedTableSCF(n={self.n}, |V|={len(self.values)})"
 
@@ -272,7 +258,6 @@ class OrderedTableSCF:
 class OrdinalSCF:
     """Rule that depends only on the coalition of positive reporters."""
 
-    kind = "ordinal"
     __slots__ = ("n", "by_coalition")
 
     def __init__(self, n: int, by_coalition: Mapping[frozenset, Fraction]):
@@ -301,11 +286,6 @@ class OrdinalSCF:
         return f"OrdinalSCF(n={self.n})"
 
 
-def evaluate(rule, profile: Sequence[Fraction]) -> Fraction:
-    """Allocation probability of any rule kind at an ordered profile."""
-    return rule.evaluate(profile)
-
-
 def is_anonymous_rule(rule) -> bool:
     """Whether the rule is invariant under permutations of the profile.
 
@@ -330,17 +310,6 @@ def _outcomes(agents, rule):
     if is_anonymous_rule(rule):
         return multiset_distribution(agents).items()
     return profiles(agents)
-
-
-def interim_allocation(env: Environment, rule, i: int, v: Fraction) -> Fraction:
-    """Expected allocation when agent ``i`` reports ``v`` and others are truthful.
-
-    Well-defined for any report in the support, including reports the agent
-    makes with probability zero.
-    """
-    if v not in env.values:
-        raise ValueError(f"report {v} not in the support")
-    return interim_table(env, rule, i)[v]
 
 
 def interim_table(env: Environment, rule, i: int) -> dict:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Rational", "RationalParseError", "parse_rational", "format_rational"]
-
-Rational = Fraction
+__all__ = ["RationalParseError", "parse_rational", "format_rational"]
 
 _ALLOWED_CHARS = set("0123456789+-/ ")
 

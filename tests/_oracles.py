@@ -1,0 +1,248 @@
+"""Independent slow oracles that the tests check the package against.
+
+* :func:`vertex_enumerate`: an exhaustive search over candidate vertices
+  (assignments of variables to 0, to 1 or to the set determined by active
+  rows), checked against :func:`anonvote.ratlp.solve`. It shares no
+  pivoting logic with the simplex; subtrees are discarded only when exact
+  interval arithmetic proves them infeasible or no better than the
+  incumbent, so the returned maximum is exact.
+* :func:`profile_probability`: the probability of one ordered profile, a
+  product over agents, against which the probability kernels are checked.
+* :func:`random_symmetric_environment`: seeded draws of environments whose
+  agents share one distribution.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+from typing import Sequence
+
+from anonvote.environments import Environment
+from anonvote.experiments import random_environment
+from anonvote.ratlp import LinearProgram, LpSolution, _verify_point
+
+
+class GuardExceeded(RuntimeError):
+    """Instance too large for the enumeration oracle's work budget."""
+
+
+def profile_probability(env: Environment, profile: Sequence[Fraction]) -> Fraction:
+    """Probability of an ordered value profile (agents are independent)."""
+    if len(profile) != env.n:
+        raise ValueError(f"profile has {len(profile)} entries, expected {env.n}")
+    result = Fraction(1)
+    for agent, v in zip(env.agents, profile):
+        result *= agent.prob(v)
+        if result == 0:
+            return Fraction(0)
+    return result
+
+
+def random_symmetric_environment(rng: random.Random, n_agents: int) -> Environment:
+    """Random environment whose agents all share one full-support distribution."""
+    max_values = 6 if n_agents <= 3 else 4
+    template = random_environment(rng, n_agents=1, max_values=max_values)
+    return Environment(template.values, [template.agents[0]] * n_agents)
+
+
+def _gauss_unique(matrix: list[list[Fraction]], rhs: list[Fraction]):
+    """Solve A y = b exactly. Returns ('unique', y), ('inconsistent',) or ('under',)."""
+    m = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    n_cols = len(matrix[0]) if matrix else 0
+    pivot_rows = []
+    row = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        pv = m[row][col]
+        m[row] = [a / pv for a in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivot_rows.append(col)
+        row += 1
+    for r in range(row, len(m)):
+        if m[r][-1] != 0:
+            return ("inconsistent",)
+    if row < n_cols:
+        return ("under",)
+    y = [Fraction(0)] * n_cols
+    for r, col in enumerate(pivot_rows):
+        y[col] = m[r][-1]
+    return ("unique", y)
+
+
+def vertex_enumerate(lp: LinearProgram, max_vars: int = 12,
+                     node_budget: int = 5_000_000) -> LpSolution:
+    """Exhaustive exact maximum over the feasible region's vertices.
+
+    Every variable is either pinned at 0 or 1 or left to be determined by a
+    choice of active rows; all such candidate vertices are covered. The
+    search discards a subtree only when interval arithmetic proves it
+    infeasible or its best possible objective cannot beat the incumbent,
+    so the result is the exact optimum (x = 0 is feasible, so there is one).
+
+    ``max_vars`` guards instance size and ``node_budget`` caps search work;
+    exceeding either raises :class:`GuardExceeded`.
+    """
+    if lp.num_vars > max_vars:
+        raise GuardExceeded(f"{lp.num_vars} variables exceed the oracle guard {max_vars}")
+
+    rows = [(coeffs, True) for coeffs in lp.eq_rows] + [(coeffs, False) for coeffs in lp.ineq_rows]
+    n = lp.num_vars
+    c = lp.objective
+
+    in_some_row = [any(row[0][j] != 0 for row in rows) for j in range(n)]
+    loose = [j for j in range(n) if not in_some_row[j]]
+    loose_x = {j: Fraction(1 if c[j] > 0 else 0) for j in loose}
+    loose_value = sum((c[j] * loose_x[j] for j in loose), Fraction(0))
+
+    order: list[int] = []
+    placed = [not in_some_row[j] for j in range(n)]
+    objective_first = sorted(
+        (j for j in range(n) if in_some_row[j] and c[j] != 0),
+        key=lambda j: (-abs(c[j]), j),
+    )
+    for j in objective_first:
+        order.append(j)
+        placed[j] = True
+    while True:
+        candidates = [
+            (sum(1 for j in range(n) if row[0][j] != 0 and not placed[j]), i)
+            for i, row in enumerate(rows)
+        ]
+        candidates = [(cnt, i) for cnt, i in candidates if cnt > 0]
+        if not candidates:
+            break
+        _, best_row = min(candidates)
+        for j in range(n):
+            if rows[best_row][0][j] != 0 and not placed[j]:
+                order.append(j)
+                placed[j] = True
+    for j in range(n):
+        if not placed[j]:
+            order.append(j)
+            placed[j] = True
+
+    n_rows = len(rows)
+    eq_idx = [i for i, row in enumerate(rows) if row[1]]
+    ineq_idx = [i for i, row in enumerate(rows) if not row[1]]
+    ineq_subsets = [list(s) for size in range(len(ineq_idx) + 1)
+                    for s in itertools.combinations(ineq_idx, size)]
+
+    # incremental per-row interval state over not-yet-pinned variables
+    fixed_sum = [Fraction(0)] * n_rows
+    int_lo = [Fraction(0)] * n_rows
+    int_hi = [Fraction(0)] * n_rows
+    for i, (coeffs, _) in enumerate(rows):
+        for j in range(n):
+            if in_some_row[j]:
+                int_lo[i] += min(coeffs[j], 0)
+                int_hi[i] += max(coeffs[j], 0)
+
+    obj_rest = sum((max(c[j], 0) for j in order), Fraction(0))
+
+    state: dict[int, tuple[str, Fraction | None]] = {}
+    best: dict = {"value": None, "x": None, "free": None}
+    nodes = {"count": 0}
+
+    def row_feasible() -> bool:
+        for i, (_, is_eq) in enumerate(rows):
+            lo = fixed_sum[i] + int_lo[i]
+            hi = fixed_sum[i] + int_hi[i]
+            if lo > 0 or (is_eq and hi < 0):
+                return False
+        return True
+
+    def leaf(assigned_obj: Fraction, free: list[int]):
+        ff = len(free)
+        for subset in ineq_subsets:
+            active = eq_idx + subset
+            if len(active) < ff:
+                continue
+            nodes["count"] += 1
+            if nodes["count"] > node_budget:
+                raise GuardExceeded("vertex enumeration exceeded its node budget")
+            matrix = [[rows[i][0][j] for j in free] for i in active]
+            rhs_vec = [-fixed_sum[i] for i in active]
+            outcome = _gauss_unique(matrix, rhs_vec)
+            if outcome[0] != "unique":
+                continue
+            y = outcome[1]
+            if any(not 0 <= v <= 1 for v in y):
+                continue
+            free_vals = dict(zip(free, y))
+            ok = True
+            for i in ineq_idx:
+                if i in subset:
+                    continue
+                total = fixed_sum[i] + sum(rows[i][0][j] * free_vals[j] for j in free)
+                if total > 0:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            value = assigned_obj + sum((c[j] * free_vals[j] for j in free), Fraction(0))
+            if best["value"] is None or value > best["value"]:
+                best["value"] = value
+                best["x"] = {j: val for j, (_, val) in state.items()} | free_vals
+                best["free"] = frozenset(free)
+
+    def descend(pos: int, assigned_obj: Fraction, rest_bound: Fraction, free: list[int]):
+        nodes["count"] += 1
+        if nodes["count"] > node_budget:
+            raise GuardExceeded("vertex enumeration exceeded its node budget")
+        if best["value"] is not None and assigned_obj + rest_bound <= best["value"]:
+            return
+        if not row_feasible():
+            return
+        if pos == len(order):
+            leaf(assigned_obj, free)
+            return
+        j = order[pos]
+        gain = max(c[j], 0)
+        new_rest = rest_bound - gain
+        if c[j] < 0:
+            states = (("pin", Fraction(0)), ("pin", Fraction(1)), ("free", None))
+        else:
+            states = (("pin", Fraction(1)), ("pin", Fraction(0)), ("free", None))
+        touched = [i for i in range(n_rows) if rows[i][0][j] != 0]
+        for kind, val in states:
+            if kind == "free":
+                if len(free) + 1 > n_rows:
+                    continue
+                free.append(j)
+                state[j] = ("free", None)
+                descend(pos + 1, assigned_obj, new_rest + gain, free)
+                free.pop()
+                del state[j]
+                continue
+            for i in touched:
+                a = rows[i][0][j]
+                fixed_sum[i] += a * val
+                int_lo[i] -= min(a, 0)
+                int_hi[i] -= max(a, 0)
+            state[j] = ("pin", val)
+            descend(pos + 1, assigned_obj + c[j] * val, new_rest, free)
+            del state[j]
+            for i in touched:
+                a = rows[i][0][j]
+                fixed_sum[i] -= a * val
+                int_lo[i] += min(a, 0)
+                int_hi[i] += max(a, 0)
+
+    descend(0, Fraction(0), obj_rest, [])
+
+    x = [Fraction(0)] * n
+    for j in loose:
+        x[j] = loose_x[j]
+    for j, v in best["x"].items():
+        x[j] = v
+    value = best["value"] + loose_value
+    _verify_point(lp, x)
+    return LpSolution(x, value, best["free"])

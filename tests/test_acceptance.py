@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from _lpgen import fractional_optimum, random_lp
+from _oracles import random_symmetric_environment, vertex_enumerate
 from anonvote.cli import main as cli_main
 from anonvote.environments import environment_to_json
 from anonvote.experiments import (
@@ -25,7 +26,6 @@ from anonvote.experiments import (
     make_theorem2_env,
     random_environment,
     random_feasible_mechanism,
-    random_symmetric_environment,
     verify_theorem1,
 )
 from anonvote.mechanisms import (
@@ -38,7 +38,7 @@ from anonvote.mechanisms import (
     welfare_via_interims,
     wmr_build,
 )
-from anonvote.ratlp import LinearProgram, solve, vertex_enumerate
+from anonvote.ratlp import LinearProgram, solve
 from anonvote.welfare_opt import aux_corners, build_opt_lp, lemma3_bounds, solve_opt
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import profile_probability
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -13,7 +14,6 @@ from anonvote.environments import (
     environment_from_json,
     environment_to_json,
     multiset_distribution,
-    profile_probability,
     profiles,
     validate_environment,
 )

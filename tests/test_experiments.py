@@ -162,16 +162,16 @@ def test_anonymous_optimum_is_close_to_the_weighted_rule_at_small_eps():
 def test_ratio_sweep_closed_form():
     rows = cardinal_ordinal_ratio_sweep([10, 100])
     assert [row.ratio for row in rows] == [Fraction(40, 21), Fraction(400, 201)]
-    assert rows[0].opt_welfare == 5
-    assert rows[1].opt_welfare == 50
+    assert rows[0].opt.welfare == 5
+    assert rows[1].opt.welfare == 50
 
 
 def test_ratio_sweep_with_four_agents():
     # frozen from the exact solver: the optimum 21/8 strictly exceeds the
     # override rule's 5/2, and the measured ratio edges past the n=3 one
     rows = cardinal_ordinal_ratio_sweep([10], n=4)
-    assert rows[0].opt_welfare == Fraction(21, 8)
-    assert rows[0].qmr_welfare == Fraction(11, 8)
+    assert rows[0].opt.welfare == Fraction(21, 8)
+    assert rows[0].qmr.best_welfare == Fraction(11, 8)
     assert rows[0].ratio == Fraction(21, 11)
     assert rows[0].ratio > Fraction(40, 21)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import random_symmetric_environment, vertex_enumerate
 from anonvote.environments import AgentDistribution, Environment, ValueSet, agent_stats
 from anonvote.experiments import (
     example1_fixture,
@@ -10,7 +11,6 @@ from anonvote.experiments import (
     make_theorem2_env,
     random_environment,
     random_feasible_mechanism,
-    random_symmetric_environment,
 )
 from anonvote.mechanisms import (
     AnonymousSCF,
@@ -22,7 +22,6 @@ from anonvote.mechanisms import (
     symmetric_threshold,
     welfare,
 )
-from anonvote.ratlp import vertex_enumerate
 from anonvote.welfare_opt import (
     AuxPoint,
     _interim_coefficients,
