@@ -16,12 +16,10 @@ from .environments import (
     AgentStats,
     Environment,
     InvalidEnvironment,
-    ValidationReport,
     ValueSet,
     agent_stats,
     environment_from_json,
     environment_to_json,
-    validate_environment,
 )
 from .mechanisms import (
     AnonymousSCF,

@@ -40,7 +40,6 @@ from .mechanisms import (
     WeightedMajorityRule,
     ZeroProbabilityCoalition,
     check_bic,
-    is_anonymous_rule,
     mechanism_from_json,
     mechanism_to_json,
     ordinal_projection,
@@ -135,7 +134,7 @@ def _fmt(q) -> str:
 
 def _projection_json(projection) -> dict:
     """Coalition entries ordered by coalition size, then members."""
-    phi = sorted(projection.phi.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    phi = sorted(projection.by_coalition.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     return {
         "anonymous": projection.anonymous,
         "phi": {",".join(map(str, sorted(t))): format_rational(v) for t, v in phi},
@@ -279,7 +278,6 @@ def _print_compare(payload):
 
 
 def cmd_check(args, env, rule) -> dict:
-    anonymous = is_anonymous_rule(rule)
     audit = check_bic(env, rule)
     w = welfare(env, rule)
     try:
@@ -288,7 +286,7 @@ def cmd_check(args, env, rule) -> dict:
         hat = {"error": str(exc)}
     witness = audit.witness
     return {
-        "anonymous": anonymous,
+        "anonymous": rule.anonymous,
         "bic": {
             "satisfied": audit.satisfied,
             "witness": None
@@ -449,18 +447,18 @@ def _suite_aux(args):
 
 def _suite_example1(args):
     env, rule, hat_expected = example1_fixture()
-    if not rule.is_anonymous():
+    if not rule.anonymous:
         return False, "rule is not anonymous"
     audit = check_bic(env, rule)
     if not audit.satisfied:
         return False, f"rule is not incentive compatible: {audit.witness}"
     projection = ordinal_projection(env, rule)
     for profile, expected in hat_expected.table.items():
-        if projection.hat.evaluate(profile) != expected:
+        if projection.evaluate(profile) != expected:
             return False, f"projection at {profile} is not {expected}"
     if projection.anonymous:
         return False, "projection unexpectedly anonymous"
-    if welfare(env, projection.hat) != welfare(env, rule):
+    if welfare(env, projection) != welfare(env, rule):
         return False, "projection changed welfare"
     _print_projection(_projection_json(projection))
     return True, "projection blocks {1, 1/3, 1/4, 7/12}, not anonymous, welfare preserved"

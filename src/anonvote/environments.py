@@ -5,10 +5,13 @@ one discrete distribution over V per agent. Agents draw values independently.
 Everything downstream (interim allocations, welfare, the optimization) is
 computed from these objects with exact rationals.
 
-Environments with zero-probability support points (or an agent whose value
-sign is deterministic) are accepted in "limit mode": they violate the usual
-full-support assumption but are needed as boundary cases of the two-type
-family studied in :mod:`anonvote.experiments`.
+An :class:`Environment` is checked once, when it is built: a structurally
+unusable one raises :class:`InvalidEnvironment`, so every environment that
+exists is valid. Environments with zero-probability support points (or an
+agent whose value sign is deterministic) are accepted in "limit mode" and
+listed in ``Environment.flags``: they violate the usual full-support
+assumption but are needed as boundary cases of the two-type family studied
+in :mod:`anonvote.experiments`.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ __all__ = [
     "AgentDistribution",
     "Environment",
     "AgentStats",
-    "ValidationReport",
-    "validate_environment",
     "agent_stats",
     "profiles",
     "multiset_distribution",
@@ -120,21 +121,59 @@ class AgentDistribution:
 
 
 class Environment:
-    """A value set plus n agent distributions over it (treated as immutable)."""
+    """A value set plus n agent distributions over it (treated as immutable).
 
-    __slots__ = ("values", "agents")
+    Every instance satisfies the modeling assumptions; the constructor raises
+    :class:`InvalidEnvironment` with every hard error it finds, joined by
+    "; ": fewer than two agents, 0 in the support, missing value sign,
+    probabilities that do not sum exactly to 1, or negative probabilities.
+    Zero-probability support points and deterministic-sign agents are only
+    flagged: such environments are accepted in limit mode, and ``flags``
+    holds one line per flagged case (empty outside limit mode).
+    """
+
+    __slots__ = ("values", "agents", "flags")
 
     def __init__(self, values: ValueSet, agents: Sequence[AgentDistribution]):
         if not isinstance(values, ValueSet):
             values = ValueSet(values)
         self.values = values
         self.agents = tuple(agents)
-        value_set = set(values.values)
+        errors: list[str] = []
+        flags: list[str] = []
+        if self.n < 2:
+            errors.append("environment needs at least 2 agents")
+        if any(v == 0 for v in values):
+            errors.append("value 0 is not allowed in the support")
+        if not values.negatives or not values.positives:
+            errors.append("support must contain at least one negative and one positive value")
+
         for i, agent in enumerate(self.agents):
-            if set(agent.probs.keys()) != value_set:
+            if agent.probs.keys() != set(values.values):
                 raise InvalidEnvironment(
                     f"agent {i} support does not match the value set"
                 )
+            label = agent.name or f"agent {i}"
+            negative = [v for v, p in agent.items if p < 0]
+            if negative:
+                errors.append(f"{label}: negative probability at {negative[0]}")
+                continue
+            if agent.total() != 1:
+                errors.append(
+                    f"{label}: probabilities must sum to 1 (got {agent.total()})"
+                )
+                continue
+            zeros = [v for v, p in agent.items if p == 0]
+            if zeros:
+                flags.append(
+                    f"{label}: zero probability on {{{', '.join(map(str, zeros))}}}"
+                )
+            p = sum((p for v, p in agent.items if v > 0), Fraction(0))
+            if p == 0 or p == 1:
+                flags.append(f"{label}: deterministic value sign (p={p})")
+        if errors:
+            raise InvalidEnvironment("; ".join(errors))
+        self.flags = tuple(flags)
 
     @property
     def n(self) -> int:
@@ -177,76 +216,6 @@ class AgentStats:
         return (
             f"AgentStats(p={self.p}, u_plus={self.u_plus}, u_minus={self.u_minus})"
         )
-
-
-class ValidationReport:
-    """Outcome of :func:`validate_environment`.
-
-    ``errors`` are hard violations (the environment is unusable); ``flags``
-    mark accepted boundary cases. ``limit_mode`` is True when any flag is set.
-    """
-
-    __slots__ = ("errors", "flags")
-
-    def __init__(self, errors: list[str], flags: list[str]):
-        self.errors = list(errors)
-        self.flags = list(flags)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    @property
-    def limit_mode(self) -> bool:
-        return bool(self.flags)
-
-    def raise_on_errors(self):
-        if self.errors:
-            raise InvalidEnvironment("; ".join(self.errors))
-
-    def __repr__(self):
-        return f"ValidationReport(errors={self.errors}, flags={self.flags})"
-
-
-def validate_environment(env: Environment) -> ValidationReport:
-    """Check the modeling assumptions and classify boundary cases.
-
-    Hard errors: fewer than two agents, 0 in the support, missing value sign,
-    probabilities that do not sum exactly to 1, or negative probabilities.
-    Zero-probability support points and deterministic-sign agents are only
-    flagged: such environments are accepted in limit mode.
-    """
-    errors: list[str] = []
-    flags: list[str] = []
-
-    if env.n < 2:
-        errors.append("environment needs at least 2 agents")
-    if any(v == 0 for v in env.values):
-        errors.append("value 0 is not allowed in the support")
-    if not env.values.negatives or not env.values.positives:
-        errors.append("support must contain at least one negative and one positive value")
-
-    for i, agent in enumerate(env.agents):
-        label = agent.name or f"agent {i}"
-        negative = [v for v, p in agent.items if p < 0]
-        if negative:
-            errors.append(f"{label}: negative probability at {negative[0]}")
-            continue
-        if agent.total() != 1:
-            errors.append(
-                f"{label}: probabilities must sum to 1 (got {agent.total()})"
-            )
-            continue
-        zeros = [v for v, p in agent.items if p == 0]
-        if zeros:
-            flags.append(
-                f"{label}: zero probability on {{{', '.join(map(str, zeros))}}}"
-            )
-        p = sum((p for v, p in agent.items if v > 0), Fraction(0))
-        if p == 0 or p == 1:
-            flags.append(f"{label}: deterministic value sign (p={p})")
-
-    return ValidationReport(errors, flags)
 
 
 def agent_stats(env: Environment, i: int) -> AgentStats:
@@ -326,10 +295,10 @@ def environment_from_json(obj) -> Environment:
         probs = raw["probs"]
         if not isinstance(probs, dict):
             raise InvalidEnvironment(f"agent {i}: 'probs' must be an object")
+        if not isinstance(raw.get("name", ""), str):
+            raise InvalidEnvironment(f"agent {i}: 'name' must be a string")
         agents.append(AgentDistribution(probs, name=raw.get("name")))
-    env = Environment(values, agents)
-    validate_environment(env).raise_on_errors()
-    return env
+    return Environment(values, agents)
 
 
 def environment_to_json(env: Environment) -> dict:

@@ -1,6 +1,7 @@
 """Social choice functions over a finite value support, and their exact audit.
 
-Four rule kinds are supported:
+Five rule kinds are supported, each with an ``anonymous`` attribute that is
+decided once, when the rule is built:
 
 * :class:`AnonymousSCF`: a total map from sorted report multisets to
   allocation probabilities; anonymity holds structurally because ordered
@@ -12,6 +13,8 @@ Four rule kinds are supported:
 * :class:`OrderedTableSCF`: an explicit table keyed by ordered profiles,
   used for rules that need not be anonymous (anonymity is then checked,
   not assumed).
+* :class:`OrdinalSCF`: one allocation per coalition of positive
+  reporters, the form :func:`ordinal_projection` returns.
 
 On top of these: interim allocations, the incentive-compatibility audit
 (flat interims within each sign, negative side below positive side),
@@ -19,8 +22,8 @@ exact welfare two ways, the ordinal conditional-expectation projection,
 and the qualified/weighted majority benchmarks.
 
 Expectations are sums over the kernels of :mod:`anonvote.environments`:
-``multiset_distribution`` for anonymous rules and the threshold table,
-``profiles`` (ordered) for other rules and the coalition projection.
+``multiset_distribution`` for rules flagged anonymous and the threshold
+table, ``profiles`` (ordered) for other rules and the coalition projection.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "WeightedMajorityRule",
     "OrderedTableSCF",
     "OrdinalSCF",
-    "is_anonymous_rule",
     "interim_table",
     "BicViolation",
     "BicReport",
@@ -55,7 +57,6 @@ __all__ = [
     "check_bic",
     "welfare",
     "welfare_via_interims",
-    "ProjectionResult",
     "ZeroProbabilityCoalition",
     "ordinal_projection",
     "QmrTable",
@@ -108,6 +109,7 @@ class AnonymousSCF:
     """Total map from every report multiset to an allocation in [0, 1]."""
 
     __slots__ = ("values", "n", "allocation")
+    anonymous = True
 
     def __init__(self, values, n: int, allocation: Mapping):
         self.values = tuple(sorted(parse_rational(v) for v in values))
@@ -154,6 +156,7 @@ class QualifiedMajorityRule:
     """
 
     __slots__ = ("k",)
+    anonymous = True
 
     def __init__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -174,10 +177,12 @@ class WeightedMajorityRule:
     """Reform iff the summed weight of positive reporters exceeds the quorum.
 
     Exactly at the quorum the rule allocates ``tie_value``. ``notes`` records
-    limit-mode conventions applied while building the rule.
+    limit-mode conventions applied while building the rule. ``anonymous``
+    holds when all weights coincide (a constant rule with unequal weights is
+    anonymous too, but is not flagged).
     """
 
-    __slots__ = ("weights", "quorum", "tie_value", "notes")
+    __slots__ = ("weights", "quorum", "tie_value", "notes", "anonymous")
 
     def __init__(self, weights, quorum, tie_value=Fraction(1, 2), notes=()):
         self.weights = tuple(parse_rational(w) for w in weights)
@@ -186,6 +191,7 @@ class WeightedMajorityRule:
         if not 0 <= self.tie_value <= 1:
             raise ValueError(f"tie value {self.tie_value} outside [0, 1]")
         self.notes = tuple(notes)
+        self.anonymous = len(set(self.weights)) <= 1
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         if len(profile) != len(self.weights):
@@ -217,9 +223,10 @@ class WeightedMajorityRule:
 
 
 class OrderedTableSCF:
-    """Explicit SCF keyed by ordered profiles; anonymity checked, not assumed."""
+    """Explicit SCF keyed by ordered profiles; anonymity checked, not assumed:
+    ``anonymous`` says whether all orderings of each multiset agree."""
 
-    __slots__ = ("values", "n", "table")
+    __slots__ = ("values", "n", "table", "anonymous")
 
     def __init__(self, values, n: int, table: Mapping):
         self.values = tuple(sorted(parse_rational(v) for v in values))
@@ -236,6 +243,10 @@ class OrderedTableSCF:
             if not 0 <= p <= 1:
                 raise ValueError(f"allocation at {key} is {p}, outside [0, 1]")
         self.table = parsed
+        groups: dict[tuple, Fraction] = {}
+        self.anonymous = all(
+            groups.setdefault(canonical_multiset(key), p) == p for key, p in parsed.items()
+        )
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         try:
@@ -243,22 +254,15 @@ class OrderedTableSCF:
         except KeyError:
             raise ValueError(f"profile {profile} not in this rule's domain") from None
 
-    def is_anonymous(self) -> bool:
-        groups: dict[tuple, Fraction] = {}
-        for profile, p in self.table.items():
-            key = canonical_multiset(profile)
-            if groups.setdefault(key, p) != p:
-                return False
-        return True
-
     def __repr__(self):
         return f"OrderedTableSCF(n={self.n}, |V|={len(self.values)})"
 
 
 class OrdinalSCF:
-    """Rule that depends only on the coalition of positive reporters."""
+    """Rule that depends only on the coalition of positive reporters;
+    ``anonymous`` says whether it depends only on the coalition's size."""
 
-    __slots__ = ("n", "by_coalition")
+    __slots__ = ("n", "by_coalition", "anonymous")
 
     def __init__(self, n: int, by_coalition: Mapping[frozenset, Fraction]):
         self.n = n
@@ -271,43 +275,20 @@ class OrdinalSCF:
             if not 0 <= p <= 1:
                 raise ValueError(f"allocation at coalition {sorted(t)} is {p}")
         self.by_coalition = table
+        by_size: dict[int, Fraction] = {}
+        self.anonymous = all(by_size.setdefault(len(t), p) == p for t, p in table.items())
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         return self.by_coalition[coalition(profile)]
-
-    def depends_only_on_size(self) -> bool:
-        by_size: dict[int, Fraction] = {}
-        for t, p in self.by_coalition.items():
-            if by_size.setdefault(len(t), p) != p:
-                return False
-        return True
 
     def __repr__(self):
         return f"OrdinalSCF(n={self.n})"
 
 
-def is_anonymous_rule(rule) -> bool:
-    """Whether the rule is invariant under permutations of the profile.
-
-    Multiset-keyed and threshold rules are anonymous by construction; a
-    weighted rule only when all weights coincide; explicit tables and
-    coalition rules are checked entry by entry.
-    """
-    if isinstance(rule, (AnonymousSCF, QualifiedMajorityRule)):
-        return True
-    if isinstance(rule, WeightedMajorityRule):
-        return len(set(rule.weights)) <= 1
-    if isinstance(rule, OrderedTableSCF):
-        return rule.is_anonymous()
-    if isinstance(rule, OrdinalSCF):
-        return rule.depends_only_on_size()
-    return False
-
-
 def _outcomes(agents, rule):
     """``(profile, probability)`` pairs to weight ``rule`` by: report
     multisets if it is anonymous, ordered profiles otherwise."""
-    if is_anonymous_rule(rule):
+    if rule.anonymous:
         return multiset_distribution(agents).items()
     return profiles(agents)
 
@@ -440,31 +421,17 @@ class ZeroProbabilityCoalition(ValueError):
     """A coalition event has probability zero, so conditioning is undefined."""
 
 
-class ProjectionResult:
-    """Ordinal projection of a rule: the coalition-conditional expectations."""
-
-    __slots__ = ("hat", "phi", "anonymous")
-
-    def __init__(self, hat: OrdinalSCF, phi: dict, anonymous: bool):
-        self.hat = hat
-        self.phi = phi
-        self.anonymous = anonymous
-
-    def __repr__(self):
-        return f"ProjectionResult(anonymous={self.anonymous})"
-
-
 _PROJECTION_MAX_AGENTS = 12
 
 
-def ordinal_projection(env: Environment, rule) -> ProjectionResult:
+def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
     """Project a rule onto coalitions by conditional expectation.
 
     For each coalition T, the projected value is the expected allocation
     conditional on exactly the members of T reporting positive values. The
-    result preserves incentive compatibility and welfare; the verdict says
-    whether it is anonymous (depends only on coalition size), which can fail
-    in asymmetric environments even when the input rule is anonymous.
+    result preserves incentive compatibility and welfare; its ``anonymous``
+    says whether it depends only on coalition size, which can fail in
+    asymmetric environments even when the input rule is anonymous.
 
     Requires every coalition event to have positive probability, i.e. no
     agent with a deterministic value sign.
@@ -488,8 +455,7 @@ def ordinal_projection(env: Environment, rule) -> ProjectionResult:
                 f"coalition {sorted(t)} has probability zero (limit-mode environment)"
             )
         phi[t] = weighted[t] / mass[t]
-    hat = OrdinalSCF(env.n, phi)
-    return ProjectionResult(hat, phi, hat.depends_only_on_size())
+    return OrdinalSCF(env.n, phi)
 
 
 class QmrTable:

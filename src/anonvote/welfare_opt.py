@@ -22,14 +22,12 @@ from .environments import (
     Environment,
     agent_stats,
     multiset_distribution,
-    validate_environment,
 )
 from .mechanisms import (
     AnonymousSCF,
     NotBicError,
     all_multisets,
     check_bic,
-    is_anonymous_rule,
     welfare,
     welfare_via_interims,
 )
@@ -130,7 +128,6 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
     incentive compatibility and its welfare is recomputed two independent
     ways; any disagreement raises :class:`SimplexError`.
     """
-    validate_environment(env).raise_on_errors()
     lp, index = build_opt_lp(env)
     solution = solve(lp)
     mechanism = mechanism_from_vertex(env, index, solution.x)
@@ -276,7 +273,7 @@ def lemma3_bounds(env: Environment, rule) -> Lemma3Report:
     """
     if env.n != 2:
         raise ValueError("influence bounds are defined for exactly 2 agents")
-    if not is_anonymous_rule(rule):
+    if not rule.anonymous:
         raise ValueError("rule must be anonymous")
     audit = check_bic(env, rule)
     if not audit.satisfied:

@@ -8,6 +8,9 @@
   incumbent, so the returned maximum is exact.
 * :func:`profile_probability`: the probability of one ordered profile, a
   product over agents, against which the probability kernels are checked.
+* :func:`anonymous_by_permutation`: whether a rule evaluates every ordered
+  profile as each of its permutations, against which the rules'
+  ``anonymous`` flags are checked.
 * :func:`random_symmetric_environment`: seeded draws of environments whose
   agents share one distribution.
 """
@@ -19,8 +22,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from anonvote.environments import Environment
-from anonvote.experiments import random_environment
+from anonvote.environments import AgentDistribution, Environment, ValueSet
 from anonvote.ratlp import LinearProgram, LpSolution, _verify_point
 
 
@@ -28,23 +30,45 @@ class GuardExceeded(RuntimeError):
     """Instance too large for the enumeration oracle's work budget."""
 
 
-def profile_probability(env: Environment, profile: Sequence[Fraction]) -> Fraction:
+def profile_probability(agents: Sequence[AgentDistribution], profile: Sequence[Fraction]) -> Fraction:
     """Probability of an ordered value profile (agents are independent)."""
-    if len(profile) != env.n:
-        raise ValueError(f"profile has {len(profile)} entries, expected {env.n}")
+    if len(profile) != len(agents):
+        raise ValueError(f"profile has {len(profile)} entries, expected {len(agents)}")
     result = Fraction(1)
-    for agent, v in zip(env.agents, profile):
+    for agent, v in zip(agents, profile):
         result *= agent.prob(v)
         if result == 0:
             return Fraction(0)
     return result
 
 
+def anonymous_by_permutation(rule, values, n: int) -> bool:
+    """Whether every ordered profile of n reports from ``values`` evaluates
+    the same as each of its permutations."""
+    return all(
+        len({rule.evaluate(p) for p in itertools.permutations(m)}) == 1
+        for m in itertools.combinations_with_replacement(values, n)
+    )
+
+
 def random_symmetric_environment(rng: random.Random, n_agents: int) -> Environment:
-    """Random environment whose agents all share one full-support distribution."""
-    max_values = 6 if n_agents <= 3 else 4
-    template = random_environment(rng, n_agents=1, max_values=max_values)
-    return Environment(template.values, [template.agents[0]] * n_agents)
+    """Random environment whose agents all share one full-support distribution.
+
+    Makes the same draws as ``random_environment(rng, n_agents=1,
+    max_values)`` and gives that one distribution to every agent; the
+    one-agent environment itself is never built, since it is not valid.
+    """
+    size = rng.randint(2, 6 if n_agents <= 3 else 4)
+    pool = [v for v in range(-20, 21) if v != 0]
+    while True:
+        values = rng.sample(pool, size)
+        if any(v < 0 for v in values) and any(v > 0 for v in values):
+            break
+    values = sorted(Fraction(v) for v in values)
+    weights = [rng.randint(1, 64) for _ in values]
+    total = sum(weights)
+    agent = AgentDistribution({v: Fraction(w, total) for v, w in zip(values, weights)})
+    return Environment(ValueSet(values), [agent] * n_agents)
 
 
 def _gauss_unique(matrix: list[list[Fraction]], rhs: list[Fraction]):

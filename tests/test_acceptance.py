@@ -82,15 +82,15 @@ def test_criterion_1_worked_example_projection():
         env, rule, _ = example1_fixture()
         audit = check_bic(env, rule)
         assert audit.satisfied
-        assert rule.is_anonymous()
+        assert rule.anonymous
         projection = ordinal_projection(env, rule)
-        assert projection.phi[frozenset({0, 1})] == 1
-        assert projection.phi[frozenset({0})] == Fraction(1, 3)
-        assert projection.phi[frozenset({1})] == Fraction(1, 4)
-        assert projection.phi[frozenset()] == Fraction(7, 12)
+        assert projection.by_coalition[frozenset({0, 1})] == 1
+        assert projection.by_coalition[frozenset({0})] == Fraction(1, 3)
+        assert projection.by_coalition[frozenset({1})] == Fraction(1, 4)
+        assert projection.by_coalition[frozenset()] == Fraction(7, 12)
         assert not projection.anonymous
         remember(env, rule)
-        remember(env, projection.hat)
+        remember(env, projection)
 
 
 def test_criterion_2_limit_point_headline_numbers():

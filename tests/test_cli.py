@@ -200,6 +200,7 @@ _HALVES = {"probs": {"-1": "1/2", "1": "1/2"}}
         ("solve", {"values": 5, "agents": [_HALVES]}, None, []),
         ("solve", {"values": ["-1", "1"], "agents": 5}, None, []),
         ("solve", {"values": ["-1", "1"], "agents": [{"probs": ["1/2", "1/2"]}]}, None, []),
+        ("solve", {"values": ["-1", "1"], "agents": [_HALVES, {**_HALVES, "name": 7}]}, None, []),
         ("check", _GAMMA0, {"kind": "qmr", "k": 1.5}, []),
         ("check", _GAMMA0, {"kind": "qmr", "k": True}, []),
         ("check", _GAMMA0, {**_FSTAR, "n": 3.0}, []),
@@ -215,6 +216,7 @@ _HALVES = {"probs": {"-1": "1/2", "1": "1/2"}}
         "values-not-list",
         "agents-not-list",
         "probs-not-object",
+        "name-not-string",
         "k-fraction",
         "k-bool",
         "n-float",

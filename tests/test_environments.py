@@ -15,7 +15,6 @@ from anonvote.environments import (
     environment_to_json,
     multiset_distribution,
     profiles,
-    validate_environment,
 )
 from anonvote.experiments import make_theorem2_env, random_environment
 
@@ -54,45 +53,43 @@ def test_agent_distribution_equality_ignores_name():
 
 
 def test_uniform_pair_is_valid_without_flags():
-    report = validate_environment(uniform_pair_env())
-    assert report.ok and not report.limit_mode
+    assert uniform_pair_env().flags == ()
 
 
 def test_limit_environment_is_flagged_not_rejected():
-    report = validate_environment(make_theorem2_env(3, 10, 0))
-    assert report.ok
-    assert report.limit_mode
-    assert any("zero probability" in flag for flag in report.flags)
+    env = make_theorem2_env(3, 10, 0)
+    assert env.flags
+    assert any("zero probability" in flag for flag in env.flags)
 
 
 def test_probabilities_must_sum_to_one():
     values = ValueSet([-1, 1])
     off = AgentDistribution({Fraction(-1): Fraction(1, 2), Fraction(1): Fraction(499, 1000)})
-    report = validate_environment(Environment(values, [off, off]))
-    assert not report.ok
-    assert any("must sum to 1" in err for err in report.errors)
+    with pytest.raises(InvalidEnvironment, match="must sum to 1"):
+        Environment(values, [off, off])
 
 
 def test_zero_value_and_missing_sign_are_errors():
     values = ValueSet([-1, 0, 1])
     dist = AgentDistribution({v: Fraction(1, 3) for v in values})
-    report = validate_environment(Environment(values, [dist, dist]))
-    assert any("value 0" in err for err in report.errors)
+    with pytest.raises(InvalidEnvironment, match="value 0"):
+        Environment(values, [dist, dist])
 
     positive_only = ValueSet([1, 2])
     dist = AgentDistribution({v: Fraction(1, 2) for v in positive_only})
-    report = validate_environment(Environment(positive_only, [dist, dist]))
-    assert any("negative and one positive" in err for err in report.errors)
+    with pytest.raises(InvalidEnvironment, match="negative and one positive"):
+        Environment(positive_only, [dist, dist])
 
 
 def test_single_agent_and_negative_probability_are_errors():
     values = ValueSet([-1, 1])
     dist = AgentDistribution({Fraction(-1): Fraction(1, 2), Fraction(1): Fraction(1, 2)})
-    assert not validate_environment(Environment(values, [dist])).ok
+    with pytest.raises(InvalidEnvironment):
+        Environment(values, [dist])
 
     bad = AgentDistribution({Fraction(-1): Fraction(3, 2), Fraction(1): Fraction(-1, 2)})
-    report = validate_environment(Environment(values, [bad, bad]))
-    assert any("negative probability" in err for err in report.errors)
+    with pytest.raises(InvalidEnvironment, match="negative probability"):
+        Environment(values, [bad, bad])
 
 
 # -------------------------------------------------------------------- stats
@@ -156,15 +153,15 @@ def test_profile_probability_examples():
          Fraction(1): Fraction(1, 8), Fraction(2): Fraction(1, 8)}
     )
     env = Environment(values, [agent1, agent2])
-    assert profile_probability(env, (Fraction(-2), Fraction(-2))) == Fraction(1, 4)
+    assert profile_probability(env.agents, (Fraction(-2), Fraction(-2))) == Fraction(1, 4)
 
     env0 = make_theorem2_env(3, 10, 0)
-    assert profile_probability(env0, (Fraction(10), Fraction(10), Fraction(-1))) == Fraction(1, 8)
+    assert profile_probability(env0.agents, (Fraction(10), Fraction(10), Fraction(-1))) == Fraction(1, 8)
     # any profile containing a zero-probability value
-    assert profile_probability(env0, (Fraction(1), Fraction(10), Fraction(-1))) == 0
+    assert profile_probability(env0.agents, (Fraction(1), Fraction(10), Fraction(-1))) == 0
 
     with pytest.raises(ValueError):
-        profile_probability(env0, (Fraction(3), Fraction(10), Fraction(-1)))
+        profile_probability(env0.agents, (Fraction(3), Fraction(10), Fraction(-1)))
 
 
 def test_profile_probabilities_sum_to_one():
@@ -172,7 +169,7 @@ def test_profile_probabilities_sum_to_one():
     for _ in range(5):
         env = random_environment(rng, n_agents=2, max_values=4)
         total = sum(
-            profile_probability(env, p)
+            profile_probability(env.agents, p)
             for p in itertools.product(env.values.values, repeat=env.n)
         )
         assert total == 1
@@ -191,7 +188,7 @@ def kernel_environments():
 def enumerated(env):
     """Oracle: every ordered profile with its probability, zeros included."""
     for profile in itertools.product(env.values.values, repeat=env.n):
-        yield profile, profile_probability(env, profile)
+        yield profile, profile_probability(env.agents, profile)
 
 
 def test_profiles_yield_exactly_the_positive_profiles_in_order():
@@ -268,3 +265,11 @@ def test_json_rejects_bad_sum_via_loader():
     }
     with pytest.raises(InvalidEnvironment):
         environment_from_json(obj)
+
+
+def test_json_rejects_an_agent_name_that_is_not_a_string():
+    halves = {"-1": "1/2", "1": "1/2"}
+    for name in (7, ["x"], None):
+        obj = {"values": ["-1", "1"], "agents": [{"probs": halves}, {"name": name, "probs": halves}]}
+        with pytest.raises(InvalidEnvironment, match="^agent 1: 'name' must be a string$"):
+            environment_from_json(obj)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from anonvote.environments import agent_stats, validate_environment
+from anonvote.environments import agent_stats
 from anonvote.experiments import (
     CampaignReport,
     cardinal_ordinal_ratio_sweep,
@@ -53,7 +53,7 @@ def test_family_limit_point_matches_the_zero_eps_table():
     assert env.values.values == (F(-100), F(-1), F(1), F(10))
     assert env.agents[0].prob(F(-100)) == Fraction(1, 2)
     assert env.agents[0].prob(F(-1)) == 0
-    assert validate_environment(env).limit_mode
+    assert env.flags
 
 
 def test_family_rejections_name_the_broken_condition():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import profile_probability, random_symmetric_environment
+from _oracles import anonymous_by_permutation, profile_probability, random_symmetric_environment
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -22,6 +22,7 @@ from anonvote.mechanisms import (
     NotBicError,
     NotSymmetric,
     OrderedTableSCF,
+    OrdinalSCF,
     QualifiedMajorityRule,
     WeightedMajorityRule,
     ZeroProbabilityCoalition,
@@ -29,7 +30,6 @@ from anonvote.mechanisms import (
     check_bic,
     coalition,
     interim_table,
-    is_anonymous_rule,
     mechanism_from_json,
     mechanism_to_json,
     ordinal_projection,
@@ -96,9 +96,9 @@ def test_anonymous_scf_requires_total_table_in_range():
 
 def test_ordered_table_anonymity_check():
     _, rule, hat = example1_fixture()
-    assert rule.is_anonymous()
-    assert not hat.is_anonymous()
-    assert is_anonymous_rule(rule) and not is_anonymous_rule(hat)
+    assert rule.anonymous
+    assert not hat.anonymous
+    assert rule.anonymous and not hat.anonymous
 
 
 # ---------------------------------------------------------------- interims
@@ -211,12 +211,12 @@ def test_example1_projection_blocks():
     env, rule, hat_expected = example1_fixture()
     projection = ordinal_projection(env, rule)
     assert not projection.anonymous
-    assert projection.phi[frozenset({0, 1})] == 1
-    assert projection.phi[frozenset({0})] == Fraction(1, 3)
-    assert projection.phi[frozenset({1})] == Fraction(1, 4)
-    assert projection.phi[frozenset()] == Fraction(7, 12)
+    assert projection.by_coalition[frozenset({0, 1})] == 1
+    assert projection.by_coalition[frozenset({0})] == Fraction(1, 3)
+    assert projection.by_coalition[frozenset({1})] == Fraction(1, 4)
+    assert projection.by_coalition[frozenset()] == Fraction(7, 12)
     for profile, expected in hat_expected.table.items():
-        assert projection.hat.evaluate(profile) == expected
+        assert projection.evaluate(profile) == expected
 
 
 def test_projection_fixes_ordinal_rules():
@@ -225,7 +225,7 @@ def test_projection_fixes_ordinal_rules():
     rule = QualifiedMajorityRule(2)
     projection = ordinal_projection(env, rule)
     for profile in itertools.product(env.values.values, repeat=3):
-        assert projection.hat.evaluate(profile) == rule.evaluate(profile)
+        assert projection.evaluate(profile) == rule.evaluate(profile)
 
 
 def test_projection_preserves_bic_interims_and_welfare():
@@ -235,11 +235,11 @@ def test_projection_preserves_bic_interims_and_welfare():
         mech = random_feasible_mechanism(env, rng)
         audit = check_bic(env, mech)
         projection = ordinal_projection(env, mech)
-        hat_audit = check_bic(env, projection.hat)
+        hat_audit = check_bic(env, projection)
         assert hat_audit.satisfied
         assert hat_audit.c_minus == audit.c_minus
         assert hat_audit.c_plus == audit.c_plus
-        assert welfare(env, projection.hat) == welfare(env, mech)
+        assert welfare(env, projection) == welfare(env, mech)
 
 
 def test_projection_of_anonymous_rule_in_symmetric_environment_is_anonymous():
@@ -349,7 +349,7 @@ def test_two_agent_balance_identity():
 def oracle_welfare(env, rule):
     return sum(
         (
-            profile_probability(env, p) * sum(p, Fraction(0)) * rule.evaluate(p)
+            profile_probability(env.agents, p) * sum(p, Fraction(0)) * rule.evaluate(p)
             for p in itertools.product(env.values.values, repeat=env.n)
         ),
         Fraction(0),
@@ -357,7 +357,7 @@ def oracle_welfare(env, rule):
 
 
 def oracle_interims(env, rule, i):
-    others = Environment(env.values, env.agents[:i] + env.agents[i + 1 :])
+    others = env.agents[:i] + env.agents[i + 1 :]
     return {
         v: sum(
             (
@@ -398,6 +398,25 @@ def test_welfare_and_interims_equal_the_enumeration():
         qmr = qmr_best(env)
         for k, w in qmr.table.items():
             assert w == oracle_welfare(env, QualifiedMajorityRule(k))
+
+
+def test_anonymous_flag_agrees_with_the_permutation_oracle():
+    rng = random.Random(43)
+    cases = [(env, rule) for env in oracle_environments(rng) for rule in oracle_rules(env, rng)]
+    env, rule, hat_expected = example1_fixture()
+    cases += [(env, rule), (env, ordinal_projection(env, rule)), (env, hat_expected)]
+    env = random_environment(rng, n_agents=3, max_values=3)
+    cases.append((env, ordinal_projection(env, QualifiedMajorityRule(2))))
+    # the table kinds appear on both sides: example 1's rule and the QMR
+    # projection are anonymous, hat_expected and example 1's projection not
+    for env, rule in cases:
+        holds = anonymous_by_permutation(rule, env.values, env.n)
+        assert holds or not rule.anonymous
+        if isinstance(rule, (OrderedTableSCF, OrdinalSCF)):
+            assert rule.anonymous == holds
+    # the weighted flag is conservative: constant, unequal weights, not flagged
+    constant = WeightedMajorityRule([1, 2], 5)
+    assert anonymous_by_permutation(constant, (F(-1), F(1)), 2) and not constant.anonymous
 
 
 # --------------------------------------------------------------------- JSON

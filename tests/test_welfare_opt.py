@@ -22,6 +22,7 @@ from anonvote.mechanisms import (
     symmetric_threshold,
     welfare,
 )
+from anonvote.ratlp import LinearProgram, solve
 from anonvote.welfare_opt import (
     AuxPoint,
     _interim_coefficients,
@@ -141,6 +142,42 @@ def test_optimum_dominates_every_threshold_rule():
     for _ in range(6):
         env = random_environment(rng, n_agents=2)
         assert solve_opt(env).welfare >= qmr_best(env).best_welfare
+
+
+def ordinal_anonymous_lp(env):
+    """``build_opt_lp`` with the columns of each positive-report count summed:
+    the program over every rule that reads only how many reports are
+    positive, randomized ones included (n + 1 variables)."""
+    lp, index = build_opt_lp(env)
+    counts = [sum(1 for v in m if v > 0) for m in index.multisets]
+
+    def collapse(row):
+        summed = [Fraction(0)] * (env.n + 1)
+        for k, a in zip(counts, row):
+            summed[k] += a
+        return summed
+
+    return LinearProgram(
+        env.n + 1,
+        collapse(lp.objective),
+        [collapse(row) for row in lp.eq_rows],
+        [collapse(row) for row in lp.ineq_rows],
+    )
+
+
+def test_best_threshold_is_the_best_ordinal_anonymous_rule():
+    # no randomized count rule beats the best qualified majority; the eps = 0
+    # family members check it in limit mode
+    rng = random.Random(61)
+    envs = [random_environment(rng, n_agents=2 + t % 4, max_values=5) for t in range(200)]
+    envs += [
+        make_theorem2_env(n, M, eps)
+        for n in range(3, 7)
+        for M in (10, 13)
+        for eps in (0, Fraction(1, 1000))
+    ]
+    for env in envs:
+        assert solve(ordinal_anonymous_lp(env)).objective_value == qmr_best(env).best_welfare
 
 
 def test_symmetric_optimum_is_the_threshold_rule():
