@@ -13,11 +13,9 @@ not part of the package.
 from .rationals import RationalParseError, format_rational, parse_rational
 from .environments import (
     AgentDistribution,
-    AgentStats,
     Environment,
     InvalidEnvironment,
     ValueSet,
-    agent_stats,
     environment_from_json,
     environment_to_json,
 )
@@ -53,14 +51,12 @@ from .welfare_opt import (
     solve_opt,
 )
 from .experiments import (
-    CampaignReport,
     Theorem2Report,
     cardinal_ordinal_ratio_sweep,
     example1_fixture,
     make_fstar,
     make_theorem2_env,
     run_theorem2_demo,
-    verify_theorem1,
 )
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .environments import (
     InvalidEnvironment,
-    agent_stats,
     environment_from_json,
+    environment_to_json,
 )
 from .experiments import (
     cardinal_ordinal_ratio_sweep,
@@ -30,7 +30,6 @@ from .experiments import (
     random_environment,
     random_feasible_mechanism,
     run_theorem2_demo,
-    verify_theorem1,
 )
 from .mechanisms import (
     AnonymousSCF,
@@ -388,11 +387,30 @@ def _print_demo_theorem2(payload):
 
 
 def _suite_theorem1(args):
-    campaign = verify_theorem1(args.trials, args.seed)
-    if campaign.passed:
-        return True, f"{campaign.trials} random 2-agent environments, all exact matches"
-    shown = "".join("\n" + json.dumps(failure, indent=2) for failure in campaign.failures[:3])
-    return False, f"{len(campaign.failures)} mismatches{shown}"
+    # two agents: optimum = best of the k=1, k=2 majority rules = best aux corner
+    rng = random.Random(args.seed)
+    failures = []
+    for trial in range(args.trials):
+        env = random_environment(rng, n_agents=2)
+        opt = solve_opt(env).welfare
+        w1 = welfare(env, QualifiedMajorityRule(1))
+        w2 = welfare(env, QualifiedMajorityRule(2))
+        corner_best = aux_corners(env).best_value()
+        if not (opt == max(w1, w2) == corner_best):
+            failures.append(
+                {
+                    "trial": trial,
+                    "environment": environment_to_json(env),
+                    "opt": format_rational(opt),
+                    "qmr1": format_rational(w1),
+                    "qmr2": format_rational(w2),
+                    "corner_best": format_rational(corner_best),
+                }
+            )
+    if not failures:
+        return True, f"{args.trials} random 2-agent environments, all exact matches"
+    shown = "".join("\n" + json.dumps(failure, indent=2) for failure in failures[:3])
+    return False, f"{len(failures)} mismatches{shown}"
 
 
 def _suite_theorem2(args):
@@ -424,8 +442,8 @@ def _suite_aux(args):
     for _ in range(args.trials):
         env = random_environment(rng, n_agents=2)
         corners = aux_corners(env)
-        p1 = agent_stats(env, 0).p
-        p2 = agent_stats(env, 1).p
+        p1 = env.agents[0].p
+        p2 = env.agents[1].p
         for point in (corners.first, corners.second):
             if p1 * point.c2_plus - (1 - p1) * point.c2_minus != p1 * p1:
                 return False, "first influence constraint not tight at a corner"

@@ -3,7 +3,9 @@
 An environment is a finite value set V (the shared support, 0 excluded) and
 one discrete distribution over V per agent. Agents draw values independently.
 Everything downstream (interim allocations, welfare, the optimization) is
-computed from these objects with exact rationals.
+computed from these objects with exact rationals. Each
+:class:`AgentDistribution` carries its sign statistics (p, U+ and U-),
+computed once when it is built; agents with equal distributions are one type.
 
 An :class:`Environment` is checked once, when it is built: a structurally
 unusable one raises :class:`InvalidEnvironment`, so every environment that
@@ -26,8 +28,6 @@ __all__ = [
     "ValueSet",
     "AgentDistribution",
     "Environment",
-    "AgentStats",
-    "agent_stats",
     "profiles",
     "multiset_distribution",
     "environment_from_json",
@@ -42,7 +42,7 @@ class InvalidEnvironment(ValueError):
 class ValueSet:
     """Strictly increasing tuple of rational values, the common support V."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "negatives", "positives")
 
     def __init__(self, values: Iterable):
         vals = tuple(parse_rational(v) for v in values)
@@ -51,6 +51,8 @@ class ValueSet:
         if len(set(vals)) != len(vals):
             raise InvalidEnvironment("value set contains duplicates")
         self.values = tuple(sorted(vals))
+        self.negatives = tuple(v for v in self.values if v < 0)
+        self.positives = tuple(v for v in self.values if v > 0)
 
     def __iter__(self):
         return iter(self.values)
@@ -70,14 +72,6 @@ class ValueSet:
     def __repr__(self):
         return f"ValueSet({[str(v) for v in self.values]})"
 
-    @property
-    def negatives(self) -> tuple:
-        return tuple(v for v in self.values if v < 0)
-
-    @property
-    def positives(self) -> tuple:
-        return tuple(v for v in self.values if v > 0)
-
 
 class AgentDistribution:
     """One agent's probability mass over the value set.
@@ -85,9 +79,16 @@ class AgentDistribution:
     ``items`` is the canonical (value, probability) tuple, ascending by value;
     it defines equality so that agents of the same ex-ante type compare equal
     regardless of their display name.
+
+    The sign statistics are set once, here: ``p`` is P(v > 0), ``u_plus`` is
+    E[v | v > 0] and ``u_minus`` is E[|v| | v < 0]; either mean is None when
+    its conditioning event has probability zero (limit mode), and callers
+    must check before using it. ``pos_mass``/``neg_mass`` are the
+    unconditional sign expectations p*u_plus and (1-p)*u_minus, which are
+    always defined.
     """
 
-    __slots__ = ("items", "probs", "name")
+    __slots__ = ("items", "probs", "name", "p", "pos_mass", "neg_mass", "u_plus", "u_minus")
 
     def __init__(self, probs: Mapping, name: str | None = None):
         parsed = {}
@@ -99,12 +100,17 @@ class AgentDistribution:
         self.items = tuple(sorted(parsed.items()))
         self.probs = parsed
         self.name = name
-
-    def prob(self, v: Fraction) -> Fraction:
-        try:
-            return self.probs[v]
-        except KeyError:
-            raise ValueError(f"value {v} not in this agent's support") from None
+        self.p = Fraction(0)
+        self.pos_mass = Fraction(0)
+        self.neg_mass = Fraction(0)
+        for v, prob in self.items:
+            if v > 0:
+                self.p += prob
+                self.pos_mass += v * prob
+            else:
+                self.neg_mass += (-v) * prob
+        self.u_plus = self.pos_mass / self.p if self.p > 0 else None
+        self.u_minus = self.neg_mass / (1 - self.p) if self.p < 1 else None
 
     def total(self) -> Fraction:
         return sum(self.probs.values(), Fraction(0))
@@ -153,7 +159,7 @@ class Environment:
                 raise InvalidEnvironment(
                     f"agent {i} support does not match the value set"
                 )
-            label = agent.name or f"agent {i}"
+            label = f"agent {i} ({agent.name})" if agent.name else f"agent {i}"
             negative = [v for v, p in agent.items if p < 0]
             if negative:
                 errors.append(f"{label}: negative probability at {negative[0]}")
@@ -168,9 +174,8 @@ class Environment:
                 flags.append(
                     f"{label}: zero probability on {{{', '.join(map(str, zeros))}}}"
                 )
-            p = sum((p for v, p in agent.items if v > 0), Fraction(0))
-            if p == 0 or p == 1:
-                flags.append(f"{label}: deterministic value sign (p={p})")
+            if agent.p == 0 or agent.p == 1:
+                flags.append(f"{label}: deterministic value sign (p={agent.p})")
         if errors:
             raise InvalidEnvironment("; ".join(errors))
         self.flags = tuple(flags)
@@ -191,48 +196,6 @@ class Environment:
 
     def __repr__(self):
         return f"Environment(n={self.n}, V={[str(v) for v in self.values]})"
-
-
-class AgentStats:
-    """Sign statistics of one agent: p = P(v > 0) and the conditional means.
-
-    ``u_plus`` is E[v | v > 0] and ``u_minus`` is E[|v| | v < 0]; either is
-    None when its conditioning event has probability zero (limit mode), and
-    callers must check before using it. ``pos_mass``/``neg_mass`` are the
-    unconditional sign expectations p*u_plus and (1-p)*u_minus, which are
-    always defined.
-    """
-
-    __slots__ = ("p", "u_plus", "u_minus", "pos_mass", "neg_mass")
-
-    def __init__(self, p, u_plus, u_minus, pos_mass, neg_mass):
-        self.p = p
-        self.u_plus = u_plus
-        self.u_minus = u_minus
-        self.pos_mass = pos_mass
-        self.neg_mass = neg_mass
-
-    def __repr__(self):
-        return (
-            f"AgentStats(p={self.p}, u_plus={self.u_plus}, u_minus={self.u_minus})"
-        )
-
-
-def agent_stats(env: Environment, i: int) -> AgentStats:
-    """Exact sign statistics of agent ``i``."""
-    agent = env.agents[i]
-    p = Fraction(0)
-    pos_mass = Fraction(0)
-    neg_mass = Fraction(0)
-    for v, prob in agent.items:
-        if v > 0:
-            p += prob
-            pos_mass += v * prob
-        else:
-            neg_mass += (-v) * prob
-    u_plus = pos_mass / p if p > 0 else None
-    u_minus = neg_mass / (1 - p) if p < 1 else None
-    return AgentStats(p, u_plus, u_minus, pos_mass, neg_mass)
 
 
 def profiles(agents: Sequence[AgentDistribution]):

@@ -1,13 +1,13 @@
-"""Scripted reproductions and randomized verification campaigns.
+"""Scripted reproductions and the seeded inputs of the verification suites.
 
 The centerpiece is a two-type family of environments indexed by a small
 epsilon: two "high-stakes" agents whose values concentrate on {-M^2, M} and
 n-2 "low-stakes" agents concentrated on {-1, 1}. At epsilon = 0 the family
 degenerates (zero-probability support points, accepted in limit mode), and
 an anonymous cardinal rule, unanimity plus three targeted overrides, is
-incentive compatible and beats every qualified majority rule. The campaigns
-here rebuild those numbers exactly and stress the two-agent optimality
-characterization on seeded random environments.
+incentive compatible and beats every qualified majority rule. The demos
+here rebuild those numbers exactly; seeded random environments and feasible
+rules feed the randomized suites of :mod:`anonvote.cli`.
 """
 
 from __future__ import annotations
@@ -19,19 +19,17 @@ from .environments import (
     AgentDistribution,
     Environment,
     ValueSet,
-    environment_to_json,
 )
 from .mechanisms import (
     AnonymousSCF,
     OrderedTableSCF,
-    QualifiedMajorityRule,
     all_multisets,
     qmr_best,
     welfare,
     wmr_build,
 )
-from .rationals import format_rational, parse_rational
-from .welfare_opt import aux_corners, build_opt_lp, mechanism_from_vertex, solve_opt
+from .rationals import parse_rational
+from .welfare_opt import build_opt_lp, mechanism_from_vertex, solve_opt
 from .ratlp import solve
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
     "Theorem2Report",
     "run_theorem2_demo",
     "cardinal_ordinal_ratio_sweep",
-    "CampaignReport",
-    "verify_theorem1",
     "example1_fixture",
     "random_environment",
     "random_feasible_mechanism",
@@ -139,18 +135,16 @@ class Theorem2Report:
         "qmr",
         "opt",
         "fstar_welfare",
-        "wmr_rule",
         "wmr_welfare",
     )
 
-    def __init__(self, n, M, eps, qmr, opt, fstar_welfare, wmr_rule, wmr_welfare):
+    def __init__(self, n, M, eps, qmr, opt, fstar_welfare, wmr_welfare):
         self.n = n
         self.M = M
         self.eps = eps
         self.qmr = qmr
         self.opt = opt
         self.fstar_welfare = fstar_welfare
-        self.wmr_rule = wmr_rule
         self.wmr_welfare = wmr_welfare
 
     @property
@@ -180,7 +174,7 @@ def run_theorem2_demo(n: int, M, eps) -> Theorem2Report:
     wmr_rule = wmr_build(env)
     wmr_welfare = welfare(env, wmr_rule)
     fstar_welfare = welfare(env, make_fstar(n, M)) if eps == 0 else None
-    return Theorem2Report(n, M, eps, qmr, opt, fstar_welfare, wmr_rule, wmr_welfare)
+    return Theorem2Report(n, M, eps, qmr, opt, fstar_welfare, wmr_welfare)
 
 
 def cardinal_ordinal_ratio_sweep(m_values, n: int = 3) -> list[Theorem2Report]:
@@ -227,56 +221,6 @@ def random_feasible_mechanism(env: Environment, rng: random.Random) -> Anonymous
     lp, index = build_opt_lp(env)
     lp.objective = [Fraction(rng.randint(-10, 10)) for _ in range(lp.num_vars)]
     return mechanism_from_vertex(env, index, solve(lp).x)
-
-
-class CampaignReport:
-    """Outcome of a randomized verification campaign."""
-
-    __slots__ = ("trials", "seed", "failures")
-
-    def __init__(self, trials, seed, failures):
-        self.trials = trials
-        self.seed = seed
-        self.failures = failures
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def __repr__(self):
-        return f"CampaignReport(trials={self.trials}, failures={len(self.failures)})"
-
-
-def verify_theorem1(trials: int, seed: int) -> CampaignReport:
-    """Check two-agent optimality of the best majority rule on random draws.
-
-    For each seeded random two-agent environment the exact optimum of the
-    anonymous-BIC program must equal max(W(f1), W(f2)) and the best corner
-    value of the interim relaxation. Failures (none are expected) are
-    reported with the offending environment.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = random.Random(seed)
-    failures = []
-    for trial in range(trials):
-        env = random_environment(rng, n_agents=2)
-        opt = solve_opt(env).welfare
-        w1 = welfare(env, QualifiedMajorityRule(1))
-        w2 = welfare(env, QualifiedMajorityRule(2))
-        corner_best = aux_corners(env).best_value()
-        if not (opt == max(w1, w2) == corner_best):
-            failures.append(
-                {
-                    "trial": trial,
-                    "environment": environment_to_json(env),
-                    "opt": format_rational(opt),
-                    "qmr1": format_rational(w1),
-                    "qmr2": format_rational(w2),
-                    "corner_best": format_rational(corner_best),
-                }
-            )
-    return CampaignReport(trials, seed, failures)
 
 
 def example1_fixture():

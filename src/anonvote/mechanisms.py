@@ -24,6 +24,7 @@ and the qualified/weighted majority benchmarks.
 Expectations are sums over the kernels of :mod:`anonvote.environments`:
 ``multiset_distribution`` for rules flagged anonymous and the threshold
 table, ``profiles`` (ordered) for other rules and the coalition projection.
+The audit of an anonymous rule computes one interim table per agent type.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .environments import (
     Environment,
-    agent_stats,
     multiset_distribution,
     profiles,
 )
@@ -358,14 +358,19 @@ def check_bic(env: Environment, rule) -> BicReport:
     negative-side constant is at most the positive-side constant. The
     constraints are enforced at every support value, including reports of
     probability zero.
+
+    Under an anonymous rule an agent's interim depends only on the others'
+    distributions, so an agent of an earlier agent's type reuses a copy of
+    that agent's table; other rules get one table per agent.
     """
     negatives = env.values.negatives
     positives = env.values.positives
     c_minus: list = []
     c_plus: list = []
     interims: list[dict] = []
-    for i in range(env.n):
-        table = interim_table(env, rule, i)
+    for i, agent in enumerate(env.agents):
+        first = env.agents.index(agent) if rule.anonymous else i
+        table = interim_table(env, rule, i) if first == i else dict(interims[first])
         interims.append(table)
         for group in (negatives, positives):
             for a, b in zip(group, group[1:]):
@@ -411,9 +416,8 @@ def welfare_via_interims(env: Environment, rule) -> Fraction:
     if not report.satisfied:
         raise NotBicError(f"rule is not incentive compatible: {report.witness}")
     total = Fraction(0)
-    for i in range(env.n):
-        stats = agent_stats(env, i)
-        total += report.c_plus[i] * stats.pos_mass - report.c_minus[i] * stats.neg_mass
+    for i, agent in enumerate(env.agents):
+        total += report.c_plus[i] * agent.pos_mass - report.c_minus[i] * agent.neg_mass
     return total
 
 
@@ -515,12 +519,11 @@ def symmetric_threshold(env: Environment) -> SymmetricThreshold:
     first = env.agents[0]
     if any(agent != first for agent in env.agents[1:]):
         raise NotSymmetric("agents do not share one distribution")
-    stats = agent_stats(env, 0)
-    if stats.u_plus is None or stats.u_minus is None:
+    if first.u_plus is None or first.u_minus is None:
         raise NotSymmetric(
             "threshold formula needs both conditional means (p in (0,1))"
         )
-    boundary = env.n * stats.u_minus / (stats.u_plus + stats.u_minus)
+    boundary = env.n * first.u_minus / (first.u_plus + first.u_minus)
     k_bar = next(k for k in range(1, env.n + 1) if k > boundary)
     return SymmetricThreshold(k_bar, boundary, boundary.denominator == 1)
 
@@ -534,10 +537,9 @@ def wmr_build(env: Environment, tie_value=Fraction(1, 2)) -> WeightedMajorityRul
     weights = []
     quorum = Fraction(0)
     notes = []
-    for i in range(env.n):
-        stats = agent_stats(env, i)
-        u_plus = stats.u_plus
-        u_minus = stats.u_minus
+    for i, agent in enumerate(env.agents):
+        u_plus = agent.u_plus
+        u_minus = agent.u_minus
         if u_plus is None:
             u_plus = Fraction(0)
             notes.append(f"agent {i}: U+ undefined (p=0), using 0")

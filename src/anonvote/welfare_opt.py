@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .environments import (
     Environment,
-    agent_stats,
     multiset_distribution,
 )
 from .mechanisms import (
@@ -214,8 +213,8 @@ def aux_corners(env: Environment) -> AuxCorners:
     """
     if env.n != 2:
         raise ValueError("the interim relaxation is defined for exactly 2 agents")
-    s1 = agent_stats(env, 0)
-    s2 = agent_stats(env, 1)
+    s1 = env.agents[0]
+    s2 = env.agents[1]
     if not (0 < s1.p < 1 and 0 < s2.p < 1):
         raise ValueError("corner formulas need p1, p2 strictly inside (0, 1)")
     p1, p2 = s1.p, s2.p
@@ -278,8 +277,8 @@ def lemma3_bounds(env: Environment, rule) -> Lemma3Report:
     audit = check_bic(env, rule)
     if not audit.satisfied:
         raise NotBicError(f"rule is not incentive compatible: {audit.witness}")
-    p1 = agent_stats(env, 0).p
-    p2 = agent_stats(env, 1).p
+    p1 = env.agents[0].p
+    p2 = env.agents[1].p
     lhs1 = p1 * audit.c_plus[1] - (1 - p1) * audit.c_minus[1]
     lhs2 = p2 * audit.c_plus[0] - (1 - p2) * audit.c_minus[0]
     return Lemma3Report(lhs1, p1 * p1, lhs2, p2 * p2)

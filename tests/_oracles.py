@@ -36,7 +36,9 @@ def profile_probability(agents: Sequence[AgentDistribution], profile: Sequence[F
         raise ValueError(f"profile has {len(profile)} entries, expected {len(agents)}")
     result = Fraction(1)
     for agent, v in zip(agents, profile):
-        result *= agent.prob(v)
+        if v not in agent.probs:
+            raise ValueError(f"value {v} not in the agent's support")
+        result *= agent.probs[v]
         if result == 0:
             return Fraction(0)
     return result

@@ -26,7 +26,6 @@ from anonvote.experiments import (
     make_theorem2_env,
     random_environment,
     random_feasible_mechanism,
-    verify_theorem1,
 )
 from anonvote.mechanisms import (
     QualifiedMajorityRule,
@@ -122,9 +121,6 @@ def test_criterion_3_strict_gap_at_positive_eps():
 
 def test_criterion_4_two_agent_campaign():
     with criterion(4, "100 random 2-agent environments: optimum = best majority rule", 60.0):
-        campaign = verify_theorem1(trials=100, seed=7)
-        assert campaign.passed, campaign.failures[:2]
-        # rebuild the same environments to retain the optimal mechanisms
         rng = random.Random(7)
         for _ in range(100):
             env = random_environment(rng, n_agents=2)

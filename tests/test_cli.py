@@ -1,12 +1,16 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from anonvote import environment_to_json, make_theorem2_env, mechanism_to_json
 from anonvote.cli import main
-from anonvote.experiments import example1_fixture, make_fstar
+from anonvote.experiments import example1_fixture, make_fstar, random_environment
+from anonvote.mechanisms import QualifiedMajorityRule, welfare
+from anonvote.rationals import format_rational
+from anonvote.welfare_opt import AuxCorners, aux_corners, solve_opt
 
 
 @pytest.fixture()
@@ -155,6 +159,33 @@ def test_verify_rejects_fewer_than_one_trial(suite, capsys):
     assert "--trials" in captured.err
 
 
+def test_theorem1_failures_print_the_first_three_as_json(monkeypatch, capsys):
+    # an off corner value makes every trial a mismatch; the suite prints the
+    # count, then the first three failures as indented JSON
+    def off_by_one(self):
+        return max(self.value_first, self.value_second) + 1
+
+    monkeypatch.setattr(AuxCorners, "best_value", off_by_one)
+    assert main(["verify", "theorem1", "--trials", "4", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    rng = random.Random(3)
+    shown = []
+    for trial in range(3):
+        env = random_environment(rng, n_agents=2)
+        shown.append(
+            {
+                "trial": trial,
+                "environment": environment_to_json(env),
+                "opt": format_rational(solve_opt(env).welfare),
+                "qmr1": format_rational(welfare(env, QualifiedMajorityRule(1))),
+                "qmr2": format_rational(welfare(env, QualifiedMajorityRule(2))),
+                "corner_best": format_rational(aux_corners(env).best_value()),
+            }
+        )
+    expected = "FAIL theorem1: 4 mismatches" + "".join("\n" + json.dumps(f, indent=2) for f in shown)
+    assert out == expected + "\n"
+
+
 def test_verify_theorem2_outside_the_family_is_an_input_error(capsys):
     assert main(["verify", "theorem2", "--n", "2"]) == 2
     captured = capsys.readouterr()
@@ -185,6 +216,25 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["solve", "--env", str(bad_sum)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_an_environment_error_names_the_agent_index(tmp_path, capsys):
+    # two agents share a name, so only the index says which one is at fault
+    path = tmp_path / "named.json"
+    path.write_text(
+        json.dumps(
+            {
+                "values": ["-1", "1"],
+                "agents": [
+                    {"name": "x", "probs": {"-1": "1/2", "1": "1/2"}},
+                    {"name": "x", "probs": {"-1": "1/2", "1": "499/1000"}},
+                ],
+            }
+        )
+    )
+    assert main(["solve", "--env", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: agent 1 (x): probabilities must sum to 1 (got 999/1000)\n"
 
 
 _GAMMA0 = environment_to_json(make_theorem2_env(3, 10, 0))

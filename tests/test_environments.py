@@ -10,7 +10,6 @@ from anonvote.environments import (
     Environment,
     InvalidEnvironment,
     ValueSet,
-    agent_stats,
     environment_from_json,
     environment_to_json,
     multiset_distribution,
@@ -62,6 +61,22 @@ def test_limit_environment_is_flagged_not_rejected():
     assert any("zero probability" in flag for flag in env.flags)
 
 
+def test_flags_name_each_agent_by_index():
+    # two agents of each type share a name; the index tells them apart
+    flags = make_theorem2_env(4, 10, 0).flags
+    assert len(flags) == 4 and len(set(flags)) == 4
+    assert flags[0] == "agent 0 (high): zero probability on {-1, 1}"
+    assert flags[3] == "agent 3 (low): zero probability on {-100, 10}"
+    # an unnamed agent is labelled by its index alone
+    values = ValueSet([-1, 1])
+    half = AgentDistribution({Fraction(-1): Fraction(1, 2), Fraction(1): Fraction(1, 2)})
+    up = AgentDistribution({Fraction(-1): Fraction(0), Fraction(1): Fraction(1)})
+    assert Environment(values, [half, up]).flags == (
+        "agent 1: zero probability on {-1}",
+        "agent 1: deterministic value sign (p=1)",
+    )
+
+
 def test_probabilities_must_sum_to_one():
     values = ValueSet([-1, 1])
     off = AgentDistribution({Fraction(-1): Fraction(1, 2), Fraction(1): Fraction(499, 1000)})
@@ -98,20 +113,20 @@ def test_single_agent_and_negative_probability_are_errors():
 def test_high_stakes_agent_stats_at_small_eps():
     # weighted sums over the four support points, checkable by hand
     env = make_theorem2_env(3, 10, Fraction(1, 1000))
-    stats = agent_stats(env, 0)
+    stats = env.agents[0]
     assert stats.p == Fraction(1, 2)
     assert stats.u_plus == Fraction(4991, 500)
     assert stats.u_minus == Fraction(49901, 500)
 
 
 def test_two_point_and_limit_stats():
-    stats = agent_stats(uniform_pair_env(), 0)
+    stats = uniform_pair_env().agents[0]
     assert (stats.p, stats.u_plus, stats.u_minus) == (Fraction(1, 2), 1, 1)
 
     env0 = make_theorem2_env(3, 10, 0)
-    low = agent_stats(env0, 2)
+    low = env0.agents[2]
     assert (low.p, low.u_plus, low.u_minus) == (Fraction(1, 2), 1, 1)
-    high = agent_stats(env0, 0)
+    high = env0.agents[0]
     assert (high.u_plus, high.u_minus) == (10, 100)
 
 
@@ -119,7 +134,7 @@ def test_undefined_conditional_means_are_none():
     values = ValueSet([-1, 1])
     always_up = AgentDistribution({Fraction(-1): Fraction(0), Fraction(1): Fraction(1)})
     env = Environment(values, [always_up, always_up])
-    stats = agent_stats(env, 0)
+    stats = env.agents[0]
     assert stats.p == 1
     assert stats.u_minus is None
     assert stats.u_plus == 1
@@ -130,7 +145,7 @@ def test_sign_decomposition_matches_direct_expectation():
     for _ in range(25):
         env = random_environment(rng, n_agents=2)
         for i in range(env.n):
-            stats = agent_stats(env, i)
+            stats = env.agents[i]
             direct = sum(
                 (v * p for v, p in env.agents[i].items), Fraction(0)
             )

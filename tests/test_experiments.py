@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from anonvote.environments import agent_stats
+from anonvote.cli import main
 from anonvote.experiments import (
-    CampaignReport,
     cardinal_ordinal_ratio_sweep,
     example1_fixture,
     family_conditions,
@@ -13,7 +12,6 @@ from anonvote.experiments import (
     make_theorem2_env,
     random_environment,
     run_theorem2_demo,
-    verify_theorem1,
 )
 from anonvote.mechanisms import (
     QualifiedMajorityRule,
@@ -40,19 +38,19 @@ def test_family_conditions_values():
 def test_family_probabilities_at_the_benchmark_eps():
     env = make_theorem2_env(3, 10, F(1) / 1000)
     high, low = env.agents[0], env.agents[2]
-    assert high.prob(F(10)) == Fraction(499, 1000)
-    assert high.prob(F(-100)) == Fraction(499, 1000)
-    assert high.prob(F(1)) == Fraction(1, 1000)
-    assert low.prob(F(1)) == Fraction(499, 1000)
-    assert low.prob(F(10)) == Fraction(1, 1000)
+    assert high.probs[F(10)] == Fraction(499, 1000)
+    assert high.probs[F(-100)] == Fraction(499, 1000)
+    assert high.probs[F(1)] == Fraction(1, 1000)
+    assert low.probs[F(1)] == Fraction(499, 1000)
+    assert low.probs[F(10)] == Fraction(1, 1000)
     assert env.agents[0] == env.agents[1] != env.agents[2]
 
 
 def test_family_limit_point_matches_the_zero_eps_table():
     env = make_theorem2_env(3, 10, 0)
     assert env.values.values == (F(-100), F(-1), F(1), F(10))
-    assert env.agents[0].prob(F(-100)) == Fraction(1, 2)
-    assert env.agents[0].prob(F(-1)) == 0
+    assert env.agents[0].probs[F(-100)] == Fraction(1, 2)
+    assert env.agents[0].probs[F(-1)] == 0
     assert env.flags
 
 
@@ -196,11 +194,12 @@ def test_removing_one_override_breaks_incentive_compatibility():
 # --------------------------------------------------------------- campaigns
 
 
-def test_campaign_passes_and_is_reproducible():
-    first = verify_theorem1(trials=10, seed=11)
-    second = verify_theorem1(trials=10, seed=11)
-    assert first.passed and second.passed
-    assert first.failures == second.failures
+def test_campaign_passes_and_is_reproducible(capsys):
+    argv = ["verify", "theorem1", "--trials", "10", "--seed", "11"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
     rng_a = random.Random(11)
     rng_b = random.Random(11)
@@ -209,23 +208,15 @@ def test_campaign_passes_and_is_reproducible():
     assert env_a == env_b
 
 
-def test_campaign_requires_at_least_one_trial():
-    with pytest.raises(ValueError):
-        verify_theorem1(trials=0, seed=1)
-    report = verify_theorem1(trials=1, seed=3)
-    assert isinstance(report, CampaignReport)
-    assert report.trials == 1
-
-
 # ----------------------------------------------------------------- fixture
 
 
 def test_fixture_environment_marginals():
     env, rule, hat = example1_fixture()
-    assert agent_stats(env, 0).p == Fraction(1, 3)
-    assert agent_stats(env, 1).p == Fraction(1, 4)
-    stats0 = agent_stats(env, 0)
-    stats1 = agent_stats(env, 1)
+    assert env.agents[0].p == Fraction(1, 3)
+    assert env.agents[1].p == Fraction(1, 4)
+    stats0 = env.agents[0]
+    stats1 = env.agents[1]
     assert (stats0.u_plus, stats0.u_minus) == (Fraction(3, 2), Fraction(7, 4))
     assert (stats1.u_plus, stats1.u_minus) == (Fraction(3, 2), Fraction(5, 3))
     assert rule.evaluate((F(-2), F(-2))) == 1

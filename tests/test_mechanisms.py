@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import anonymous_by_permutation, profile_probability, random_symmetric_environment
+from anonvote import mechanisms
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -129,13 +130,12 @@ def test_unanimity_interims_closed_form():
         rule = QualifiedMajorityRule(env.n)
         audit = check_bic(env, rule)
         assert audit.satisfied
-        from anonvote.environments import agent_stats
 
         for i in range(env.n):
             others = Fraction(1)
             for j in range(env.n):
                 if j != i:
-                    others *= agent_stats(env, j).p
+                    others *= env.agents[j].p
             assert audit.c_plus[i] == others
             assert audit.c_minus[i] == 0
 
@@ -167,6 +167,27 @@ def test_audit_witness_on_a_backwards_rule():
     assert witness.kind == "monotonicity"
     assert witness.agent == 0
     assert (witness.interim, witness.other_interim) == (Fraction(1, 2), Fraction(0))
+
+
+def test_an_anonymous_rule_is_audited_once_per_agent_type(monkeypatch):
+    # agents 0-1 are one type and agents 2-4 another
+    env = make_theorem2_env(5, 13, Fraction(1, 1000))
+    calls = []
+
+    def counted(env, rule, i):
+        calls.append(i)
+        return interim_table(env, rule, i)
+
+    monkeypatch.setattr(mechanisms, "interim_table", counted)
+    rule = QualifiedMajorityRule(3)
+    audit = check_bic(env, rule)
+    assert calls == [0, 2]
+    assert audit.interims == [interim_table(env, rule, i) for i in range(env.n)]
+    assert audit.interims[1] is not audit.interims[0]
+    # the utilitarian weighted rule is not anonymous: one table per agent
+    calls.clear()
+    check_bic(env, wmr_build(env))
+    assert calls == [0, 1, 2, 3, 4]
 
 
 # ------------------------------------------------------------------ welfare
@@ -330,14 +351,13 @@ def test_wmr_limit_convention_is_flagged():
 def test_two_agent_balance_identity():
     # both sides of the identity equal the ex-ante reform probability
     rng = random.Random(47)
-    from anonvote.environments import agent_stats
 
     for _ in range(6):
         env = random_environment(rng, n_agents=2, max_values=4)
         mech = random_feasible_mechanism(env, rng)
         audit = check_bic(env, mech)
-        p1 = agent_stats(env, 0).p
-        p2 = agent_stats(env, 1).p
+        p1 = env.agents[0].p
+        p2 = env.agents[1].p
         lhs = p1 * audit.c_plus[0] + (1 - p1) * audit.c_minus[0]
         rhs = p2 * audit.c_plus[1] + (1 - p2) * audit.c_minus[1]
         assert lhs == rhs
@@ -371,10 +391,13 @@ def oracle_interims(env, rule, i):
 
 
 def oracle_rules(env, rng):
-    """QMR k = 0..n+1, an equal-weight WMR, a random BIC vertex and the
-    utilitarian WMR (the last one not anonymous)."""
+    """QMR k = 0..n+1, an equal-weight WMR, a WMR that weighs agent 0
+    double, a random BIC vertex and the utilitarian WMR (the double-weight
+    and utilitarian rules are not anonymous, so agents of one type can have
+    different interims)."""
     rules = [QualifiedMajorityRule(k) for k in range(env.n + 2)]
     rules.append(WeightedMajorityRule([1] * env.n, Fraction(env.n, 2)))
+    rules.append(WeightedMajorityRule([2] + [1] * (env.n - 1), Fraction(env.n, 2)))
     rules.append(random_feasible_mechanism(env, rng))
     rules.append(wmr_build(env))
     return rules
@@ -383,7 +406,7 @@ def oracle_rules(env, rng):
 def oracle_environments(rng):
     shapes = ((2, 5), (3, 5), (4, 4)) * 2
     envs = [random_environment(rng, n_agents=n, max_values=v) for n, v in shapes]
-    return envs + [make_theorem2_env(3, 10, 0)]
+    return envs + [make_theorem2_env(3, 10, 0), make_theorem2_env(4, 10, Fraction(1, 1000))]
 
 
 def test_welfare_and_interims_equal_the_enumeration():

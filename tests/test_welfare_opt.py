@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import random_symmetric_environment, vertex_enumerate
-from anonvote.environments import AgentDistribution, Environment, ValueSet, agent_stats
+from anonvote.environments import AgentDistribution, Environment, ValueSet
 from anonvote.experiments import (
     example1_fixture,
     make_fstar,
@@ -218,8 +218,8 @@ def test_corners_match_majority_rule_interims():
     for _ in range(8):
         env = random_environment(rng, n_agents=2)
         corners = aux_corners(env)
-        p1 = agent_stats(env, 0).p
-        p2 = agent_stats(env, 1).p
+        p1 = env.agents[0].p
+        p2 = env.agents[1].p
         assert corners.first == AuxPoint(F(1), p2, F(1), p1)
         assert corners.second == AuxPoint(p2, F(0), p1, F(0))
         for k, point in ((1, corners.first), (2, corners.second)):
@@ -235,8 +235,8 @@ def test_corner_constraints_hold_with_equality():
     rng = random.Random(67)
     env = random_environment(rng, n_agents=2)
     corners = aux_corners(env)
-    p1 = agent_stats(env, 0).p
-    p2 = agent_stats(env, 1).p
+    p1 = env.agents[0].p
+    p2 = env.agents[1].p
     for point in (corners.first, corners.second):
         assert p1 * point.c2_plus - (1 - p1) * point.c2_minus == p1 * p1
         assert p2 * point.c1_plus - (1 - p2) * point.c1_minus == p2 * p2
