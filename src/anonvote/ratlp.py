@@ -7,12 +7,15 @@ program has an optimal vertex; there is no infeasible or unbounded case.
 
 * :func:`solve`: a bounded-variable simplex for maximization. Every row
   gets one slack column, fixed at [0, 0] on an equality row and in
-  [0, inf) on an inequality row, and the slacks form the starting basis at
-  x = 0. A structural variable that reaches its upper bound 1 is
-  complemented (x_j -> 1 - x_j, Dantzig's upper-bounding technique), so
-  every nonbasic variable sits at 0 and a variable only ever enters by
-  rising. The entering column is the one with the largest positive
-  reduced cost (Dantzig's rule, lowest index on ties). After 50 degenerate
+  [0, inf) on an inequality row, and the slacks form the starting basis.
+  A structural variable at its upper bound 1 is complemented
+  (x_j -> 1 - x_j, Dantzig's upper-bounding technique), so every nonbasic
+  variable sits at 0 and a variable only ever enters by rising. The start
+  is x = 0, or a feasible 0/1 vertex the caller passes: its ones are
+  complemented before the first pivot, so each slack starts at minus its
+  row's value there (0 on an equality row, >= 0 on an inequality row).
+  The entering column is the one with the largest positive reduced cost
+  (Dantzig's rule, lowest index on ties). After 50 degenerate
   pivots in a row the solve switches to Bland's rule (lowest eligible
   index enters) for good, which guarantees termination; the leaving
   variable is always the lowest-index blocking one, so runs are
@@ -98,14 +101,16 @@ _BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
 
 
 class _Tableau:
-    """Mutable simplex state, starting from the all-slack basis at x = 0.
+    """Mutable simplex state, starting from the all-slack basis.
 
     Columns are the structural variables (bounds [0, 1]), then one slack per
     row (bounds [0, 0] on an equality row, [0, inf) on an inequality row).
     Each constraint row is a pair ``(integers, positive denominator)``
     standing for the exact rational row; its last integer is the row's
     right-hand side, so the row's basic variable is worth ``rhs / den``.
-    Every right-hand side starts at 0, inside every slack's bounds.
+    Every right-hand side starts at 0; :meth:`optimize` may then complement
+    the ones of a feasible 0/1 start, which leaves each slack at minus its
+    row's value there, still inside the slack's bounds.
 
     Every nonbasic variable is at 0: a structural variable that reaches 1 is
     replaced by its complement 1 - x_j, and ``flipped[j]`` records that.
@@ -155,14 +160,18 @@ class _Tableau:
                 a[j] = -a[j]
         self.z[0][j] = -self.z[0][j]
 
-    def optimize(self, cost: list[Fraction]):
-        """Price ``cost`` over the slack basis, then pivot to optimality.
+    def optimize(self, cost: list[Fraction], start=None):
+        """Price ``cost`` over the slack basis, complement the ones of
+        ``start``, then pivot to optimality.
 
         Dantzig's rule picks the entering column until ``_BLAND_AFTER``
         degenerate pivots in a row, and Bland's rule from then on.
         """
         pad = len(self.ub) - len(cost)
         self.z = self._integer_row(list(cost) + [Fraction(0)] * pad)
+        for j, v in enumerate(start or ()):
+            if v:
+                self._complement(j)
         bland, stalled = False, 0
         while True:
             # a basic column's z_j is 0; a column fixed at 0 cannot move
@@ -224,14 +233,27 @@ class _Tableau:
                 "bound_flips": self.flips, "max_den_bits": self.max_den.bit_length()}
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Exact simplex from the slack basis at x = 0; returns the optimal vertex.
+def solve(lp: LinearProgram, start: Sequence | None = None) -> LpSolution:
+    """Exact simplex from the slack basis; returns the optimal vertex.
 
-    The vertex is checked feasible and certified optimal by its duals
-    before it is returned; a failure of either raises :class:`SimplexError`.
+    The simplex starts at x = 0, or at ``start``: a 0/1 vector of length
+    ``lp.num_vars`` that satisfies every row, whose ones are complemented
+    before the first pivot. A start that is not such a vector raises
+    ``ValueError`` before any pivot. The vertex reached is checked feasible
+    and certified optimal by its duals before it is returned, whatever the
+    start; a failure of either raises :class:`SimplexError`.
     """
+    if start is not None:
+        if len(start) != lp.num_vars:
+            raise ValueError(f"start has {len(start)} entries for {lp.num_vars} variables")
+        if any(v not in (0, 1) for v in start):
+            raise ValueError("start entries must be 0 or 1")
+        try:
+            _verify_point(lp, start)
+        except SimplexError as exc:
+            raise ValueError(f"infeasible start: {exc}") from None
     tab = _Tableau(lp)
-    tab.optimize(lp.objective)
+    tab.optimize(lp.objective, start)
     x = tab.point()
     _verify_point(lp, x)
     value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
@@ -272,10 +294,10 @@ def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):
 def _verify_point(lp: LinearProgram, x: Sequence[Fraction]):
     for j, v in enumerate(x):
         if not 0 <= v <= 1:
-            raise SimplexError(f"solution violates bounds of variable {j}")
+            raise SimplexError(f"point violates the bounds of variable {j}")
     for coeffs in lp.eq_rows:
         if sum((c * v for c, v in zip(coeffs, x)), Fraction(0)) != 0:
-            raise SimplexError("solution violates an equality row")
+            raise SimplexError("point violates an equality row")
     for coeffs in lp.ineq_rows:
         if sum((c * v for c, v in zip(coeffs, x)), Fraction(0)) > 0:
-            raise SimplexError("solution violates an inequality row")
+            raise SimplexError("point violates an inequality row")

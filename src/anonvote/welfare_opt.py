@@ -97,6 +97,27 @@ def build_opt_lp(env: Environment):
     return LinearProgram(len(index), objective, eq_rows, ineq_rows), index
 
 
+def _best_qmr_start(lp: LinearProgram, index: OptLpIndex, n: int) -> list[int]:
+    """The 0/1 table of the best qualified majority rule, read off ``lp``.
+
+    ``lp.objective[m]`` is P(m) * sum(m), so summing it over the multisets
+    with at least k positive reports gives the welfare of "reform iff at
+    least k reports are positive". The best k is the smallest maximizer over
+    k = 0..n+1, as in :func:`qmr_best`. Every such rule is anonymous and
+    BIC, so its table is a feasible start for :func:`solve`.
+    """
+    counts = [sum(1 for v in m if v > 0) for m in index.multisets]
+    by_count = [Fraction(0)] * (n + 1)
+    for k, c in zip(counts, lp.objective):
+        by_count[k] += c
+    best_k, best, running = n + 1, Fraction(0), Fraction(0)
+    for k in range(n, -1, -1):
+        running += by_count[k]
+        if running >= best:
+            best_k, best = k, running
+    return [int(k >= best_k) for k in counts]
+
+
 def mechanism_from_vertex(env: Environment, index: OptLpIndex, x) -> AnonymousSCF:
     """Reconstruct the anonymous rule encoded by an LP point."""
     return AnonymousSCF(env.values.values, env.n, dict(zip(index.multisets, x)))
@@ -122,13 +143,16 @@ class OptimalMechanismReport:
 def solve_opt(env: Environment) -> OptimalMechanismReport:
     """Solve the program and audit the returned vertex before reporting it.
 
+    The simplex starts at the best qualified majority rule's table, a
+    feasible 0/1 vertex that is often optimal or close to it.
     :func:`solve` proves the vertex optimal by its dual bound
     (:func:`ratlp.certify`). The reconstructed mechanism is re-checked for
     incentive compatibility and its welfare is recomputed two independent
     ways; any disagreement raises :class:`SimplexError`.
     """
     lp, index = build_opt_lp(env)
-    solution = solve(lp)
+    start = _best_qmr_start(lp, index, env.n)
+    solution = solve(lp, start)
     mechanism = mechanism_from_vertex(env, index, solution.x)
     audit = check_bic(env, mechanism)
     if not audit.satisfied:
@@ -149,6 +173,7 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
         "bound_flips": solution.bound_flips,
         "max_den_bits": solution.max_den_bits,
         "certificate": "dual-bound",
+        "start": "qmr" if any(start) else "zero",
     }
     return OptimalMechanismReport(
         mechanism, direct, audit.c_minus, audit.c_plus, audit.interims, lp_stats

@@ -40,6 +40,7 @@ def test_solve_reports_the_limit_welfare(gamma0_file, capsys):
     assert main(["solve", "--env", gamma0_file]) == 0
     out = capsys.readouterr().out
     assert "optimal welfare: 5 " in out
+    assert "'start': 'qmr'" in out
 
 
 def test_solve_json_round_trips_through_check(gamma0_file, tmp_path, capsys):
@@ -72,6 +73,7 @@ def test_solve_and_compare_report_the_same_certified_lp(gamma0_file, capsys):
     _, solved = run_json(capsys, ["solve", "--env", gamma0_file, "--format", "json"])
     _, compared = run_json(capsys, ["compare", "--env", gamma0_file, "--format", "json"])
     assert solved["lp"]["certificate"] == "dual-bound"
+    assert solved["lp"]["start"] == "qmr"
     assert compared["opt"]["lp"] == solved["lp"]
 
 

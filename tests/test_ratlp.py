@@ -5,7 +5,7 @@ import pytest
 
 from _lpgen import fractional_optimum, random_lp, rational_lp
 from _oracles import GuardExceeded, vertex_enumerate
-from anonvote.experiments import random_environment
+from anonvote.experiments import make_theorem2_env, random_environment
 from anonvote.ratlp import (
     LinearProgram,
     SimplexError,
@@ -198,6 +198,64 @@ def test_pivot_counters_are_bounded_by_the_pivot_count():
         assert sol.max_den_bits >= 1
     flip = solve(box_lp([1]))  # x enters and stops at its own upper bound
     assert (flip.pivots, flip.degenerate_pivots, flip.bound_flips) == (1, 0, 1)
+
+
+# ------------------------------------------------------------ a 0/1 start
+
+
+def test_a_feasible_start_is_where_the_simplex_begins():
+    # x0 + x1 <= x2 with c = (1, 1, 0): the start (1, 0, 1) is optimal
+    # already, and the one pivot only proves it (step length 0)
+    lp = box_lp([1, 1, 0], ineq=[[1, 1, -1]])
+    sol = solve(lp, [1, 0, 1])
+    assert (sol.x, sol.pivots, sol.degenerate_pivots) == ([F(1), F(0), F(1)], 1, 1)
+    # an equality row's slack stays at 0; the climb from (1, 0, 1) takes
+    # two pivots, the climb from x = 0 three
+    lp = box_lp([1, 2, 0], eq=[[1, 1, -1]])
+    sol = solve(lp, [1, 0, 1])
+    assert (sol.x, sol.objective_value, sol.pivots) == ([F(0), F(1), F(1)], F(2), 2)
+    assert solve(lp).pivots == 3
+
+
+def test_a_start_reaches_the_cold_optimum_on_random_instances():
+    rng = random.Random(15)
+    started = 0
+    for _ in range(40):
+        lp = rational_lp(rng)
+        cold = solve(lp)
+        start = [int(v == 1) for v in cold.x]
+        try:
+            warm = solve(lp, start)
+        except ValueError:
+            continue  # the rounded-down vertex is not always feasible
+        assert warm.objective_value == cold.objective_value
+        started += any(start)
+    assert started >= 5
+
+
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        ([0, 0], "2 entries for 3 variables"),  # zip would truncate it to a feasible point
+        ([1, 0, 1, 0], "4 entries for 3 variables"),
+        ([Fraction(1, 2), Fraction(1, 2), 1], "0 or 1"),  # feasible, but not a 0/1 vector
+        ([1, 1, 0], "infeasible start"),
+    ],
+    ids=["short", "long", "fractional", "infeasible"],
+)
+def test_a_malformed_start_is_refused(start, message):
+    with pytest.raises(ValueError, match=message):
+        solve(box_lp([1, 1, 0], ineq=[[1, 1, -1]]), start)
+
+
+def test_a_start_that_is_not_bic_is_refused():
+    # reform only when all three reports are the top value: an agent who
+    # reports the top value is more likely to get reform than one who reports
+    # the other positive value, so the positive flatness row fails
+    lp, index = build_opt_lp(make_theorem2_env(3, 10, 0))
+    start = [int(m == index.multisets[-1]) for m in index.multisets]
+    with pytest.raises(ValueError, match="infeasible start: point violates an equality row"):
+        solve(lp, start)
 
 
 # -------------------------------------------------------- oracle agreement

@@ -25,6 +25,7 @@ from anonvote.mechanisms import (
 from anonvote.ratlp import LinearProgram, solve
 from anonvote.welfare_opt import (
     AuxPoint,
+    _best_qmr_start,
     _interim_coefficients,
     aux_corners,
     build_opt_lp,
@@ -104,36 +105,58 @@ def test_returned_mechanism_is_audited_and_consistent():
     assert report.lp_stats["variables"] == 20
 
 
-@pytest.mark.parametrize(
-    "env, pivots, optimum",
+PINNED = pytest.mark.parametrize(
+    "env, cold, warm, optimum",
     [
-        (make_theorem2_env(3, 10, 0), 7, F(5)),
+        (make_theorem2_env(3, 10, 0), 7, 5, F(5)),
         (
             make_theorem2_env(4, 10, Fraction(1, 1000)),
             24,
+            16,
             Fraction(1235112064850635437915071771, 481490062905687875000000000),
         ),
-        (example1_fixture()[0], 6, Fraction(1, 4)),
+        (example1_fixture()[0], 6, 2, Fraction(1, 4)),
     ],
     ids=["two-type-n3-limit", "two-type-n4", "example1"],
 )
-def test_blands_path_is_pinned(env, pivots, optimum):
+
+
+@PINNED
+def test_blands_path_is_pinned(env, cold, warm, optimum):
     # a change of pivot rule or of the tableau's arithmetic shows up here first
+    solution = solve(build_opt_lp(env)[0])
+    assert solution.pivots == cold
+    assert solution.objective_value == optimum
+
+
+@PINNED
+def test_qmr_start_path_is_pinned(env, cold, warm, optimum):
     report = solve_opt(env)
-    assert report.lp_stats["pivots"] == pivots
+    assert report.lp_stats["start"] == "qmr"
+    assert report.lp_stats["pivots"] == warm
     assert report.welfare == optimum
 
 
+COUNTERS = ("pivots", "degenerate_pivots", "bound_flips", "max_den_bits")
+
+
 def test_pivot_counters_in_lp_stats():
-    stats = solve_opt(make_theorem2_env(3, 10, 0)).lp_stats
-    assert stats["degenerate_pivots"] <= stats["pivots"]
-    assert stats["bound_flips"] <= stats["pivots"]
-    counters = ("pivots", "degenerate_pivots", "bound_flips", "max_den_bits")
-    assert {k: stats[k] for k in counters} == {
+    env = make_theorem2_env(3, 10, 0)
+    cold = solve(build_opt_lp(env)[0])
+    assert {k: getattr(cold, k) for k in COUNTERS} == {
         "pivots": 7,
         "degenerate_pivots": 4,
         "bound_flips": 0,
         "max_den_bits": 5,
+    }
+    stats = solve_opt(env).lp_stats
+    assert stats["degenerate_pivots"] <= stats["pivots"]
+    assert stats["bound_flips"] <= stats["pivots"]
+    assert {k: stats[k] for k in COUNTERS} == {
+        "pivots": 5,
+        "degenerate_pivots": 4,
+        "bound_flips": 0,
+        "max_den_bits": 4,
     }
 
 
@@ -208,6 +231,55 @@ def test_worked_example_environment_optimum_is_a_majority_rule():
     w2 = welfare(env, QualifiedMajorityRule(2))
     assert opt == max(w1, w2)
     assert welfare(env, rule) <= opt
+
+
+# ------------------------------------------------------- the QMR start
+
+
+def start_threshold(start, index, n):
+    """The k of a qualified-majority table: its fewest positive reports at a one."""
+    counts = [sum(1 for v in m if v > 0) for m in index.multisets]
+    ones = [k for k, x in zip(counts, start) if x]
+    assert start == [int(k >= min(ones, default=n + 1)) for k in counts]
+    return min(ones, default=n + 1)
+
+
+def test_qmr_start_and_cold_start_reach_one_certified_optimum():
+    # solve certifies both optima; the start itself is checked against the
+    # independent qmr_best, which sums the multiset kernel, not the objective
+    rng = random.Random(83)
+    envs = [
+        random_environment(rng, n_agents=2 + t % 3, max_values=(6, 5, 4)[t % 3])
+        for t in range(180)
+    ]
+    envs += [random_environment(rng, n_agents=5, max_values=4) for _ in range(20)]
+    envs += [
+        make_theorem2_env(n, M, eps)
+        for n in range(3, 6)
+        for M in (10, 13)
+        for eps in (0, Fraction(1, 1000))
+    ]
+    assert len(envs) >= 200
+    for env in envs:
+        lp, index = build_opt_lp(env)
+        start = _best_qmr_start(lp, index, env.n)
+        best = qmr_best(env)
+        assert start_threshold(start, index, env.n) == best.k_star
+        assert sum((c for c, x in zip(lp.objective, start) if x), F(0)) == best.best_welfare
+        assert solve(lp, start).objective_value == solve(lp).objective_value
+
+
+def test_reach_of_the_qmr_start():
+    # random n=5, |V|=6 (252 x 25): 1,454 pivots and about 30 s from x = 0
+    rng = random.Random(1)
+    env = random_environment(rng, 5, 6)
+    while len(env.values) != 6:
+        env = random_environment(rng, 5, 6)
+    report = solve_opt(env)
+    stats = report.lp_stats
+    assert (stats["variables"], stats["eq_rows"] + stats["ineq_rows"]) == (252, 25)
+    assert (stats["start"], stats["pivots"]) == ("qmr", 23)
+    assert report.welfare == Fraction(187052264518, 11024464419)  # the cold optimum
 
 
 # ----------------------------------------------------------- corner points
