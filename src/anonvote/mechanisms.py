@@ -21,10 +21,14 @@ On top of these: interim allocations, the incentive-compatibility audit
 exact welfare two ways, the ordinal conditional-expectation projection,
 and the qualified/weighted majority benchmarks.
 
-Expectations are sums over the kernels of :mod:`anonvote.environments`:
-``multiset_distribution`` for rules flagged anonymous and the threshold
-table, ``profiles`` (ordered) for other rules and the coalition projection.
-The audit of an anonymous rule computes one interim table per agent type.
+Expectations are sums over three kernels. A QMR, a WMR or an ordinal rule
+reads only the sign of each report, so the sign kernel first collapses each
+agent to one point per sign, (E[v | sign], P(sign)): at most 2^n profiles,
+whatever |V|. Then ``multiset_distribution`` serves rules flagged anonymous
+(and the threshold table), and ``profiles`` (ordered) the others, both from
+:mod:`anonvote.environments`. The audit of an anonymous rule computes one
+interim table per agent type, and the projection of one conditions on one
+coalition per count of positive agents of each type.
 """
 
 from __future__ import annotations
@@ -285,16 +289,46 @@ class OrdinalSCF:
         return f"OrdinalSCF(n={self.n})"
 
 
+class _Points:
+    """What the kernels read of an agent: (value, probability) ``items``,
+    which need not sum to 1 (an agent conditioned on one sign)."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = tuple(items)
+
+
+def _by_sign(agent) -> _Points:
+    """At most one point per sign, (E[v | sign], P(sign)); a sign of mass 0
+    is dropped. A rule that reads only signs allocates the same at these
+    values, and E[v 1{sign profile}] = P(sign profile) E[v | sign]."""
+    points = []
+    for positive in (False, True):
+        side = [(v, q) for v, q in agent.items if (v > 0) == positive]
+        mass = sum(q for _, q in side)
+        if mass:
+            points.append((sum(v * q for v, q in side) / mass, mass))
+    return _Points(points)
+
+
 def _outcomes(agents, rule):
-    """``(profile, probability)`` pairs to weight ``rule`` by: report
-    multisets if it is anonymous, ordered profiles otherwise."""
+    """``(profile, probability)`` pairs to weight ``rule`` by, from one of
+    three kernels. A rule that reads only signs (a QMR, a WMR or an
+    :class:`OrdinalSCF`) sees each agent collapsed by :func:`_by_sign`, so
+    at most 2^n points; then report multisets if the rule is anonymous,
+    ordered profiles otherwise."""
+    if isinstance(rule, (QualifiedMajorityRule, WeightedMajorityRule, OrdinalSCF)):
+        agents = [_by_sign(agent) for agent in agents]
     if rule.anonymous:
         return multiset_distribution(agents).items()
     return profiles(agents)
 
 
 def interim_table(env: Environment, rule, i: int) -> dict:
-    """Interim allocation of agent ``i`` at every report in the support."""
+    """Interim allocation of agent ``i`` at every report in the support,
+    summed over the others' outcomes from :func:`_outcomes` (sign points for
+    a QMR, WMR or ordinal rule)."""
     table = dict.fromkeys(env.values, Fraction(0))
     for rest, prob in _outcomes(env.agents[:i] + env.agents[i + 1 :], rule):
         for v in table:
@@ -392,8 +426,9 @@ def check_bic(env: Environment, rule) -> BicReport:
 def welfare(env: Environment, rule) -> Fraction:
     """Expected total value on the reform event.
 
-    Anonymous rules are summed over report multisets, other rules over the
-    ordered profiles of positive probability.
+    Summed over :func:`_outcomes`: sign points for a QMR, WMR or ordinal
+    rule, report multisets for other anonymous rules, ordered profiles of
+    positive probability for the rest.
     """
     total = Fraction(0)
     for profile, prob in _outcomes(env.agents, rule):
@@ -437,28 +472,43 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
     says whether it depends only on coalition size, which can fail in
     asymmetric environments even when the input rule is anonymous.
 
+    Each coalition's mass and weighted sum come from :func:`_outcomes` over
+    the agents conditioned on their sign in T (items kept, not normalised),
+    coalitions in ``itertools.product`` order. For an anonymous rule they
+    depend only on how many agents of each type are in T, so each such count
+    is summed once.
+
     Requires every coalition event to have positive probability, i.e. no
-    agent with a deterministic value sign.
+    agent with a deterministic value sign; otherwise the first coalition of
+    probability zero raises :class:`ZeroProbabilityCoalition`.
     """
     if env.n > _PROJECTION_MAX_AGENTS:
         raise ValueError(
             f"ordinal projection enumerates 2^n coalitions; n={env.n} exceeds "
             f"{_PROJECTION_MAX_AGENTS}"
         )
-    mass: dict[frozenset, Fraction] = {}
-    weighted: dict[frozenset, Fraction] = {}
-    for profile, prob in profiles(env.agents):
-        t = coalition(profile)
-        mass[t] = mass.get(t, Fraction(0)) + prob
-        weighted[t] = weighted.get(t, Fraction(0)) + prob * rule.evaluate(profile)
+    types = [env.agents.index(agent) for agent in env.agents]
+    sums: dict[tuple, tuple] = {}
     phi: dict[frozenset, Fraction] = {}
     for bits in itertools.product((False, True), repeat=env.n):
+        key = tuple(sorted(zip(types, bits))) if rule.anonymous else bits
+        if key not in sums:
+            conditioned = [
+                _Points((v, q) for v, q in agent.items if (v > 0) == b)
+                for agent, b in zip(env.agents, bits)
+            ]
+            mass = weighted = Fraction(0)
+            for profile, prob in _outcomes(conditioned, rule):
+                mass += prob
+                weighted += prob * rule.evaluate(profile)
+            sums[key] = (mass, weighted)
+        mass, weighted = sums[key]
         t = frozenset(i for i, b in enumerate(bits) if b)
-        if mass.get(t, Fraction(0)) == 0:
+        if mass == 0:
             raise ZeroProbabilityCoalition(
                 f"coalition {sorted(t)} has probability zero (limit-mode environment)"
             )
-        phi[t] = weighted[t] / mass[t]
+        phi[t] = weighted / mass
     return OrdinalSCF(env.n, phi)
 
 

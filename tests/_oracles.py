@@ -8,6 +8,8 @@
   incumbent, so the returned maximum is exact.
 * :func:`profile_probability`: the probability of one ordered profile, a
   product over agents, against which the probability kernels are checked.
+* :func:`oracle_projection`: the ordinal projection by enumerating every
+  ordered profile and conditioning on its coalition of positive reporters.
 * :func:`anonymous_by_permutation`: whether a rule evaluates every ordered
   profile as each of its permutations, against which the rules'
   ``anonymous`` flags are checked.
@@ -23,6 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from anonvote.environments import AgentDistribution, Environment, ValueSet
+from anonvote.mechanisms import coalition
 from anonvote.ratlp import LinearProgram, LpSolution, _verify_point
 
 
@@ -41,6 +44,25 @@ def profile_probability(agents: Sequence[AgentDistribution], profile: Sequence[F
         result *= agent.probs[v]
         if result == 0:
             return Fraction(0)
+    return result
+
+
+def oracle_projection(env: Environment, rule) -> dict:
+    """Expected allocation conditional on each coalition of positive
+    reporters, from all |V|^n ordered profiles; coalitions in
+    ``itertools.product((False, True), repeat=n)`` order, and None for a
+    coalition of probability zero."""
+    mass: dict[frozenset, Fraction] = {}
+    weighted: dict[frozenset, Fraction] = {}
+    for profile in itertools.product(env.values.values, repeat=env.n):
+        prob = profile_probability(env.agents, profile)
+        t = coalition(profile)
+        mass[t] = mass.get(t, Fraction(0)) + prob
+        weighted[t] = weighted.get(t, Fraction(0)) + prob * rule.evaluate(profile)
+    result = {}
+    for bits in itertools.product((False, True), repeat=env.n):
+        t = frozenset(i for i, b in enumerate(bits) if b)
+        result[t] = weighted[t] / mass[t] if mass[t] else None
     return result
 
 

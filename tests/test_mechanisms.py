@@ -1,10 +1,16 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from _oracles import anonymous_by_permutation, profile_probability, random_symmetric_environment
+from _oracles import (
+    anonymous_by_permutation,
+    oracle_projection,
+    profile_probability,
+    random_symmetric_environment,
+)
 from anonvote import mechanisms
 from anonvote.environments import (
     AgentDistribution,
@@ -40,6 +46,7 @@ from anonvote.mechanisms import (
     welfare_via_interims,
     wmr_build,
 )
+from anonvote.welfare_opt import solve_opt
 
 
 def F(x):
@@ -188,6 +195,47 @@ def test_an_anonymous_rule_is_audited_once_per_agent_type(monkeypatch):
     calls.clear()
     check_bic(env, wmr_build(env))
     assert calls == [0, 1, 2, 3, 4]
+
+
+def test_sign_rules_are_summed_over_sign_points(monkeypatch):
+    env = make_theorem2_env(6, 13, Fraction(1, 1000))
+    n, size = env.n, len(env.values)
+    rule = wmr_build(env)
+    streamed, summed, evaluations = [], [], []
+    profiles, multisets = mechanisms.profiles, mechanisms.multiset_distribution
+    evaluate = WeightedMajorityRule.evaluate
+
+    def counted_profiles(agents):
+        streamed.append(agents)
+        return profiles(agents)
+
+    def counted_multisets(agents):
+        summed.append(agents)
+        return multisets(agents)
+
+    def counted_evaluate(self, profile):
+        evaluations.append(profile)
+        return evaluate(self, profile)
+
+    monkeypatch.setattr(mechanisms, "profiles", counted_profiles)
+    monkeypatch.setattr(mechanisms, "multiset_distribution", counted_multisets)
+    monkeypatch.setattr(WeightedMajorityRule, "evaluate", counted_evaluate)
+    check_bic(env, rule)
+    welfare(env, rule)
+    ordinal_projection(env, rule)
+    # every agent streamed is collapsed to at most one point per sign
+    agents = [agent for group in streamed for agent in group]
+    assert agents and not any(agent in env.agents for agent in agents)
+    for agent in agents:
+        signs = [v > 0 for v, _ in agent.items]
+        assert len(signs) == len(set(signs))
+    assert len(evaluations) <= n * size * 2 ** (n - 1) + 2**n + 2**n
+    # the anonymous optimum is conditioned once per count of positive
+    # agents of each type: (2 + 1) * (4 + 1) sums, not 2^6
+    optimum = solve_opt(env).mechanism
+    summed.clear()
+    ordinal_projection(env, optimum)
+    assert len(summed) == 3 * 5
 
 
 # ------------------------------------------------------------------ welfare
@@ -390,23 +438,57 @@ def oracle_interims(env, rule, i):
     }
 
 
+def random_ordinal_rule(n, rng, by_size=False):
+    """A random OrdinalSCF in quarters: one value per coalition size if
+    ``by_size`` (anonymous), else one per coalition with {0} above {1}."""
+    coalitions = [
+        frozenset(i for i, b in enumerate(bits) if b)
+        for bits in itertools.product((False, True), repeat=n)
+    ]
+    if by_size:
+        sizes = [Fraction(rng.randint(0, 4), 4) for _ in range(n + 1)]
+        return OrdinalSCF(n, {t: sizes[len(t)] for t in coalitions})
+    table = {t: Fraction(rng.randint(0, 4), 4) for t in coalitions}
+    table[frozenset({0})], table[frozenset({1})] = F(1), F(0)
+    return OrdinalSCF(n, table)
+
+
 def oracle_rules(env, rng):
     """QMR k = 0..n+1, an equal-weight WMR, a WMR that weighs agent 0
-    double, a random BIC vertex and the utilitarian WMR (the double-weight
-    and utilitarian rules are not anonymous, so agents of one type can have
+    double, a random BIC vertex, the utilitarian WMR and two random ordinal
+    rules, by size and by coalition (the double-weight, utilitarian and
+    by-coalition rules are not anonymous, so agents of one type can have
     different interims)."""
     rules = [QualifiedMajorityRule(k) for k in range(env.n + 2)]
     rules.append(WeightedMajorityRule([1] * env.n, Fraction(env.n, 2)))
     rules.append(WeightedMajorityRule([2] + [1] * (env.n - 1), Fraction(env.n, 2)))
     rules.append(random_feasible_mechanism(env, rng))
     rules.append(wmr_build(env))
+    rules.append(random_ordinal_rule(env.n, rng, by_size=True))
+    rules.append(random_ordinal_rule(env.n, rng))
     return rules
+
+
+def deterministic_sign_env(*kinds):
+    """Agents over {-3, -1, 2, 5}: "+" has p = 1, "-" has p = 0 and "~" has
+    full support (limit mode whenever a "+" or "-" is present)."""
+    probs = {
+        "+": {-3: 0, -1: 0, 2: Fraction(1, 3), 5: Fraction(2, 3)},
+        "-": {-3: Fraction(1, 4), -1: Fraction(3, 4), 2: 0, 5: 0},
+        "~": {-3: Fraction(1, 8), -1: Fraction(3, 8), 2: Fraction(1, 4), 5: Fraction(1, 4)},
+    }
+    return Environment(ValueSet([-3, -1, 2, 5]), [AgentDistribution(probs[k]) for k in kinds])
 
 
 def oracle_environments(rng):
     shapes = ((2, 5), (3, 5), (4, 4)) * 2
     envs = [random_environment(rng, n_agents=n, max_values=v) for n, v in shapes]
-    return envs + [make_theorem2_env(3, 10, 0), make_theorem2_env(4, 10, Fraction(1, 1000))]
+    return envs + [
+        make_theorem2_env(3, 10, 0),
+        make_theorem2_env(4, 10, Fraction(1, 1000)),
+        deterministic_sign_env("+", "-", "~"),
+        deterministic_sign_env("~", "-", "~"),
+    ]
 
 
 def test_welfare_and_interims_equal_the_enumeration():
@@ -421,6 +503,33 @@ def test_welfare_and_interims_equal_the_enumeration():
         qmr = qmr_best(env)
         for k, w in qmr.table.items():
             assert w == oracle_welfare(env, QualifiedMajorityRule(k))
+
+
+def test_projection_equals_the_enumeration():
+    rng = random.Random(29)
+    cases = [(env, rule) for env in oracle_environments(rng) for rule in oracle_rules(env, rng)]
+    env, rule, _ = example1_fixture()
+    cases.append((env, rule))
+    raised, firsts = set(), set()
+    for env, rule in cases:
+        expected = oracle_projection(env, rule)
+        if None in expected.values():
+            first = sorted(next(t for t, phi in expected.items() if phi is None))
+            with pytest.raises(ZeroProbabilityCoalition, match=re.escape(f"coalition {first} has")):
+                ordinal_projection(env, rule)
+            raised.add(type(rule))
+            firsts.add(tuple(first))
+            continue
+        projection = ordinal_projection(env, rule)
+        assert projection.by_coalition == expected
+        by_size = {}
+        assert projection.anonymous == all(
+            by_size.setdefault(len(t), phi) == phi for t, phi in expected.items()
+        )
+    # every rule kind meets a coalition of probability zero, and in the
+    # second limit environment it is not the empty one
+    assert raised == {QualifiedMajorityRule, WeightedMajorityRule, AnonymousSCF, OrdinalSCF}
+    assert firsts == {(), (1,)}
 
 
 def test_anonymous_flag_agrees_with_the_permutation_oracle():
