@@ -14,6 +14,7 @@ rationals; decimal renderings are annotations only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -523,6 +524,7 @@ def _data_options(p, func, render, env=True, mech=False):
     p.set_defaults(func=func, render=render)
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anonvote",

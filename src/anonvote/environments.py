@@ -6,6 +6,8 @@ Everything downstream (interim allocations, welfare, the optimization) is
 computed from these objects with exact rationals. Each
 :class:`AgentDistribution` carries its sign statistics (p, U+ and U-),
 computed once when it is built; agents with equal distributions are one type.
+An :class:`Environment` keeps the report multiset distribution of all its
+agents and, per agent type, of the others, each computed when first used.
 
 An :class:`Environment` is checked once, when it is built: a structurally
 unusable one raises :class:`InvalidEnvironment`, so every environment that
@@ -138,7 +140,7 @@ class Environment:
     holds one line per flagged case (empty outside limit mode).
     """
 
-    __slots__ = ("values", "agents", "flags")
+    __slots__ = ("values", "agents", "flags", "_multisets")
 
     def __init__(self, values: ValueSet, agents: Sequence[AgentDistribution]):
         if not isinstance(values, ValueSet):
@@ -179,6 +181,17 @@ class Environment:
         if errors:
             raise InvalidEnvironment("; ".join(errors))
         self.flags = tuple(flags)
+        self._multisets: dict = {}
+
+    def multisets(self, without: int | None = None) -> dict:
+        """:func:`multiset_distribution` of every agent, or of every agent
+        but ``without``: the same for each agent of one type, so it is kept
+        once per type, when first asked for. Callers share it: read only."""
+        key = None if without is None else self.agents.index(self.agents[without])
+        if key not in self._multisets:
+            others = self.agents if key is None else self.agents[:key] + self.agents[key + 1 :]
+            self._multisets[key] = multiset_distribution(others)
+        return self._multisets[key]
 
     @property
     def n(self) -> int:

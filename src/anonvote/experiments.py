@@ -15,19 +15,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .environments import (
-    AgentDistribution,
-    Environment,
-    ValueSet,
-)
-from .mechanisms import (
-    AnonymousSCF,
-    OrderedTableSCF,
-    all_multisets,
-    qmr_best,
-    welfare,
-    wmr_build,
-)
+from .environments import AgentDistribution, Environment, ValueSet
+from .mechanisms import AnonymousSCF, OrderedTableSCF, all_multisets, qmr_best, welfare, wmr_build
 from .rationals import parse_rational
 from .welfare_opt import build_opt_lp, mechanism_from_vertex, solve_opt
 from .ratlp import solve
@@ -128,15 +117,7 @@ def make_fstar(n: int, M) -> AnonymousSCF:
 class Theorem2Report:
     """All welfare figures for one (n, M, eps) family member."""
 
-    __slots__ = (
-        "n",
-        "M",
-        "eps",
-        "qmr",
-        "opt",
-        "fstar_welfare",
-        "wmr_welfare",
-    )
+    __slots__ = ("n", "M", "eps", "qmr", "opt", "fstar_welfare", "wmr_welfare")
 
     def __init__(self, n, M, eps, qmr, opt, fstar_welfare, wmr_welfare):
         self.n = n

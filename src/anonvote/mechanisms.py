@@ -24,11 +24,13 @@ and the qualified/weighted majority benchmarks.
 Expectations are sums over three kernels. A QMR, a WMR or an ordinal rule
 reads only the sign of each report, so the sign kernel first collapses each
 agent to one point per sign, (E[v | sign], P(sign)): at most 2^n profiles,
-whatever |V|. Then ``multiset_distribution`` serves rules flagged anonymous
-(and the threshold table), and ``profiles`` (ordered) the others, both from
-:mod:`anonvote.environments`. The audit of an anonymous rule computes one
-interim table per agent type, and the projection of one conditions on one
-coalition per count of positive agents of each type.
+whatever |V|. Then report multisets serve rules flagged anonymous and
+``profiles`` (ordered) the others; an anonymous rule that reads whole
+reports, like the threshold table, takes the distributions the
+``Environment`` keeps per agent type. The audit of an anonymous rule
+computes one interim table per agent type, a sign rule's table sums once
+per sign of the report, and the projection of an anonymous rule
+conditions on one coalition per count of positive agents of each type.
 """
 
 from __future__ import annotations
@@ -38,11 +40,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .environments import (
-    Environment,
-    multiset_distribution,
-    profiles,
-)
+from .environments import Environment, multiset_distribution, profiles
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -312,28 +310,47 @@ def _by_sign(agent) -> _Points:
     return _Points(points)
 
 
+_SIGN_RULES = (QualifiedMajorityRule, WeightedMajorityRule, OrdinalSCF)
+
+
 def _outcomes(agents, rule):
     """``(profile, probability)`` pairs to weight ``rule`` by, from one of
     three kernels. A rule that reads only signs (a QMR, a WMR or an
     :class:`OrdinalSCF`) sees each agent collapsed by :func:`_by_sign`, so
     at most 2^n points; then report multisets if the rule is anonymous,
     ordered profiles otherwise."""
-    if isinstance(rule, (QualifiedMajorityRule, WeightedMajorityRule, OrdinalSCF)):
+    if isinstance(rule, _SIGN_RULES):
         agents = [_by_sign(agent) for agent in agents]
     if rule.anonymous:
         return multiset_distribution(agents).items()
     return profiles(agents)
 
 
+def _env_outcomes(env: Environment, rule, i: int | None = None):
+    """:func:`_outcomes` over every agent of ``env``, or every agent but
+    ``i``; an anonymous rule that reads whole reports takes the multiset
+    distribution ``env`` keeps."""
+    if rule.anonymous and not isinstance(rule, _SIGN_RULES):
+        return env.multisets(i).items()
+    return _outcomes(env.agents if i is None else env.agents[:i] + env.agents[i + 1 :], rule)
+
+
 def interim_table(env: Environment, rule, i: int) -> dict:
     """Interim allocation of agent ``i`` at every report in the support,
-    summed over the others' outcomes from :func:`_outcomes` (sign points for
-    a QMR, WMR or ordinal rule)."""
-    table = dict.fromkeys(env.values, Fraction(0))
-    for rest, prob in _outcomes(env.agents[:i] + env.agents[i + 1 :], rule):
-        for v in table:
-            table[v] += prob * rule.evaluate(rest[:i] + (v,) + rest[i:])
-    return table
+    summed over the others' outcomes from :func:`_env_outcomes` (sign points
+    for a QMR, WMR or ordinal rule). Such a rule reads only the sign of the
+    report, so it is evaluated at one report per sign, whose sum every
+    report of that sign gets."""
+    values = env.values
+    by_sign = isinstance(rule, _SIGN_RULES)
+    reports = (values.negatives[0], values.positives[0]) if by_sign else values
+    sums = dict.fromkeys(reports, Fraction(0))
+    for rest, prob in _env_outcomes(env, rule, i):
+        for v in sums:
+            sums[v] += prob * rule.evaluate(rest[:i] + (v,) + rest[i:])
+    if by_sign:
+        return {v: sums[reports[v > 0]] for v in values}
+    return sums
 
 
 class BicViolation:
@@ -426,12 +443,12 @@ def check_bic(env: Environment, rule) -> BicReport:
 def welfare(env: Environment, rule) -> Fraction:
     """Expected total value on the reform event.
 
-    Summed over :func:`_outcomes`: sign points for a QMR, WMR or ordinal
+    Summed over :func:`_env_outcomes`: sign points for a QMR, WMR or ordinal
     rule, report multisets for other anonymous rules, ordered profiles of
     positive probability for the rest.
     """
     total = Fraction(0)
-    for profile, prob in _outcomes(env.agents, rule):
+    for profile, prob in _env_outcomes(env, rule):
         value_sum = sum(profile, Fraction(0))
         if value_sum == 0:
             continue
@@ -529,7 +546,7 @@ class QmrTable:
 def qmr_best(env: Environment) -> QmrTable:
     """Exact welfare of f^(k) for k = 0..n+1; smallest maximizer wins ties."""
     buckets = [Fraction(0)] * (env.n + 1)
-    for m, prob in multiset_distribution(env.agents).items():
+    for m, prob in env.multisets().items():
         buckets[sum(1 for v in m if v > 0)] += prob * sum(m, Fraction(0))
     table: dict[int, Fraction] = {}
     running = Fraction(0)

@@ -292,12 +292,14 @@ def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):
 
 
 def _verify_point(lp: LinearProgram, x: Sequence[Fraction]):
+    """Raise :class:`SimplexError` unless ``x`` is in the box and meets every row."""
     for j, v in enumerate(x):
         if not 0 <= v <= 1:
             raise SimplexError(f"point violates the bounds of variable {j}")
+    support = [(j, v) for j, v in enumerate(x) if v]  # a row's terms at x_j = 0 are 0
     for coeffs in lp.eq_rows:
-        if sum((c * v for c, v in zip(coeffs, x)), Fraction(0)) != 0:
+        if sum((coeffs[j] * v for j, v in support), Fraction(0)) != 0:
             raise SimplexError("point violates an equality row")
     for coeffs in lp.ineq_rows:
-        if sum((c * v for c, v in zip(coeffs, x)), Fraction(0)) > 0:
+        if sum((coeffs[j] * v for j, v in support), Fraction(0)) > 0:
             raise SimplexError("point violates an inequality row")

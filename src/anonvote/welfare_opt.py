@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .environments import (
-    Environment,
-    multiset_distribution,
-)
+from .environments import Environment
 from .mechanisms import (
     AnonymousSCF,
     NotBicError,
@@ -62,7 +59,7 @@ class OptLpIndex:
 def _interim_coefficients(env: Environment, i: int, index: OptLpIndex) -> dict:
     """Per report v: LP row c with c[m] = P(others' reports sort with v into m)."""
     rows = {v: [Fraction(0)] * len(index) for v in env.values}
-    for rest, prob in multiset_distribution(env.agents[:i] + env.agents[i + 1 :]).items():
+    for rest, prob in env.multisets(i).items():
         for v in env.values:
             rows[v][index.position[tuple(sorted(rest + (v,)))]] = prob
     return rows
@@ -77,7 +74,7 @@ def build_opt_lp(env: Environment):
     """
     index = OptLpIndex(env.values.values, env.n)
     objective = [Fraction(0)] * len(index)
-    for m, prob in multiset_distribution(env.agents).items():
+    for m, prob in env.multisets().items():
         objective[index.position[m]] = prob * sum(m, Fraction(0))
 
     negatives = env.values.negatives

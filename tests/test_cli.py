@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from anonvote import environment_to_json, make_theorem2_env, mechanism_to_json
+from anonvote import cli, environment_to_json, make_theorem2_env, mechanism_to_json
 from anonvote.cli import main
 from anonvote.experiments import example1_fixture, make_fstar, random_environment
 from anonvote.mechanisms import QualifiedMajorityRule, welfare
@@ -363,6 +363,46 @@ def test_unknown_suite_is_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "mystery"])
     assert excinfo.value.code == 2
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(gamma0_file, tmp_path, capsys):
+    opt = tmp_path / "opt.json"
+    assert main(["solve", "--env", gamma0_file, "--format", "json"]) == 0
+    opt.write_text(capsys.readouterr().out)
+    calls = [
+        ["compare", "--env", gamma0_file, "--tie", "1/3", "--format", "json"],
+        ["compare", "--env", gamma0_file, "--format", "json"],
+        ["verify", "example1", "--trials", "0"],
+        ["solve", "--env", gamma0_file],
+        ["check", "--env", gamma0_file, "--mech", str(opt)],
+        ["verify", "example1"],
+        ["compare", "--env", gamma0_file, "--tie", "1/3"],
+        ["verify", "example1", "--trials", "0"],
+        ["compare", "--env", gamma0_file],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a parse error
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = {}
+    for argv in reversed(calls):  # each call the first of a new parser
+        cli._build_parser.cache_clear()
+        first[tuple(argv)] = run(argv)
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    assert shared == [first[tuple(argv)] for argv in calls]
+    assert json.loads(shared[0][1])["wmr"]["tie"] == "1/3"
+    assert json.loads(shared[1][1])["wmr"]["tie"] == "1/2"
+    code, out, err = shared[2]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: anonvote verify") and "must be at least 1" in err
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
 
 
 # ----------------------------------------------------------- table output

@@ -238,6 +238,35 @@ def test_sign_rules_are_summed_over_sign_points(monkeypatch):
     assert len(summed) == 3 * 5
 
 
+def test_a_sign_rule_interim_is_evaluated_once_per_sign(monkeypatch):
+    env = make_theorem2_env(6, 13, Fraction(1, 1000))
+    wmr = wmr_build(env)
+    by_coalition = ordinal_projection(env, wmr)
+    evaluations = []
+    for rule in (wmr, QualifiedMajorityRule(4), by_coalition):
+        evaluate = type(rule).evaluate
+
+        def counted(self, profile, evaluate=evaluate):
+            evaluations.append(profile)
+            return evaluate(self, profile)
+
+        for i in (0, 3):
+            others = env.agents[:i] + env.agents[i + 1 :]
+            outcomes = list(mechanisms._outcomes(others, rule))
+            # every support report, as a rule that reads whole reports is summed
+            expected = {
+                v: sum((p * rule.evaluate(r[:i] + (v,) + r[i:]) for r, p in outcomes), F(0))
+                for v in env.values
+            }
+            with monkeypatch.context() as patch:
+                patch.setattr(type(rule), "evaluate", counted)
+                evaluations.clear()
+                table = interim_table(env, rule, i)
+            assert table == expected
+            assert list(table) == list(env.values)
+            assert len(evaluations) == 2 * len(outcomes)
+
+
 # ------------------------------------------------------------------ welfare
 
 

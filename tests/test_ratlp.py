@@ -9,6 +9,7 @@ from anonvote.experiments import make_theorem2_env, random_environment
 from anonvote.ratlp import (
     LinearProgram,
     SimplexError,
+    _verify_point,
     certify,
     solve,
 )
@@ -256,6 +257,27 @@ def test_a_start_that_is_not_bic_is_refused():
     start = [int(m == index.multisets[-1]) for m in index.multisets]
     with pytest.raises(ValueError, match="infeasible start: point violates an equality row"):
         solve(lp, start)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        # the nonzeros before the last cancel on the equality row
+        ([1, 1, 0, Fraction(1, 2), 0], "point violates an equality row"),
+        # the equality row holds; the inequality row gets -1 + 3/2 > 0
+        ([1, 1, Fraction(1, 2), 0, 0], "point violates an inequality row"),
+        # column 4 is 0 in every row, so only the bound check can see it
+        ([0, 0, 0, 0, 2], "point violates the bounds of variable 4"),
+        ([0, 0, 0, 0, Fraction(-1, 3)], "point violates the bounds of variable 4"),
+    ],
+    ids=["equality-last-nonzero", "inequality-fractional", "above-box", "below-box"],
+)
+def test_the_feasibility_check_refuses_with_its_message(x, message):
+    lp = box_lp([0] * 5, eq=[[1, -1, 0, 2, 0]], ineq=[[-1, 0, 3, 0, 0]])
+    with pytest.raises(SimplexError) as refused:
+        _verify_point(lp, x)
+    assert str(refused.value) == message
+    _verify_point(lp, [1, 1, Fraction(1, 3), 0, 1])  # both rows 0, in the box
 
 
 # -------------------------------------------------------- oracle agreement

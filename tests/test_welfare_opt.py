@@ -1,10 +1,16 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from _oracles import random_symmetric_environment, vertex_enumerate
-from anonvote.environments import AgentDistribution, Environment, ValueSet
+from anonvote.environments import (
+    AgentDistribution,
+    Environment,
+    ValueSet,
+    multiset_distribution,
+)
 from anonvote.experiments import (
     example1_fixture,
     make_fstar,
@@ -103,6 +109,47 @@ def test_returned_mechanism_is_audited_and_consistent():
     assert check_bic(env, report.mechanism).satisfied
     assert welfare(env, report.mechanism) == report.welfare
     assert report.lp_stats["variables"] == 20
+
+
+def _three_types():
+    env = random_environment(random.Random(5), 3, 4)
+    assert len(set(env.agents)) == 3
+    return env
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [(_three_types(), 1 + 3), (make_theorem2_env(6, 13, Fraction(1, 1000)), 1 + 2)],
+    ids=["three-types", "two-type-n6"],
+)
+def test_a_solve_computes_each_report_distribution_once(env, expected, monkeypatch):
+    # one distribution of all agents (objective, welfare) and one of the
+    # others per agent type (LP rows, both audits); every module that binds
+    # the function is patched, so no call escapes the count
+    calls = []
+
+    def counted(agents):
+        calls.append(len(agents))
+        return multiset_distribution(agents)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("anonvote") and vars(module).get("multiset_distribution") is (
+            multiset_distribution
+        ):
+            monkeypatch.setattr(module, "multiset_distribution", counted)
+    report = solve_opt(env)
+    assert len(calls) == expected
+    assert sorted(calls) == [env.n - 1] * (expected - 1) + [env.n]
+    # agents of one type share theirs
+    for i in range(env.n):
+        env.multisets(i)
+    assert len(calls) == expected
+    # callers read the kept distributions and leave them as computed
+    monkeypatch.undo()
+    assert welfare(env, report.mechanism) == report.welfare
+    assert env.multisets() == multiset_distribution(env.agents)
+    for i in range(env.n):
+        assert env.multisets(i) == multiset_distribution(env.agents[:i] + env.agents[i + 1 :])
 
 
 PINNED = pytest.mark.parametrize(
