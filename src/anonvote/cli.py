@@ -161,12 +161,9 @@ def _print_thresholds(table: dict):
 
 
 def _wmr_json(rule, w: Fraction) -> dict:
-    return {
-        "weights": [format_rational(x) for x in rule.weights],
-        "quorum": format_rational(rule.quorum),
-        "tie": format_rational(rule.tie_value),
-        "welfare": _pair(w),
-    }
+    fields = mechanism_to_json(rule)  # weights, quorum and tie, after the kind
+    del fields["kind"]
+    return {**fields, "welfare": _pair(w)}
 
 
 def _positive_int(text: str) -> int:
@@ -291,13 +288,10 @@ def cmd_check(args, env, rule) -> dict:
             "satisfied": audit.satisfied,
             "witness": None
             if witness is None
-            else {
-                "agent": witness.agent,
-                "report": format_rational(witness.report),
-                "other_report": format_rational(witness.other_report),
-                "interim": format_rational(witness.interim),
-                "other_interim": format_rational(witness.other_interim),
-                "kind": witness.kind,
+            else {  # the exact numbers as strings, in BicViolation's field order
+                name: format_rational(v) if isinstance(v, Fraction) else v
+                for name in witness.__slots__
+                for v in (getattr(witness, name),)
             },
             "c_minus": None
             if not audit.satisfied
@@ -453,14 +447,9 @@ def _suite_aux(args):
         for k, point in ((1, corners.first), (2, corners.second)):
             audit = check_bic(env, QualifiedMajorityRule(k))
             observed = (audit.c_plus[0], audit.c_minus[0], audit.c_plus[1], audit.c_minus[1])
-            expected = (point.c1_plus, point.c1_minus, point.c2_plus, point.c2_minus)
+            expected = point.as_tuple()
             if observed != expected:
                 return False, f"k={k} interims {observed} differ from corner {expected}"
-        best = max(
-            welfare(env, QualifiedMajorityRule(1)), welfare(env, QualifiedMajorityRule(2))
-        )
-        if corners.best_value() != best or solve_opt(env).welfare != best:
-            return False, "corner optimum does not match the program optimum"
     return True, f"corner candidates match majority-rule interims on {args.trials} environments"
 
 
@@ -472,7 +461,7 @@ def _suite_example1(args):
     if not audit.satisfied:
         return False, f"rule is not incentive compatible: {audit.witness}"
     projection = ordinal_projection(env, rule)
-    for profile, expected in hat_expected.table.items():
+    for profile, expected in hat_expected.allocation.items():
         if projection.evaluate(profile) != expected:
             return False, f"projection at {profile} is not {expected}"
     if projection.anonymous:

@@ -137,10 +137,11 @@ class Environment:
     probabilities that do not sum exactly to 1, or negative probabilities.
     Zero-probability support points and deterministic-sign agents are only
     flagged: such environments are accepted in limit mode, and ``flags``
-    holds one line per flagged case (empty outside limit mode).
+    holds one line per flagged case (empty outside limit mode). ``types[i]``
+    is the index of the first agent with agent i's distribution.
     """
 
-    __slots__ = ("values", "agents", "flags", "_multisets")
+    __slots__ = ("values", "agents", "flags", "types", "_multisets")
 
     def __init__(self, values: ValueSet, agents: Sequence[AgentDistribution]):
         if not isinstance(values, ValueSet):
@@ -181,13 +182,14 @@ class Environment:
         if errors:
             raise InvalidEnvironment("; ".join(errors))
         self.flags = tuple(flags)
+        self.types = tuple(self.agents.index(agent) for agent in self.agents)
         self._multisets: dict = {}
 
     def multisets(self, without: int | None = None) -> dict:
         """:func:`multiset_distribution` of every agent, or of every agent
         but ``without``: the same for each agent of one type, so it is kept
         once per type, when first asked for. Callers share it: read only."""
-        key = None if without is None else self.agents.index(self.agents[without])
+        key = None if without is None else self.types[without]
         if key not in self._multisets:
             others = self.agents if key is None else self.agents[:key] + self.agents[key + 1 :]
             self._multisets[key] = multiset_distribution(others)

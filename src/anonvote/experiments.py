@@ -16,7 +16,8 @@ import random
 from fractions import Fraction
 
 from .environments import AgentDistribution, Environment, ValueSet
-from .mechanisms import AnonymousSCF, OrderedTableSCF, all_multisets, qmr_best, welfare, wmr_build
+from .mechanisms import (AnonymousSCF, OrderedTableSCF, Record, all_multisets, qmr_best,
+                         welfare, wmr_build)
 from .rationals import parse_rational
 from .welfare_opt import build_opt_lp, mechanism_from_vertex, solve_opt
 from .ratlp import solve
@@ -114,19 +115,10 @@ def make_fstar(n: int, M) -> AnonymousSCF:
     return AnonymousSCF(values, n, allocation)
 
 
-class Theorem2Report:
+class Theorem2Report(Record):
     """All welfare figures for one (n, M, eps) family member."""
 
     __slots__ = ("n", "M", "eps", "qmr", "opt", "fstar_welfare", "wmr_welfare")
-
-    def __init__(self, n, M, eps, qmr, opt, fstar_welfare, wmr_welfare):
-        self.n = n
-        self.M = M
-        self.eps = eps
-        self.qmr = qmr
-        self.opt = opt
-        self.fstar_welfare = fstar_welfare
-        self.wmr_welfare = wmr_welfare
 
     @property
     def strict_gap(self) -> bool:

@@ -12,14 +12,16 @@ decided once, when the rule is built:
   reporters clears a quorum, with a fixed tie allocation.
 * :class:`OrderedTableSCF`: an explicit table keyed by ordered profiles,
   used for rules that need not be anonymous (anonymity is then checked,
-  not assumed).
+  not assumed). Both tables keep ``allocation`` and share one body, which
+  parses and checks the table and looks up a profile's key (sorted or not).
 * :class:`OrdinalSCF`: one allocation per coalition of positive
   reporters, the form :func:`ordinal_projection` returns.
 
-On top of these: interim allocations, the incentive-compatibility audit
-(flat interims within each sign, negative side below positive side),
-exact welfare two ways, the ordinal conditional-expectation projection,
-and the qualified/weighted majority benchmarks.
+On top of these: interim allocations, the incentive conditions (flat
+interims within each sign, negative side below positive side), listed once
+by :func:`bic_conditions` for the audit and the program's rows, exact
+welfare two ways, the ordinal conditional-expectation projection, and the
+qualified/weighted majority benchmarks.
 
 Expectations are sums over three kernels. A QMR, a WMR or an ordinal rule
 reads only the sign of each report, so the sign kernel first collapses each
@@ -40,10 +42,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .environments import Environment, multiset_distribution, profiles
+from .environments import Environment, ValueSet, multiset_distribution, profiles
 from .rationals import format_rational, parse_rational
 
 __all__ = [
+    "Record",
     "canonical_multiset",
     "all_multisets",
     "coalition",
@@ -56,6 +59,7 @@ __all__ = [
     "BicViolation",
     "BicReport",
     "NotBicError",
+    "bic_conditions",
     "check_bic",
     "welfare",
     "welfare_via_interims",
@@ -72,6 +76,25 @@ __all__ = [
 ]
 
 
+class Record:
+    """Base of the result records: ``__init__`` sets the ``__slots__``
+    fields, each given by position or by name, and raises ``TypeError``
+    naming the class unless every field is given exactly once."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **named):
+        fields = self.__slots__
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or given.keys() & named or {*given, *named} != {*fields}:
+            raise TypeError(
+                f"{type(self).__name__} takes the fields ({', '.join(fields)}), "
+                f"got {len(args)} by position and {sorted(named)} by name"
+            )
+        for name, value in {**given, **named}.items():
+            setattr(self, name, value)
+
+
 def canonical_multiset(profile: Sequence[Fraction]) -> tuple:
     """Sort an ordered profile into its canonical multiset form."""
     return tuple(sorted(profile))
@@ -82,68 +105,79 @@ def all_multisets(values: Iterable[Fraction], n: int) -> list[tuple]:
     return list(itertools.combinations_with_replacement(sorted(values), n))
 
 
-def _check_domain(what: str, table: Mapping, count: int, expected: Iterable, values, n: int):
-    """Raise unless ``table`` is keyed by exactly the ``count`` keys the lazy
-    ``expected`` yields. A table of the wrong size is refused before any key
-    is enumerated; at the right size, with distinct ``values``, every key of
-    n support values means none is missing, and a foreign key means one is."""
-    support = set(values)
-    if len(support) != len(values):
-        raise ValueError("mechanism value set contains duplicates")
-    if len(table) != count:
-        shown = count if count < 10**15 else f"about 10^{len(str(count)) - 1}"
-        raise ValueError(f"{what} table has {len(table)} entries, expected {shown}")
-    foreign = [k for k in table if len(k) != n or not support.issuperset(k)]
-    if foreign:
-        missing = next(k for k in expected if k not in table)
-        raise ValueError(
-            f"{what} table has foreign key {_multiset_key(min(foreign))} "
-            f"and lacks {_multiset_key(missing)}"
-        )
-
-
 def coalition(profile: Sequence[Fraction]) -> frozenset[int]:
     """Indices of agents reporting a strictly positive value."""
     return frozenset(i for i, v in enumerate(profile) if v > 0)
 
 
-class AnonymousSCF:
-    """Total map from every report multiset to an allocation in [0, 1]."""
+class _TableSCF:
+    """The body both explicit tables share: a total map ``allocation`` from
+    the ``_key`` of every profile of n support values to an allocation in
+    [0, 1]. A subclass gives ``_key``, ``_domain`` (the key count and a lazy
+    generator of the keys) and the nouns of its messages and JSON form."""
 
     __slots__ = ("values", "n", "allocation")
-    anonymous = True
 
     def __init__(self, values, n: int, allocation: Mapping):
         self.values = tuple(sorted(parse_rational(v) for v in values))
         self.n = n
         table = {}
         for key, prob in allocation.items():
-            m = canonical_multiset(tuple(parse_rational(v) for v in key))
-            if m in table:
-                raise ValueError(f"allocation table gives multiset {_multiset_key(m)} twice")
-            table[m] = parse_rational(prob)
-        count = math.comb(len(self.values) + n - 1, n)
-        expected = itertools.combinations_with_replacement(self.values, n)
-        _check_domain("allocation", table, count, expected, self.values, n)
-        for m, p in table.items():
+            k = tuple(self._key(parse_rational(v) for v in key))
+            if k in table:
+                raise ValueError(f"{self._what} table gives {self._noun} {_multiset_key(k)} twice")
+            table[k] = parse_rational(prob)
+        # A table of the wrong size is refused before any key is enumerated;
+        # at the right size, with distinct values, every key of n support
+        # values means none is missing, and a foreign key means one is.
+        support = set(self.values)
+        if len(support) != len(self.values):
+            raise ValueError("mechanism value set contains duplicates")
+        count, expected = self._domain(self.values, n)
+        if len(table) != count:
+            shown = count if count < 10**15 else f"about 10^{len(str(count)) - 1}"
+            raise ValueError(f"{self._what} table has {len(table)} entries, expected {shown}")
+        foreign = [k for k in table if len(k) != n or not support.issuperset(k)]
+        if foreign:
+            missing = next(k for k in expected if k not in table)
+            raise ValueError(
+                f"{self._what} table has foreign key {_multiset_key(min(foreign))} "
+                f"and lacks {_multiset_key(missing)}"
+            )
+        for k, p in table.items():
             if not 0 <= p <= 1:
-                raise ValueError(f"allocation at {m} is {p}, outside [0, 1]")
+                raise ValueError(f"allocation at {k} is {p}, outside [0, 1]")
         self.allocation = table
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
-        key = canonical_multiset(profile)
         try:
-            return self.allocation[key]
+            return self.allocation[tuple(self._key(profile))]
         except KeyError:
             raise ValueError(f"profile {profile} not in this rule's domain") from None
 
     def __eq__(self, other):
         return (
-            isinstance(other, AnonymousSCF)
+            type(other) is type(self)
             and self.values == other.values
             and self.n == other.n
             and self.allocation == other.allocation
         )
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, |V|={len(self.values)})"
+
+
+class AnonymousSCF(_TableSCF):
+    """Total map from every report multiset to an allocation in [0, 1]."""
+
+    __slots__ = ()
+    anonymous = True
+    _key = sorted
+    _kind, _field, _what, _noun = "anonymous", "allocation", "allocation", "multiset"
+
+    @staticmethod
+    def _domain(values, n):
+        return math.comb(len(values) + n - 1, n), itertools.combinations_with_replacement(values, n)
 
     def __repr__(self):
         nonzero = sum(1 for p in self.allocation.values() if p != 0)
@@ -224,40 +258,25 @@ class WeightedMajorityRule:
         )
 
 
-class OrderedTableSCF:
+class OrderedTableSCF(_TableSCF):
     """Explicit SCF keyed by ordered profiles; anonymity checked, not assumed:
     ``anonymous`` says whether all orderings of each multiset agree."""
 
-    __slots__ = ("values", "n", "table", "anonymous")
+    __slots__ = ("anonymous",)
+    _key = tuple
+    _kind, _field, _what, _noun = "ordered_table", "table", "ordered", "profile"
+
+    @staticmethod
+    def _domain(values, n):
+        return len(values) ** n, itertools.product(values, repeat=n)
 
     def __init__(self, values, n: int, table: Mapping):
-        self.values = tuple(sorted(parse_rational(v) for v in values))
-        self.n = n
-        parsed = {}
-        for key, prob in table.items():
-            profile = tuple(parse_rational(v) for v in key)
-            if profile in parsed:
-                raise ValueError(f"ordered table gives profile {_multiset_key(profile)} twice")
-            parsed[profile] = parse_rational(prob)
-        expected = itertools.product(self.values, repeat=n)
-        _check_domain("ordered", parsed, len(self.values) ** n, expected, self.values, n)
-        for key, p in parsed.items():
-            if not 0 <= p <= 1:
-                raise ValueError(f"allocation at {key} is {p}, outside [0, 1]")
-        self.table = parsed
+        super().__init__(values, n, table)
         groups: dict[tuple, Fraction] = {}
         self.anonymous = all(
-            groups.setdefault(canonical_multiset(key), p) == p for key, p in parsed.items()
+            groups.setdefault(canonical_multiset(key), p) == p
+            for key, p in self.allocation.items()
         )
-
-    def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
-        try:
-            return self.table[tuple(profile)]
-        except KeyError:
-            raise ValueError(f"profile {profile} not in this rule's domain") from None
-
-    def __repr__(self):
-        return f"OrderedTableSCF(n={self.n}, |V|={len(self.values)})"
 
 
 class OrdinalSCF:
@@ -353,18 +372,10 @@ def interim_table(env: Environment, rule, i: int) -> dict:
     return sums
 
 
-class BicViolation:
+class BicViolation(Record):
     """Witness of a failed incentive constraint."""
 
     __slots__ = ("agent", "report", "other_report", "interim", "other_interim", "kind")
-
-    def __init__(self, agent, report, other_report, interim, other_interim, kind):
-        self.agent = agent
-        self.report = report
-        self.other_report = other_report
-        self.interim = interim
-        self.other_interim = other_interim
-        self.kind = kind
 
     def __repr__(self):
         return (
@@ -374,19 +385,12 @@ class BicViolation:
         )
 
 
-class BicReport:
+class BicReport(Record):
     """Result of the incentive audit: either satisfied with the per-agent
     interim constants, or violated with the first witness in canonical
     (agent, report) order."""
 
     __slots__ = ("satisfied", "c_minus", "c_plus", "interims", "witness")
-
-    def __init__(self, satisfied, c_minus, c_plus, interims, witness):
-        self.satisfied = satisfied
-        self.c_minus = c_minus
-        self.c_plus = c_plus
-        self.interims = interims
-        self.witness = witness
 
     def __bool__(self):
         return self.satisfied
@@ -399,6 +403,18 @@ class BicReport:
 
 class NotBicError(ValueError):
     """Operation requires an incentive-compatible rule but got a witness."""
+
+
+def bic_conditions(values: ValueSet):
+    """The incentive conditions on an interim table, as ``(a, b, kind)``:
+    the interims at reports a and b are equal (``"flatness"``, each pair of
+    consecutive reports of one sign, negatives first), then the one at the
+    highest negative report a is at most the one at the lowest positive
+    report b (``"monotonicity"``)."""
+    for group in (values.negatives, values.positives):
+        for a, b in zip(group, group[1:]):
+            yield a, b, "flatness"
+    yield values.negatives[-1], values.positives[0], "monotonicity"
 
 
 def check_bic(env: Environment, rule) -> BicReport:
@@ -414,28 +430,20 @@ def check_bic(env: Environment, rule) -> BicReport:
     distributions, so an agent of an earlier agent's type reuses a copy of
     that agent's table; other rules get one table per agent.
     """
-    negatives = env.values.negatives
-    positives = env.values.positives
+    conditions = list(bic_conditions(env.values))
     c_minus: list = []
     c_plus: list = []
     interims: list[dict] = []
-    for i, agent in enumerate(env.agents):
-        first = env.agents.index(agent) if rule.anonymous else i
+    for i in range(env.n):
+        first = env.types[i] if rule.anonymous else i
         table = interim_table(env, rule, i) if first == i else dict(interims[first])
         interims.append(table)
-        for group in (negatives, positives):
-            for a, b in zip(group, group[1:]):
-                if table[a] != table[b]:
-                    witness = BicViolation(i, a, b, table[a], table[b], "flatness")
-                    return BicReport(False, None, None, interims, witness)
-        lo = table[negatives[-1]]
-        hi = table[positives[0]]
-        if lo > hi:
-            witness = BicViolation(
-                i, negatives[-1], positives[0], lo, hi, "monotonicity"
-            )
-            return BicReport(False, None, None, interims, witness)
-        c_minus.append(lo)
+        for a, b, kind in conditions:
+            lo, hi = table[a], table[b]
+            if (lo != hi) if kind == "flatness" else (lo > hi):
+                witness = BicViolation(i, a, b, lo, hi, kind)
+                return BicReport(False, None, None, interims, witness)
+        c_minus.append(lo)  # the last condition, monotonicity, reads both constants
         c_plus.append(hi)
     return BicReport(True, c_minus, c_plus, interims, None)
 
@@ -504,11 +512,10 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
             f"ordinal projection enumerates 2^n coalitions; n={env.n} exceeds "
             f"{_PROJECTION_MAX_AGENTS}"
         )
-    types = [env.agents.index(agent) for agent in env.agents]
     sums: dict[tuple, tuple] = {}
     phi: dict[frozenset, Fraction] = {}
     for bits in itertools.product((False, True), repeat=env.n):
-        key = tuple(sorted(zip(types, bits))) if rule.anonymous else bits
+        key = tuple(sorted(zip(env.types, bits))) if rule.anonymous else bits
         if key not in sums:
             conditioned = [
                 _Points((v, q) for v, q in agent.items if (v > 0) == b)
@@ -529,15 +536,10 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
     return OrdinalSCF(env.n, phi)
 
 
-class QmrTable:
+class QmrTable(Record):
     """Welfare of every qualified majority threshold, plus the best one."""
 
     __slots__ = ("k_star", "best_welfare", "table")
-
-    def __init__(self, k_star: int, best_welfare: Fraction, table: dict):
-        self.k_star = k_star
-        self.best_welfare = best_welfare
-        self.table = table
 
     def __repr__(self):
         return f"QmrTable(k_star={self.k_star}, best={self.best_welfare})"
@@ -562,15 +564,10 @@ class NotSymmetric(ValueError):
     """Operation requires all agents to share one distribution."""
 
 
-class SymmetricThreshold:
+class SymmetricThreshold(Record):
     """Closed-form optimal threshold for ex-ante identical agents."""
 
     __slots__ = ("k_bar", "boundary", "tie")
-
-    def __init__(self, k_bar: int, boundary: Fraction, tie: bool):
-        self.k_bar = k_bar
-        self.boundary = boundary
-        self.tie = tie
 
     def __repr__(self):
         return f"SymmetricThreshold(k_bar={self.k_bar}, tie={self.tie})"
@@ -624,14 +621,14 @@ def _multiset_key(multiset: tuple) -> str:
 
 def mechanism_to_json(rule) -> dict:
     """Serialize any rule kind to its JSON object form."""
-    if isinstance(rule, AnonymousSCF):
+    if isinstance(rule, _TableSCF):
         return {
-            "kind": "anonymous",
+            "kind": rule._kind,
             "n": rule.n,
             "values": [format_rational(v) for v in rule.values],
-            "allocation": {
-                _multiset_key(m): format_rational(p)
-                for m, p in sorted(rule.allocation.items())
+            rule._field: {
+                _multiset_key(k): format_rational(p)
+                for k, p in sorted(rule.allocation.items())
             },
         }
     if isinstance(rule, QualifiedMajorityRule):
@@ -642,16 +639,6 @@ def mechanism_to_json(rule) -> dict:
             "weights": [format_rational(w) for w in rule.weights],
             "quorum": format_rational(rule.quorum),
             "tie": format_rational(rule.tie_value),
-        }
-    if isinstance(rule, OrderedTableSCF):
-        return {
-            "kind": "ordered_table",
-            "n": rule.n,
-            "values": [format_rational(v) for v in rule.values],
-            "table": {
-                _multiset_key(p): format_rational(v)
-                for p, v in sorted(rule.table.items())
-            },
         }
     raise TypeError(f"cannot serialize rule of type {type(rule).__name__}")
 
@@ -671,14 +658,14 @@ def mechanism_from_json(obj):
         return value
 
     if kind in ("anonymous", "ordered_table"):
-        table_key = "allocation" if kind == "anonymous" else "table"
+        rule_class = AnonymousSCF if kind == "anonymous" else OrderedTableSCF
         # keys stay unparsed here, so the rule sees (and rejects) a repeated one
-        table = {tuple(k.split(",")): v for k, v in field(table_key, dict, "an object").items()}
+        raw = field(rule_class._field, dict, "an object")
+        table = {tuple(k.split(",")): v for k, v in raw.items()}
         values = field("values", list, "a list")
         n = field("n", int, "an integer")
         if n < 1:
             raise ValueError(f"mechanism field 'n' must be a positive integer, got {n}")
-        rule_class = AnonymousSCF if kind == "anonymous" else OrderedTableSCF
         return rule_class(values, n, table)
     if kind == "qmr":
         return QualifiedMajorityRule(field("k", int, "an integer"))

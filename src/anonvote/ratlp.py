@@ -79,14 +79,13 @@ class LpSolution:
     denominator the tableau reached.
     """
 
-    __slots__ = ("x", "objective_value", "basis", "duals", "pivots",
+    __slots__ = ("x", "objective_value", "duals", "pivots",
                  "degenerate_pivots", "bound_flips", "max_den_bits")
 
-    def __init__(self, x, objective_value, basis=frozenset(), duals=(), pivots=0,
+    def __init__(self, x, objective_value, duals=(), pivots=0,
                  degenerate_pivots=0, bound_flips=0, max_den_bits=0):
         self.x = x
         self.objective_value = objective_value
-        self.basis = basis
         self.duals = duals
         self.pivots = pivots
         self.degenerate_pivots = degenerate_pivots
@@ -261,8 +260,7 @@ def solve(lp: LinearProgram, start: Sequence | None = None) -> LpSolution:
     # slacks cost 0, so a slack's reduced cost is minus its row's dual
     duals = [Fraction(-zj, den) for zj in z[tab.n_struct:]]
     certify(lp, duals, value)
-    basis = frozenset(bv for bv in tab.basis if bv < tab.n_struct)
-    return LpSolution(x, value, basis, duals, **tab.counters())
+    return LpSolution(x, value, duals, **tab.counters())
 
 
 def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):

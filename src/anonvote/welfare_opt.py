@@ -2,11 +2,10 @@
 
 The decision variable is one allocation probability per report multiset
 (anonymity is therefore structural, not a constraint row). Incentive
-compatibility enters as exact linear rows on interim allocations: equality
-between consecutive same-sign reports and a single monotonicity inequality
-placing the worst negative report below the best positive one. Agents with
-identical distributions produce identical rows, so constraints are emitted
-once per distinct type.
+compatibility enters as one exact linear row on interim allocations per
+condition of :func:`bic_conditions`: an equality for each flatness pair, an
+inequality for monotonicity. Agents of one type produce identical rows, so
+rows are emitted once per agent type.
 
 Also here: the four-variable interim relaxation for two agents, whose two
 corner candidates correspond to the k=1 and k=2 majority rules, and the
@@ -22,7 +21,9 @@ from .environments import Environment
 from .mechanisms import (
     AnonymousSCF,
     NotBicError,
+    Record,
     all_multisets,
+    bic_conditions,
     check_bic,
     welfare,
     welfare_via_interims,
@@ -77,19 +78,16 @@ def build_opt_lp(env: Environment):
     for m, prob in env.multisets().items():
         objective[index.position[m]] = prob * sum(m, Fraction(0))
 
-    negatives = env.values.negatives
-    positives = env.values.positives
+    conditions = list(bic_conditions(env.values))
     eq_rows = []
     ineq_rows = []
-    for i, agent in enumerate(env.agents):
-        if agent in env.agents[:i]:
+    for i in range(env.n):
+        if env.types[i] != i:
             continue
         interim = _interim_coefficients(env, i, index)
-        for group in (negatives, positives):
-            for a, b in zip(group, group[1:]):
-                eq_rows.append([x - y for x, y in zip(interim[a], interim[b])])
-        lo, hi = interim[negatives[-1]], interim[positives[0]]
-        ineq_rows.append([x - y for x, y in zip(lo, hi)])
+        for a, b, kind in conditions:
+            rows = eq_rows if kind == "flatness" else ineq_rows
+            rows.append([x - y for x, y in zip(interim[a], interim[b])])
 
     return LinearProgram(len(index), objective, eq_rows, ineq_rows), index
 
@@ -120,18 +118,10 @@ def mechanism_from_vertex(env: Environment, index: OptLpIndex, x) -> AnonymousSC
     return AnonymousSCF(env.values.values, env.n, dict(zip(index.multisets, x)))
 
 
-class OptimalMechanismReport:
+class OptimalMechanismReport(Record):
     """Solved program: optimal rule, its welfare, and per-agent interims."""
 
     __slots__ = ("mechanism", "welfare", "c_minus", "c_plus", "interims", "lp_stats")
-
-    def __init__(self, mechanism, welfare, c_minus, c_plus, interims, lp_stats):
-        self.mechanism = mechanism
-        self.welfare = welfare
-        self.c_minus = c_minus
-        self.c_plus = c_plus
-        self.interims = interims
-        self.lp_stats = lp_stats
 
     def __repr__(self):
         return f"OptimalMechanismReport(welfare={self.welfare})"
@@ -177,16 +167,10 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
     )
 
 
-class AuxPoint:
+class AuxPoint(Record):
     """Interim constants (c1+, c1-, c2+, c2-) of a candidate two-agent rule."""
 
     __slots__ = ("c1_plus", "c1_minus", "c2_plus", "c2_minus")
-
-    def __init__(self, c1_plus, c1_minus, c2_plus, c2_minus):
-        self.c1_plus = c1_plus
-        self.c1_minus = c1_minus
-        self.c2_plus = c2_plus
-        self.c2_minus = c2_minus
 
     def as_tuple(self):
         return (self.c1_plus, self.c1_minus, self.c2_plus, self.c2_minus)
@@ -254,16 +238,10 @@ def aux_corners(env: Environment) -> AuxCorners:
     return AuxCorners(first, second, objective(first), objective(second))
 
 
-class Lemma3Report:
+class Lemma3Report(Record):
     """Both two-agent influence bounds evaluated exactly."""
 
     __slots__ = ("lhs1", "bound1", "lhs2", "bound2")
-
-    def __init__(self, lhs1, bound1, lhs2, bound2):
-        self.lhs1 = lhs1
-        self.bound1 = bound1
-        self.lhs2 = lhs2
-        self.bound2 = bound2
 
     @property
     def ok1(self):

@@ -196,7 +196,7 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12,
     obj_rest = sum((max(c[j], 0) for j in order), Fraction(0))
 
     state: dict[int, tuple[str, Fraction | None]] = {}
-    best: dict = {"value": None, "x": None, "free": None}
+    best: dict = {"value": None, "x": None}
     nodes = {"count": 0}
 
     def row_feasible() -> bool:
@@ -239,7 +239,6 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12,
             if best["value"] is None or value > best["value"]:
                 best["value"] = value
                 best["x"] = {j: val for j, (_, val) in state.items()} | free_vals
-                best["free"] = frozenset(free)
 
     def descend(pos: int, assigned_obj: Fraction, rest_bound: Fraction, free: list[int]):
         nodes["count"] += 1
@@ -293,4 +292,4 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12,
         x[j] = v
     value = best["value"] + loose_value
     _verify_point(lp, x)
-    return LpSolution(x, value, best["free"])
+    return LpSolution(x, value)

@@ -12,12 +12,14 @@ from _oracles import (
     random_symmetric_environment,
 )
 from anonvote import mechanisms
+from anonvote.cli import cmd_check
 from anonvote.environments import (
     AgentDistribution,
     Environment,
     ValueSet,
 )
 from anonvote.experiments import (
+    Theorem2Report,
     example1_fixture,
     make_fstar,
     make_theorem2_env,
@@ -26,11 +28,16 @@ from anonvote.experiments import (
 )
 from anonvote.mechanisms import (
     AnonymousSCF,
+    BicReport,
+    BicViolation,
     NotBicError,
     NotSymmetric,
     OrderedTableSCF,
     OrdinalSCF,
+    QmrTable,
     QualifiedMajorityRule,
+    Record,
+    SymmetricThreshold,
     WeightedMajorityRule,
     ZeroProbabilityCoalition,
     all_multisets,
@@ -46,7 +53,7 @@ from anonvote.mechanisms import (
     welfare_via_interims,
     wmr_build,
 )
-from anonvote.welfare_opt import solve_opt
+from anonvote.welfare_opt import AuxPoint, Lemma3Report, OptimalMechanismReport, solve_opt
 
 
 def F(x):
@@ -90,16 +97,42 @@ def test_anonymous_scf_is_permutation_invariant():
             assert mech.evaluate(perm) == base
 
 
-def test_anonymous_scf_requires_total_table_in_range():
+_GOOD_TABLES = {
+    AnonymousSCF: {("-1", "-1"): "0", ("-1", "1"): "0", ("1", "1"): "1"},
+    OrderedTableSCF: {("-1", "-1"): "0", ("-1", "1"): "0", ("1", "-1"): "0", ("1", "1"): "1"},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, what, repeated, count",
+    [
+        (AnonymousSCF, "allocation", "multiset -1,1", 3),
+        (OrderedTableSCF, "ordered", "profile 1,-1", 4),
+    ],
+    ids=["anonymous", "ordered"],
+)
+def test_table_rules_require_a_total_table_in_range(kind, what, repeated, count):
+    # both table kinds share one body: the same bad input gets the same
+    # check, with the kind's own nouns
     values = (F(-1), F(1))
-    good = {m: F(0) for m in all_multisets(values, 2)}
-    AnonymousSCF(values, 2, good)
-    with pytest.raises(ValueError):
-        AnonymousSCF(values, 2, {(F(-1), F(-1)): F(0)})
-    bad = dict(good)
-    bad[(F(-1), F(1))] = F(2)
-    with pytest.raises(ValueError):
-        AnonymousSCF(values, 2, bad)
+    good = _GOOD_TABLES[kind]
+    rule = kind(values, 2, good)
+    assert rule == kind(values, 2, dict(good))
+    assert rule != kind(values, 2, {**good, ("-1", "-1"): "1"})
+    lacking = {k: p for k, p in good.items() if k != ("1", "1")}
+    cases = [
+        ({**good, ("2/2", "-1"): "0"}, f"{what} table gives {repeated} twice"),
+        ({("-1", "-1"): "0"}, f"{what} table has 1 entries, expected {count}"),
+        ({**lacking, ("1", "2"): "1"}, f"{what} table has foreign key 1,2 and lacks 1,1"),
+        ({**good, ("1", "1"): "2"},
+         "allocation at (Fraction(1, 1), Fraction(1, 1)) is 2, outside [0, 1]"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kind(values, 2, table)
+    message = "profile (Fraction(1, 1), Fraction(3, 1)) not in this rule's domain"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rule.evaluate((F(1), F(3)))
 
 
 def test_ordered_table_anonymity_check():
@@ -313,7 +346,7 @@ def test_example1_projection_blocks():
     assert projection.by_coalition[frozenset({0})] == Fraction(1, 3)
     assert projection.by_coalition[frozenset({1})] == Fraction(1, 4)
     assert projection.by_coalition[frozenset()] == Fraction(7, 12)
-    for profile, expected in hat_expected.table.items():
+    for profile, expected in hat_expected.allocation.items():
         assert projection.evaluate(profile) == expected
 
 
@@ -595,7 +628,42 @@ def test_mechanism_json_round_trips_every_kind():
 
     _, rule, _ = example1_fixture()
     again = mechanism_from_json(mechanism_to_json(rule))
-    assert again.table == rule.table
+    assert again == rule
 
     with pytest.raises(ValueError):
         mechanism_from_json({"kind": "mystery"})
+
+
+# ------------------------------------------------------------------ records
+
+
+def test_every_record_is_built_by_position_or_by_name():
+    records = [BicViolation, BicReport, QmrTable, SymmetricThreshold,
+               OptimalMechanismReport, AuxPoint, Lemma3Report, Theorem2Report]
+    assert set(Record.__subclasses__()) == set(records)
+    for cls in records:
+        fields = cls.__slots__
+        given = dict(zip(fields, range(len(fields))))
+        by_position = cls(*given.values())
+        by_name = cls(**dict(reversed(given.items())))  # the order of names does not matter
+        assert [getattr(by_position, f) for f in fields] == list(given.values())
+        assert [getattr(by_name, f) for f in fields] == list(given.values())
+        bad = [
+            ((0,) * (len(fields) - 1), {}),  # a field missing
+            ((0,) * (len(fields) + 1), {}),  # an extra positional argument
+            ((0,) * len(fields), {"bogus": 0}),  # an unknown name
+            ((0,) * len(fields), {fields[0]: 0}),  # a field given twice
+        ]
+        for args, named in bad:
+            with pytest.raises(TypeError, match=f"^{cls.__name__} takes the fields "):
+                cls(*args, **named)
+    # the CLI's table view rebuilds the witness from the check payload's fields
+    env = uniform_env(values=(-2, -1, 1))
+    table = {m: 1 if m == (-2, -2) else 0 for m in all_multisets(env.values, 2)}
+    rule = AnonymousSCF(env.values, 2, table)
+    witness = check_bic(env, rule).witness
+    shown = cmd_check(None, env, rule)["bic"]["witness"]
+    again = BicViolation(**shown)
+    assert [getattr(again, name) for name in BicViolation.__slots__] == list(shown.values())
+    assert repr(again) == repr(witness)
+    assert repr(again) == "BicViolation(agent=0, flatness: interim(-2)=1/3 vs interim(-1)=0)"

@@ -90,6 +90,8 @@ def test_agents_of_one_type_have_identical_interim_rows():
         first = _interim_coefficients(env, 0, index)
         for i in range(1, n):
             assert _interim_coefficients(env, i, index) == first
+        assert env.types == (0,) * n
+    assert make_theorem2_env(5, 10, Fraction(1, 1000)).types == (0, 0, 2, 2, 2)
 
 
 # ------------------------------------------------------------- the optimum
