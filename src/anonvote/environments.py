@@ -7,7 +7,8 @@ computed from these objects with exact rationals. Each
 :class:`AgentDistribution` carries its sign statistics (p, U+ and U-),
 computed once when it is built; agents with equal distributions are one type.
 An :class:`Environment` keeps the report multiset distribution of all its
-agents and, per agent type, of the others, each computed when first used.
+agents and, per agent type, of the others, each computed when first used, in
+integers: value-index keys and integer weights over one denominator.
 
 An :class:`Environment` is checked once, when it is built: a structurally
 unusable one raises :class:`InvalidEnvironment`, so every environment that
@@ -20,16 +21,18 @@ in :mod:`anonvote.experiments`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, integer_form, parse_rational
 
 __all__ = [
     "InvalidEnvironment",
     "ValueSet",
     "AgentDistribution",
     "Environment",
+    "Points",
     "profiles",
     "multiset_distribution",
     "environment_from_json",
@@ -42,9 +45,10 @@ class InvalidEnvironment(ValueError):
 
 
 class ValueSet:
-    """Strictly increasing tuple of rational values, the common support V."""
+    """Strictly increasing rational values, the common support V, and
+    their :func:`integer_form` ``(scaled, scale)``."""
 
-    __slots__ = ("values", "negatives", "positives")
+    __slots__ = ("values", "negatives", "positives", "scaled", "scale")
 
     def __init__(self, values: Iterable):
         vals = tuple(parse_rational(v) for v in values)
@@ -55,15 +59,13 @@ class ValueSet:
         self.values = tuple(sorted(vals))
         self.negatives = tuple(v for v in self.values if v < 0)
         self.positives = tuple(v for v in self.values if v > 0)
+        self.scaled, self.scale = integer_form(self.values)
 
     def __iter__(self):
         return iter(self.values)
 
     def __len__(self):
         return len(self.values)
-
-    def __contains__(self, v):
-        return v in self.values
 
     def __eq__(self, other):
         return isinstance(other, ValueSet) and self.values == other.values
@@ -87,10 +89,12 @@ class AgentDistribution:
     its conditioning event has probability zero (limit mode), and callers
     must check before using it. ``pos_mass``/``neg_mass`` are the
     unconditional sign expectations p*u_plus and (1-p)*u_minus, which are
-    always defined.
+    always defined. ``(weights, den)`` is the :func:`integer_form` of the
+    probabilities of ``items``.
     """
 
-    __slots__ = ("items", "probs", "name", "p", "pos_mass", "neg_mass", "u_plus", "u_minus")
+    __slots__ = ("items", "probs", "name", "p", "pos_mass", "neg_mass", "u_plus", "u_minus",
+                 "weights", "den")
 
     def __init__(self, probs: Mapping, name: str | None = None):
         parsed = {}
@@ -101,6 +105,7 @@ class AgentDistribution:
             parsed[v] = parse_rational(p)
         self.items = tuple(sorted(parsed.items()))
         self.probs = parsed
+        self.weights, self.den = integer_form([p for _, p in self.items])
         self.name = name
         self.p = Fraction(0)
         self.pos_mass = Fraction(0)
@@ -113,9 +118,6 @@ class AgentDistribution:
                 self.neg_mass += (-v) * prob
         self.u_plus = self.pos_mass / self.p if self.p > 0 else None
         self.u_minus = self.neg_mass / (1 - self.p) if self.p < 1 else None
-
-    def total(self) -> Fraction:
-        return sum(self.probs.values(), Fraction(0))
 
     def __eq__(self, other):
         return isinstance(other, AgentDistribution) and self.items == other.items
@@ -159,24 +161,19 @@ class Environment:
 
         for i, agent in enumerate(self.agents):
             if agent.probs.keys() != set(values.values):
-                raise InvalidEnvironment(
-                    f"agent {i} support does not match the value set"
-                )
+                raise InvalidEnvironment(f"agent {i} support does not match the value set")
             label = f"agent {i} ({agent.name})" if agent.name else f"agent {i}"
             negative = [v for v, p in agent.items if p < 0]
             if negative:
                 errors.append(f"{label}: negative probability at {negative[0]}")
                 continue
-            if agent.total() != 1:
-                errors.append(
-                    f"{label}: probabilities must sum to 1 (got {agent.total()})"
-                )
+            total = Fraction(sum(agent.weights), agent.den)
+            if total != 1:
+                errors.append(f"{label}: probabilities must sum to 1 (got {total})")
                 continue
             zeros = [v for v, p in agent.items if p == 0]
             if zeros:
-                flags.append(
-                    f"{label}: zero probability on {{{', '.join(map(str, zeros))}}}"
-                )
+                flags.append(f"{label}: zero probability on {{{', '.join(map(str, zeros))}}}")
             if agent.p == 0 or agent.p == 1:
                 flags.append(f"{label}: deterministic value sign (p={agent.p})")
         if errors:
@@ -185,14 +182,18 @@ class Environment:
         self.types = tuple(self.agents.index(agent) for agent in self.agents)
         self._multisets: dict = {}
 
-    def multisets(self, without: int | None = None) -> dict:
-        """:func:`multiset_distribution` of every agent, or of every agent
-        but ``without``: the same for each agent of one type, so it is kept
-        once per type, when first asked for. Callers share it: read only."""
+    def multisets(self, without: int | None = None) -> tuple[dict, int]:
+        """``(distribution, den)``: :func:`multiset_distribution` of every
+        agent, or every agent but ``without``, over their (value index,
+        weight) points, so each sorted index tuple has probability weight /
+        den. It is the same for each agent of one type, so it is kept once
+        per type, when first asked for. Callers share it: read only."""
         key = None if without is None else self.types[without]
         if key not in self._multisets:
             others = self.agents if key is None else self.agents[:key] + self.agents[key + 1 :]
-            self._multisets[key] = multiset_distribution(others)
+            points = [Points(list(enumerate(agent.weights))) for agent in others]
+            den = math.prod(agent.den for agent in others)
+            self._multisets[key] = (multiset_distribution(points), den)
         return self._multisets[key]
 
     @property
@@ -211,6 +212,16 @@ class Environment:
 
     def __repr__(self):
         return f"Environment(n={self.n}, V={[str(v) for v in self.values]})"
+
+
+class Points:
+    """What the kernels read of an agent: (point, weight) ``items``, which
+    need not sum to 1 (an agent conditioned on one sign)."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = tuple(items)
 
 
 def profiles(agents: Sequence[AgentDistribution]):
@@ -232,7 +243,7 @@ def profiles(agents: Sequence[AgentDistribution]):
 def multiset_distribution(agents: Sequence[AgentDistribution]) -> dict:
     """Probability of each sorted report multiset of positive probability,
     built one agent at a time: all an anonymous rule sees of the reports."""
-    dist = {(): Fraction(1)}
+    dist = {(): 1}
     for agent in agents:
         step: dict[tuple, Fraction] = {}
         for key, prob in dist.items():

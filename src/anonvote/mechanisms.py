@@ -27,12 +27,14 @@ Expectations are sums over three kernels. A QMR, a WMR or an ordinal rule
 reads only the sign of each report, so the sign kernel first collapses each
 agent to one point per sign, (E[v | sign], P(sign)): at most 2^n profiles,
 whatever |V|. Then report multisets serve rules flagged anonymous and
-``profiles`` (ordered) the others; an anonymous rule that reads whole
-reports, like the threshold table, takes the distributions the
-``Environment`` keeps per agent type. The audit of an anonymous rule
-computes one interim table per agent type, a sign rule's table sums once
-per sign of the report, and the projection of an anonymous rule
-conditions on one coalition per count of positive agents of each type.
+``profiles`` (ordered) the others. An anonymous rule that reads whole
+reports, like the threshold table, is evaluated once per report multiset
+into integers, summed with the integer distributions the ``Environment``
+keeps per agent type (as is the QMR table), one ``Fraction`` per result.
+The audit of an anonymous rule computes one interim table per agent type,
+a sign rule's table sums once per sign of the report, and the projection
+of an anonymous rule conditions on one coalition per count of positive
+agents of each type.
 """
 
 from __future__ import annotations
@@ -42,12 +44,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .environments import Environment, ValueSet, multiset_distribution, profiles
-from .rationals import format_rational, parse_rational
+from .environments import Environment, Points, ValueSet, multiset_distribution, profiles
+from .rationals import format_rational, integer_form, parse_rational
 
 __all__ = [
     "Record",
-    "canonical_multiset",
     "all_multisets",
     "coalition",
     "AnonymousSCF",
@@ -93,11 +94,6 @@ class Record:
             )
         for name, value in {**given, **named}.items():
             setattr(self, name, value)
-
-
-def canonical_multiset(profile: Sequence[Fraction]) -> tuple:
-    """Sort an ordered profile into its canonical multiset form."""
-    return tuple(sorted(profile))
 
 
 def all_multisets(values: Iterable[Fraction], n: int) -> list[tuple]:
@@ -274,7 +270,7 @@ class OrderedTableSCF(_TableSCF):
         super().__init__(values, n, table)
         groups: dict[tuple, Fraction] = {}
         self.anonymous = all(
-            groups.setdefault(canonical_multiset(key), p) == p
+            groups.setdefault(tuple(sorted(key)), p) == p
             for key, p in self.allocation.items()
         )
 
@@ -306,17 +302,7 @@ class OrdinalSCF:
         return f"OrdinalSCF(n={self.n})"
 
 
-class _Points:
-    """What the kernels read of an agent: (value, probability) ``items``,
-    which need not sum to 1 (an agent conditioned on one sign)."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = tuple(items)
-
-
-def _by_sign(agent) -> _Points:
+def _by_sign(agent) -> Points:
     """At most one point per sign, (E[v | sign], P(sign)); a sign of mass 0
     is dropped. A rule that reads only signs allocates the same at these
     values, and E[v 1{sign profile}] = P(sign profile) E[v | sign]."""
@@ -326,7 +312,7 @@ def _by_sign(agent) -> _Points:
         mass = sum(q for _, q in side)
         if mass:
             points.append((sum(v * q for v, q in side) / mass, mass))
-    return _Points(points)
+    return Points(points)
 
 
 _SIGN_RULES = (QualifiedMajorityRule, WeightedMajorityRule, OrdinalSCF)
@@ -345,26 +331,47 @@ def _outcomes(agents, rule):
     return profiles(agents)
 
 
-def _env_outcomes(env: Environment, rule, i: int | None = None):
-    """:func:`_outcomes` over every agent of ``env``, or every agent but
-    ``i``; an anonymous rule that reads whole reports takes the multiset
-    distribution ``env`` keeps."""
-    if rule.anonymous and not isinstance(rule, _SIGN_RULES):
-        return env.multisets(i).items()
-    return _outcomes(env.agents if i is None else env.agents[:i] + env.agents[i + 1 :], rule)
+def _reads_reports(rule) -> bool:
+    """An anonymous rule that reads whole reports, not only their signs."""
+    return rule.anonymous and not isinstance(rule, _SIGN_RULES)
+
+
+def _allocations(env: Environment, rule, keys=None) -> tuple[dict, int]:
+    """``rule`` at each sorted value-index tuple of ``keys`` (default: every
+    report multiset), as integers over one denominator: ``(dict, den)``."""
+    values = env.values.values
+    if keys is None:
+        keys = itertools.combinations_with_replacement(range(len(values)), env.n)
+    keys = list(keys)
+    nums, den = integer_form([rule.evaluate(tuple([values[j] for j in m])) for m in keys])
+    return dict(zip(keys, nums)), den
+
+
+def _table_interim(env: Environment, i: int, allocations) -> dict:
+    """Agent ``i``'s interim table from :func:`_allocations`: per report
+    index j, the integer sum of weight(rest) * allocation(rest + j) over the
+    others' report multisets."""
+    alloc, den = allocations
+    dist, dist_den = env.multisets(i)
+    sums = [sum(w * alloc[tuple(sorted(rest + (j,)))] for rest, w in dist.items())
+            for j in range(len(env.values))]
+    return {v: Fraction(s, den * dist_den) for v, s in zip(env.values, sums)}
 
 
 def interim_table(env: Environment, rule, i: int) -> dict:
-    """Interim allocation of agent ``i`` at every report in the support,
-    summed over the others' outcomes from :func:`_env_outcomes` (sign points
-    for a QMR, WMR or ordinal rule). Such a rule reads only the sign of the
-    report, so it is evaluated at one report per sign, whose sum every
-    report of that sign gets."""
+    """Interim allocation of agent ``i`` at every report in the support: by
+    :func:`_table_interim` for a rule that reads whole reports, else summed
+    over the others' outcomes from :func:`_outcomes` (sign points for a QMR,
+    WMR or ordinal rule). Such a rule reads only the sign of the report, so
+    it is evaluated at one report per sign, whose sum every report of that
+    sign gets."""
+    if _reads_reports(rule):
+        return _table_interim(env, i, _allocations(env, rule))
     values = env.values
     by_sign = isinstance(rule, _SIGN_RULES)
     reports = (values.negatives[0], values.positives[0]) if by_sign else values
     sums = dict.fromkeys(reports, Fraction(0))
-    for rest, prob in _env_outcomes(env, rule, i):
+    for rest, prob in _outcomes(env.agents[:i] + env.agents[i + 1 :], rule):
         for v in sums:
             sums[v] += prob * rule.evaluate(rest[:i] + (v,) + rest[i:])
     if by_sign:
@@ -428,15 +435,20 @@ def check_bic(env: Environment, rule) -> BicReport:
 
     Under an anonymous rule an agent's interim depends only on the others'
     distributions, so an agent of an earlier agent's type reuses a copy of
-    that agent's table; other rules get one table per agent.
+    that agent's table; other rules get one table per agent. A rule that
+    reads whole reports is evaluated once, into :func:`_allocations`.
     """
     conditions = list(bic_conditions(env.values))
+    shared = _allocations(env, rule) if _reads_reports(rule) else None
     c_minus: list = []
     c_plus: list = []
     interims: list[dict] = []
     for i in range(env.n):
         first = env.types[i] if rule.anonymous else i
-        table = interim_table(env, rule, i) if first == i else dict(interims[first])
+        if first == i:
+            table = _table_interim(env, i, shared) if shared else interim_table(env, rule, i)
+        else:
+            table = dict(interims[first])
         interims.append(table)
         for a, b, kind in conditions:
             lo, hi = table[a], table[b]
@@ -451,12 +463,19 @@ def check_bic(env: Environment, rule) -> BicReport:
 def welfare(env: Environment, rule) -> Fraction:
     """Expected total value on the reform event.
 
-    Summed over :func:`_env_outcomes`: sign points for a QMR, WMR or ordinal
-    rule, report multisets for other anonymous rules, ordered profiles of
-    positive probability for the rest.
+    A rule that reads whole reports is summed in integers over the
+    multisets ``env`` keeps, the others over :func:`_outcomes`: sign
+    points for a QMR, WMR or ordinal rule, ordered profiles of positive
+    probability for the rest.
     """
+    if _reads_reports(rule):
+        dist, den = env.multisets()
+        alloc, alloc_den = _allocations(env, rule, dist)
+        scaled = env.values.scaled
+        total = sum(w * alloc[m] * sum(map(scaled.__getitem__, m)) for m, w in dist.items())
+        return Fraction(total, den * alloc_den * env.values.scale)
     total = Fraction(0)
-    for profile, prob in _env_outcomes(env, rule):
+    for profile, prob in _outcomes(env.agents, rule):
         value_sum = sum(profile, Fraction(0))
         if value_sum == 0:
             continue
@@ -518,7 +537,7 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
         key = tuple(sorted(zip(env.types, bits))) if rule.anonymous else bits
         if key not in sums:
             conditioned = [
-                _Points((v, q) for v, q in agent.items if (v > 0) == b)
+                Points((v, q) for v, q in agent.items if (v > 0) == b)
                 for agent, b in zip(env.agents, bits)
             ]
             mass = weighted = Fraction(0)
@@ -545,19 +564,23 @@ class QmrTable(Record):
         return f"QmrTable(k_star={self.k_star}, best={self.best_welfare})"
 
 
+def _qmr_sums(env: Environment) -> tuple[int, dict]:
+    """``(k_star, welfare of f^(k) for k = 0..n+1)`` from one integer sum
+    per count of positive reports; the smallest maximizer wins ties."""
+    dist, den = env.multisets()
+    scaled, negatives = env.values.scaled, len(env.values.negatives)
+    buckets = [0] * (env.n + 2)
+    for m, w in dist.items():
+        buckets[sum(j >= negatives for j in m)] += w * sum(map(scaled.__getitem__, m))
+    sums = {k: sum(buckets[k:]) for k in range(env.n + 2)}
+    k_star = min(sums, key=lambda k: (-sums[k], k))
+    return k_star, {k: Fraction(w, den * env.values.scale) for k, w in sums.items()}
+
+
 def qmr_best(env: Environment) -> QmrTable:
     """Exact welfare of f^(k) for k = 0..n+1; smallest maximizer wins ties."""
-    buckets = [Fraction(0)] * (env.n + 1)
-    for m, prob in env.multisets().items():
-        buckets[sum(1 for v in m if v > 0)] += prob * sum(m, Fraction(0))
-    table: dict[int, Fraction] = {}
-    running = Fraction(0)
-    for k in range(env.n + 1, -1, -1):
-        if k <= env.n:
-            running += buckets[k]
-        table[k] = running
-    k_star = min(range(env.n + 2), key=lambda k: (-table[k], k))
-    return QmrTable(k_star, table[k_star], dict(sorted(table.items())))
+    k_star, table = _qmr_sums(env)
+    return QmrTable(k_star, table[k_star], table)
 
 
 class NotSymmetric(ValueError):

@@ -3,14 +3,16 @@
 Every probability, value, allocation, and welfare figure in this package is
 a ``fractions.Fraction``. Decimal input is rejected on purpose: exactness
 requires integer or ``p/q`` forms, and base-10 rounding must never leak
-into a computation path.
+into a computation path. Long sums run on :func:`integer_form`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
-__all__ = ["RationalParseError", "parse_rational", "format_rational"]
+__all__ = ["RationalParseError", "parse_rational", "format_rational", "integer_form"]
 
 _ALLOWED_CHARS = set("0123456789+-/ ")
 
@@ -49,3 +51,12 @@ def parse_rational(token) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render as ``"p"`` or ``"p/q"`` in lowest terms with positive denominator."""
     return str(Fraction(value))
+
+
+def integer_form(values) -> tuple[list[int], int]:
+    """Rationals as ``(numerators, den)`` over their least common
+    denominator. (``lcm(*dens)`` would build a row-long tuple: CPython 3.11
+    keeps up to 0.4 MiB of freed 20-tuples it never reuses. Hot tuples are
+    built from lists, since a tuple built from an iterator is resized.)"""
+    den = functools.reduce(math.lcm, [v.denominator for v in values], 1)
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -22,24 +22,26 @@ program has an optimal vertex; there is no infeasible or unbounded case.
   deterministic. Each tableau row, right-hand side included, is integers
   over one positive denominator, divided by its gcd after every update, so
   pricing and updates are integer arithmetic and each ratio of the ratio
-  test is one quotient of two integers. No floating point and no
-  tolerances appear anywhere.
+  test is one quotient of two integers; the first rows are the program's
+  ``integer_rows``. No floating point and no tolerances appear anywhere.
 
 * :func:`certify`: the exact optimality proof every :func:`solve` result
   passes. The duals y are read off the final tableau's slack columns. In
   this form, any y with y >= 0 on the inequality rows bounds the optimum by
   UB(y) = sum_j max(0, c_j - a_j.y) (Neumaier & Shcherbina, Math. Prog.
   2004), so a feasible point whose value equals UB(y) is optimal, whichever
-  pivot rule proposed it.
+  pivot rule proposed it. UB(y), like the feasibility check and c.x, is
+  an integer sum over the integer rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import parse_rational
+from .rationals import integer_form, parse_rational
 
 __all__ = ["LinearProgram", "LpSolution", "SimplexError", "solve", "certify"]
 
@@ -53,10 +55,11 @@ class LinearProgram:
 
     Every row is a plain list of ``num_vars`` coefficients. This is the form
     of the welfare program, so x = 0 is always feasible and the optimum is
-    always attained.
+    always attained. ``integer_rows`` holds the :func:`integer_form` of each
+    row, equality rows first, made once: the rows are fixed when built.
     """
 
-    __slots__ = ("num_vars", "objective", "eq_rows", "ineq_rows")
+    __slots__ = ("num_vars", "objective", "eq_rows", "ineq_rows", "integer_rows")
 
     def __init__(self, num_vars, objective, eq_rows=(), ineq_rows=()):
         self.num_vars = num_vars
@@ -67,6 +70,7 @@ class LinearProgram:
             raise ValueError("objective length mismatch")
         if any(len(coeffs) != num_vars for coeffs in self.eq_rows + self.ineq_rows):
             raise ValueError("constraint row length mismatch")
+        self.integer_rows = [integer_form(coeffs) for coeffs in self.eq_rows + self.ineq_rows]
 
 
 class LpSolution:
@@ -126,10 +130,11 @@ class _Tableau:
         self.rows: list[tuple[list[int], int]] = []
         self.pivots = self.degenerate = self.flips = 0
         self.max_den = 1
-        for r, coeffs in enumerate(lp.eq_rows + lp.ineq_rows):
-            row = coeffs + [Fraction(0)] * (m + 1)
-            row[n + r] = Fraction(1)
-            self.rows.append(self._integer_row(row))
+        for r, (num, den) in enumerate(lp.integer_rows):
+            row = num + [0] * (m + 1)
+            row[n + r] = den
+            self.rows.append((row, den))
+            self.max_den = max(self.max_den, den)
 
     def _reduced(self, num: list[int], den: int) -> tuple[list[int], int]:
         """num / den with the common content divided out."""
@@ -138,10 +143,6 @@ class _Tableau:
             num, den = [v // g for v in num], den // g
         self.max_den = max(self.max_den, den)
         return num, den
-
-    def _integer_row(self, values: list[Fraction]) -> tuple[list[int], int]:
-        den = math.lcm(*(v.denominator for v in values))
-        return self._reduced([v.numerator * (den // v.denominator) for v in values], den)
 
     def _eliminate(self, row, pivot, e: int):
         """row - row[e] * pivot, where pivot's entry e is 1 (``z`` stops
@@ -159,15 +160,16 @@ class _Tableau:
                 a[j] = -a[j]
         self.z[0][j] = -self.z[0][j]
 
-    def optimize(self, cost: list[Fraction], start=None):
-        """Price ``cost`` over the slack basis, complement the ones of
-        ``start``, then pivot to optimality.
+    def optimize(self, cost: tuple[list[int], int], start=None):
+        """Price ``cost`` (an :func:`integer_form`) over the slack basis,
+        complement the ones of ``start``, then pivot to optimality.
 
         Dantzig's rule picks the entering column until ``_BLAND_AFTER``
         degenerate pivots in a row, and Bland's rule from then on.
         """
-        pad = len(self.ub) - len(cost)
-        self.z = self._integer_row(list(cost) + [Fraction(0)] * pad)
+        num, den = cost
+        self.z = (num + [0] * (len(self.ub) - len(num)), den)
+        self.max_den = max(self.max_den, den)
         for j, v in enumerate(start or ()):
             if v:
                 self._complement(j)
@@ -251,11 +253,12 @@ def solve(lp: LinearProgram, start: Sequence | None = None) -> LpSolution:
             _verify_point(lp, start)
         except SimplexError as exc:
             raise ValueError(f"infeasible start: {exc}") from None
+    cost, cost_den = integer_form(lp.objective)
     tab = _Tableau(lp)
-    tab.optimize(lp.objective, start)
+    tab.optimize((cost, cost_den), start)
     x = tab.point()
-    _verify_point(lp, x)
-    value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
+    x_num, x_den = _verify_point(lp, x)
+    value = Fraction(sum(c * v for c, v in zip(cost, x_num)), cost_den * x_den)
     z, den = tab.z
     # slacks cost 0, so a slack's reduced cost is minus its row's dual
     duals = [Fraction(-zj, den) for zj in z[tab.n_struct:]]
@@ -273,31 +276,38 @@ def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):
     y_r >= 0 on every inequality row and UB(y) == ``value`` exactly, so a
     feasible point of that value is optimal.
     """
-    rows = lp.eq_rows + lp.ineq_rows
+    rows = lp.integer_rows
     if len(duals) != len(rows):
         raise SimplexError(f"{len(duals)} duals for {len(rows)} rows")
     if any(y < 0 for y in duals[len(lp.eq_rows):]):
         raise SimplexError("negative dual on an inequality row")
-    reduced = list(lp.objective)
-    for y, coeffs in zip(duals, rows):
-        if y:
-            for j, a in enumerate(coeffs):
-                if a:
-                    reduced[j] -= y * a
-    bound = sum((r for r in reduced if r > 0), Fraction(0))
+    # every c_j - a_j.y over one denominator, cost_den * y_den * row_den
+    used = [(y, row) for y, row in zip(duals, rows) if y]
+    ys, y_den = integer_form([y for y, _ in used])
+    row_den = functools.reduce(math.lcm, [d for _, (_, d) in used], 1)
+    cost, cost_den = integer_form(lp.objective)
+    reduced = [c * y_den * row_den for c in cost]
+    for y, (_, (num, d)) in zip(ys, used):
+        f = y * (row_den // d) * cost_den
+        for j, a in enumerate(num):
+            if a:
+                reduced[j] -= f * a
+    bound = Fraction(sum(r for r in reduced if r > 0), cost_den * y_den * row_den)
     if bound != value:
         raise SimplexError(f"dual bound {bound} != objective {value}")
 
 
-def _verify_point(lp: LinearProgram, x: Sequence[Fraction]):
-    """Raise :class:`SimplexError` unless ``x`` is in the box and meets every row."""
-    for j, v in enumerate(x):
-        if not 0 <= v <= 1:
+def _verify_point(lp: LinearProgram, x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Raise :class:`SimplexError` unless ``x`` is in the box and meets every
+    row; returns the :func:`integer_form` of ``x`` the check summed over."""
+    num, den = integer_form(x)
+    for j, v in enumerate(num):
+        if not 0 <= v <= den:
             raise SimplexError(f"point violates the bounds of variable {j}")
-    support = [(j, v) for j, v in enumerate(x) if v]  # a row's terms at x_j = 0 are 0
-    for coeffs in lp.eq_rows:
-        if sum((coeffs[j] * v for j, v in support), Fraction(0)) != 0:
-            raise SimplexError("point violates an equality row")
-    for coeffs in lp.ineq_rows:
-        if sum((coeffs[j] * v for j, v in support), Fraction(0)) > 0:
-            raise SimplexError("point violates an inequality row")
+    support = [(j, v) for j, v in enumerate(num) if v]  # a row's terms at x_j = 0 are 0
+    n_eq = len(lp.eq_rows)
+    for r, (coeffs, _) in enumerate(lp.integer_rows):
+        total = sum(coeffs[j] * v for j, v in support)
+        if total > 0 or (total and r < n_eq):
+            raise SimplexError(f"point violates an {'' if r < n_eq else 'in'}equality row")
+    return num, den

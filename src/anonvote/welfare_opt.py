@@ -5,7 +5,8 @@ The decision variable is one allocation probability per report multiset
 compatibility enters as one exact linear row on interim allocations per
 condition of :func:`bic_conditions`: an equality for each flatness pair, an
 inequality for monotonicity. Agents of one type produce identical rows, so
-rows are emitted once per agent type.
+rows are emitted once per agent type. Each entry is summed in integers over
+the ``Environment``'s multiset distributions, then made one ``Fraction``.
 
 Also here: the four-variable interim relaxation for two agents, whose two
 corner candidates correspond to the k=1 and k=2 majority rules, and the
@@ -15,6 +16,7 @@ rules.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .environments import Environment
@@ -22,6 +24,7 @@ from .mechanisms import (
     AnonymousSCF,
     NotBicError,
     Record,
+    _qmr_sums,
     all_multisets,
     bic_conditions,
     check_bic,
@@ -45,25 +48,28 @@ __all__ = [
 
 
 class OptLpIndex:
-    """Bijection between report multisets (lexicographic) and LP columns."""
+    """Report multisets (lexicographic) and, by value-index tuple, LP columns."""
 
     __slots__ = ("multisets", "position")
 
     def __init__(self, values, n: int):
         self.multisets = all_multisets(values, n)
-        self.position = {m: i for i, m in enumerate(self.multisets)}
+        keys = itertools.combinations_with_replacement(range(len(values)), n)
+        self.position = {m: i for i, m in enumerate(keys)}
 
     def __len__(self):
         return len(self.multisets)
 
 
-def _interim_coefficients(env: Environment, i: int, index: OptLpIndex) -> dict:
-    """Per report v: LP row c with c[m] = P(others' reports sort with v into m)."""
-    rows = {v: [Fraction(0)] * len(index) for v in env.values}
-    for rest, prob in env.multisets(i).items():
-        for v in env.values:
-            rows[v][index.position[tuple(sorted(rest + (v,)))]] = prob
-    return rows
+def _interim_coefficients(env: Environment, i: int, index: OptLpIndex) -> tuple[dict, int]:
+    """``(rows, den)``: per report v, the integer LP row c with c[m] / den =
+    P(others' reports sort with v into m)."""
+    dist, den = env.multisets(i)
+    rows = {v: [0] * len(index) for v in env.values}
+    for rest, w in dist.items():
+        for j, v in enumerate(env.values):
+            rows[v][index.position[tuple(sorted(rest + (j,)))]] = w
+    return rows, den
 
 
 def build_opt_lp(env: Environment):
@@ -74,9 +80,12 @@ def build_opt_lp(env: Environment):
     interim coefficients, so their rows would repeat.
     """
     index = OptLpIndex(env.values.values, env.n)
-    objective = [Fraction(0)] * len(index)
-    for m, prob in env.multisets().items():
-        objective[index.position[m]] = prob * sum(m, Fraction(0))
+    scaled, zero = env.values.scaled, Fraction(0)
+    objective = [zero] * len(index)
+    dist, den = env.multisets()
+    den *= env.values.scale
+    for m, w in dist.items():
+        objective[index.position[m]] = Fraction(w * sum(map(scaled.__getitem__, m)), den)
 
     conditions = list(bic_conditions(env.values))
     eq_rows = []
@@ -84,33 +93,23 @@ def build_opt_lp(env: Environment):
     for i in range(env.n):
         if env.types[i] != i:
             continue
-        interim = _interim_coefficients(env, i, index)
+        interim, den = _interim_coefficients(env, i, index)
         for a, b, kind in conditions:
             rows = eq_rows if kind == "flatness" else ineq_rows
-            rows.append([x - y for x, y in zip(interim[a], interim[b])])
+            rows.append([Fraction(x - y, den) if x != y else zero
+                         for x, y in zip(interim[a], interim[b])])
 
     return LinearProgram(len(index), objective, eq_rows, ineq_rows), index
 
 
-def _best_qmr_start(lp: LinearProgram, index: OptLpIndex, n: int) -> list[int]:
-    """The 0/1 table of the best qualified majority rule, read off ``lp``.
-
-    ``lp.objective[m]`` is P(m) * sum(m), so summing it over the multisets
-    with at least k positive reports gives the welfare of "reform iff at
-    least k reports are positive". The best k is the smallest maximizer over
-    k = 0..n+1, as in :func:`qmr_best`. Every such rule is anonymous and
-    BIC, so its table is a feasible start for :func:`solve`.
-    """
-    counts = [sum(1 for v in m if v > 0) for m in index.multisets]
-    by_count = [Fraction(0)] * (n + 1)
-    for k, c in zip(counts, lp.objective):
-        by_count[k] += c
-    best_k, best, running = n + 1, Fraction(0), Fraction(0)
-    for k in range(n, -1, -1):
-        running += by_count[k]
-        if running >= best:
-            best_k, best = k, running
-    return [int(k >= best_k) for k in counts]
+def _best_qmr_start(env: Environment, index: OptLpIndex) -> list[int]:
+    """The 0/1 table of the best qualified majority rule, "reform iff at
+    least k_star reports are positive", with the k_star of :func:`qmr_best`.
+    Every such rule is anonymous and BIC, so its table is a feasible start
+    for :func:`solve`."""
+    k_star = _qmr_sums(env)[0]
+    negatives = len(env.values.negatives)
+    return [int(sum(j >= negatives for j in m) >= k_star) for m in index.position]
 
 
 def mechanism_from_vertex(env: Environment, index: OptLpIndex, x) -> AnonymousSCF:
@@ -138,7 +137,7 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
     ways; any disagreement raises :class:`SimplexError`.
     """
     lp, index = build_opt_lp(env)
-    start = _best_qmr_start(lp, index, env.n)
+    start = _best_qmr_start(env, index)
     solution = solve(lp, start)
     mechanism = mechanism_from_vertex(env, index, solution.x)
     audit = check_bic(env, mechanism)

@@ -396,6 +396,10 @@ def test_projection_rejects_zero_probability_coalitions():
 def test_qmr_best_thresholds():
     assert qmr_best(make_theorem2_env(3, 10, Fraction(1, 1000))).k_star == 3
     assert qmr_best(uniform_env(n=3)).k_star == 2
+    # k = 1 and k = 2 both earn 1/2 here: the smallest maximizer wins
+    tied = qmr_best(uniform_env(n=2))
+    assert tied.table[1] == tied.table[2] == tied.best_welfare == Fraction(1, 2)
+    assert tied.k_star == 1
     table = qmr_best(make_theorem2_env(3, 10, 0)).table
     assert table[3] == Fraction(21, 8)
     assert set(table) == {0, 1, 2, 3, 4}
@@ -553,18 +557,53 @@ def oracle_environments(rng):
     ]
 
 
+def mixed_denominator_env():
+    """Three agents, the first and last of one type, over values of four
+    denominators; the two types' probabilities have different denominators."""
+    values = ValueSet(["-7/3", "-1/2", "3/4", "5/2"])
+    a = AgentDistribution(dict(zip(values, map(Fraction, ("1/3", "1/6", "1/4", "1/4")))))
+    b = AgentDistribution(dict(zip(values, map(Fraction, ("1/5", "3/10", "2/7", "3/14")))))
+    return Environment(values, [a, b, a])
+
+
+def mixed_table_rules(env, rng):
+    """Anonymous rules that read whole reports, with allocations k/7 and
+    k/12: a table that is a nondecreasing function of the count of positive
+    reports (so BIC), a random table, and each as an ordered table, whose
+    ``anonymous`` flag is then true."""
+    values = env.values.values
+    grid = sorted({Fraction(k, 7) for k in range(8)} | {Fraction(k, 12) for k in range(13)})
+    by_count = sorted(rng.choice(grid) for _ in range(env.n + 1))
+    keys = all_multisets(values, env.n)
+    tables = [
+        {m: by_count[sum(1 for v in m if v > 0)] for m in keys},
+        {m: rng.choice(grid) for m in keys},
+    ]
+    rules = [AnonymousSCF(values, env.n, table) for table in tables]
+    for table in tables:
+        profiles = itertools.product(values, repeat=env.n)
+        rules.append(OrderedTableSCF(values, env.n, {p: table[tuple(sorted(p))] for p in profiles}))
+        assert rules[-1].anonymous
+    return rules
+
+
 def test_welfare_and_interims_equal_the_enumeration():
-    rng = random.Random(23)
-    for env in oracle_environments(rng):
-        for rule in oracle_rules(env, rng):
+    rng, table_rng = random.Random(23), random.Random(31)
+    audited = set()
+    for env in oracle_environments(rng) + [mixed_denominator_env()]:
+        for rule in oracle_rules(env, rng) + mixed_table_rules(env, table_rng):
             assert welfare(env, rule) == oracle_welfare(env, rule)
             audit = check_bic(env, rule)
             assert len(audit.interims) == env.n or not audit.satisfied
             for i, table in enumerate(audit.interims):
                 assert table == oracle_interims(env, rule, i)
+            audited.add((type(rule), audit.satisfied))
         qmr = qmr_best(env)
         for k, w in qmr.table.items():
             assert w == oracle_welfare(env, QualifiedMajorityRule(k))
+    # both table kinds are audited to a pass and to a witness
+    for kind in (AnonymousSCF, OrderedTableSCF):
+        assert {(kind, True), (kind, False)} <= audited
 
 
 def test_projection_equals_the_enumeration():

@@ -8,6 +8,7 @@ from _oracles import GuardExceeded, vertex_enumerate
 from anonvote.experiments import make_theorem2_env, random_environment
 from anonvote.ratlp import (
     LinearProgram,
+    LpSolution,
     SimplexError,
     _verify_point,
     certify,
@@ -128,6 +129,23 @@ def test_certify_rejects_mutated_duals_and_values():
         for duals, value in _mutated_certificates(lp, sol):
             with pytest.raises(SimplexError):
                 certify(lp, duals, value)
+
+
+def test_certify_sums_duals_and_rows_of_several_denominators():
+    # c = A^T y + d with d > 0 and x = (1, 1, 1) on both rows, so x is worth
+    # UB(y) = sum(d): y certifies it, whatever the denominators
+    y = [Fraction(1, 3), Fraction(2, 5)]
+    eq, ineq = [Fraction(2, 3), Fraction(-2, 3), F(0)], [F(0), Fraction(3, 4), Fraction(-3, 4)]
+    d = [Fraction(1, 21), Fraction(1, 11), Fraction(1, 2)]
+    lp = box_lp([dj + y[0] * a + y[1] * b for dj, a, b in zip(d, eq, ineq)], eq=[eq], ineq=[ineq])
+    value = sum(d)
+    certify(lp, y, value)
+    assert solve(lp).objective_value == value
+    mutations = list(_mutated_certificates(lp, LpSolution([F(1)] * 3, value, y)))
+    assert len(mutations) == 4
+    for duals, wrong in mutations:
+        with pytest.raises(SimplexError):
+            certify(lp, duals, wrong)
 
 
 def test_certify_needs_one_dual_per_row():
@@ -278,6 +296,19 @@ def test_the_feasibility_check_refuses_with_its_message(x, message):
         _verify_point(lp, x)
     assert str(refused.value) == message
     _verify_point(lp, [1, 1, Fraction(1, 3), 0, 1])  # both rows 0, in the box
+
+
+def test_the_feasibility_check_sums_coordinates_of_several_denominators():
+    # 3/2 * 1/3 - 3 * 1/6 = 0 exactly; -1/4 * 1/3 + 1/2 * 1/6 = 0, on the boundary
+    lp = box_lp([0] * 3, eq=[[Fraction(3, 2), -3, 0]], ineq=[[Fraction(-1, 4), Fraction(1, 2), 0]])
+    _verify_point(lp, [Fraction(1, 3), Fraction(1, 6), 0])
+    with pytest.raises(SimplexError) as refused:
+        _verify_point(lp, [Fraction(1, 3), Fraction(1, 3), 0])  # off by 1/6
+    assert str(refused.value) == "point violates an equality row"
+    lp = box_lp([0] * 3, ineq=[[Fraction(-1, 4), Fraction(1, 2), 0]])
+    with pytest.raises(SimplexError) as refused:
+        _verify_point(lp, [Fraction(1, 3), Fraction(1, 3), 0])
+    assert str(refused.value) == "point violates an inequality row"
 
 
 # -------------------------------------------------------- oracle agreement

@@ -146,12 +146,20 @@ def test_a_solve_computes_each_report_distribution_once(env, expected, monkeypat
     for i in range(env.n):
         env.multisets(i)
     assert len(calls) == expected
-    # callers read the kept distributions and leave them as computed
+    # callers read the kept distributions and leave them as computed: mapped
+    # back to values and Fractions, each is the distribution of the agents
     monkeypatch.undo()
     assert welfare(env, report.mechanism) == report.welfare
-    assert env.multisets() == multiset_distribution(env.agents)
+
+    def as_fractions(kept):
+        dist, den = kept
+        values = env.values.values
+        return {tuple(values[j] for j in m): Fraction(w, den) for m, w in dist.items()}
+
+    assert as_fractions(env.multisets()) == multiset_distribution(env.agents)
     for i in range(env.n):
-        assert env.multisets(i) == multiset_distribution(env.agents[:i] + env.agents[i + 1 :])
+        others = env.agents[:i] + env.agents[i + 1 :]
+        assert as_fractions(env.multisets(i)) == multiset_distribution(others)
 
 
 PINNED = pytest.mark.parametrize(
@@ -294,8 +302,8 @@ def start_threshold(start, index, n):
 
 
 def test_qmr_start_and_cold_start_reach_one_certified_optimum():
-    # solve certifies both optima; the start itself is checked against the
-    # independent qmr_best, which sums the multiset kernel, not the objective
+    # solve certifies both optima; the start reads qmr_best's k_star, and its
+    # value is summed here from the LP objective, not from the QMR buckets
     rng = random.Random(83)
     envs = [
         random_environment(rng, n_agents=2 + t % 3, max_values=(6, 5, 4)[t % 3])
@@ -311,7 +319,7 @@ def test_qmr_start_and_cold_start_reach_one_certified_optimum():
     assert len(envs) >= 200
     for env in envs:
         lp, index = build_opt_lp(env)
-        start = _best_qmr_start(lp, index, env.n)
+        start = _best_qmr_start(env, index)
         best = qmr_best(env)
         assert start_threshold(start, index, env.n) == best.k_star
         assert sum((c for c, x in zip(lp.objective, start) if x), F(0)) == best.best_welfare
@@ -329,6 +337,57 @@ def test_reach_of_the_qmr_start():
     assert (stats["variables"], stats["eq_rows"] + stats["ineq_rows"]) == (252, 25)
     assert (stats["start"], stats["pivots"]) == ("qmr", 23)
     assert report.welfare == Fraction(187052264518, 11024464419)  # the cold optimum
+
+
+# ------------------------------------------------------------ properties
+
+
+def _property_envs(seed, count=24):
+    rng = random.Random(seed)
+    shapes = ((2, 5), (3, 4), (4, 3))
+    return [random_environment(rng, *shapes[t % 3]) for t in range(count)]
+
+
+def _scaled(env, q):
+    """``env`` with every value multiplied by q."""
+    agents = [AgentDistribution({v * q: p for v, p in agent.items}) for agent in env.agents]
+    return Environment(ValueSet([v * q for v in env.values]), agents)
+
+
+def test_permuting_the_agents_leaves_the_optimum():
+    rng = random.Random(101)
+    for env in _property_envs(97):
+        order = list(range(env.n))
+        rng.shuffle(order)
+        for order in (order, order[1:] + order[:1]):  # at least one is not the identity
+            permuted = Environment(env.values, [env.agents[i] for i in order])
+            assert solve_opt(permuted).welfare == solve_opt(env).welfare
+
+
+@pytest.mark.parametrize("q", [Fraction(7, 3), Fraction(2, 5), Fraction(13, 8)])
+def test_scaling_every_value_scales_the_optimum_and_the_qmr_table(q):
+    # the rows read only probabilities and the objective is scaled by q, so
+    # pricing, and so every pivot, is the same
+    for env in _property_envs(89, count=12):
+        base, scaled = solve_opt(env), solve_opt(_scaled(env, q))
+        assert scaled.welfare == q * base.welfare
+        allocation = scaled.mechanism.allocation
+        assert [allocation[tuple(v * q for v in m)] for m in base.mechanism.allocation] == list(
+            base.mechanism.allocation.values()
+        )
+        assert scaled.lp_stats["pivots"] == base.lp_stats["pivots"]
+        qmr, scaled_qmr = qmr_best(env), qmr_best(_scaled(env, q))
+        assert scaled_qmr.k_star == qmr.k_star
+        assert scaled_qmr.table == {k: q * w for k, w in qmr.table.items()}
+
+
+def test_the_optimum_bounds_the_best_qmr_and_every_feasible_rule():
+    rng = random.Random(103)
+    for env in _property_envs(91):
+        optimum = solve_opt(env).welfare
+        assert optimum >= qmr_best(env).best_welfare
+        for _ in range(3):
+            assert optimum >= welfare(env, random_feasible_mechanism(env, rng))
 
 
 # ----------------------------------------------------------- corner points
