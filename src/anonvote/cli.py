@@ -59,17 +59,26 @@ class InputError(Exception):
     """User-facing input problem; mapped to exit code 2."""
 
 
-def _load_json(path: str):
-    def unique_keys(pairs):
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            twice = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-            raise InputError(f"{path}: key {json.dumps(twice)} given twice in one object")
-        return obj
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        twice = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise InputError(f"key {json.dumps(twice)} given twice in one object")
+    return obj
 
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # built once, not per load
+
+
+def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=unique_keys)
+            text = handle.read()
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except InputError as exc:  # a repeated key, named by _unique_keys
+        raise InputError(f"{path}: {exc}") from None
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
     except OSError as exc:
@@ -461,7 +470,8 @@ def _suite_example1(args):
     if not audit.satisfied:
         return False, f"rule is not incentive compatible: {audit.witness}"
     projection = ordinal_projection(env, rule)
-    for profile, expected in hat_expected.allocation.items():
+    for key, expected in hat_expected.allocation.items():
+        profile = tuple(hat_expected.values[j] for j in key)
         if projection.evaluate(profile) != expected:
             return False, f"projection at {profile} is not {expected}"
     if projection.anonymous:

@@ -194,7 +194,7 @@ def random_feasible_mechanism(env: Environment, rng: random.Random) -> Anonymous
     starts, is no closer to the optimum of a random objective.
     """
     lp, index = build_opt_lp(env)
-    lp.objective = [Fraction(rng.randint(-10, 10)) for _ in range(lp.num_vars)]
+    lp.objective = ([rng.randint(-10, 10) for _ in range(lp.num_vars)], 1)
     return mechanism_from_vertex(env, index, solve(lp).x)
 
 

@@ -12,8 +12,10 @@ decided once, when the rule is built:
   reporters clears a quorum, with a fixed tie allocation.
 * :class:`OrderedTableSCF`: an explicit table keyed by ordered profiles,
   used for rules that need not be anonymous (anonymity is then checked,
-  not assumed). Both tables keep ``allocation`` and share one body, which
-  parses and checks the table and looks up a profile's key (sorted or not).
+  not assumed). Both tables keep ``allocation`` keyed by value index (sorted
+  for :class:`AnonymousSCF`) and share one body, which parses and checks
+  the table (rational keys exist only there and in JSON) and looks up a
+  profile's key.
 * :class:`OrdinalSCF`: one allocation per coalition of positive
   reporters, the form :func:`ordinal_projection` returns.
 
@@ -27,10 +29,9 @@ Expectations are sums over three kernels. A QMR, a WMR or an ordinal rule
 reads only the sign of each report, so the sign kernel first collapses each
 agent to one point per sign, (E[v | sign], P(sign)): at most 2^n profiles,
 whatever |V|. Then report multisets serve rules flagged anonymous and
-``profiles`` (ordered) the others. An anonymous rule that reads whole
-reports, like the threshold table, is evaluated once per report multiset
-into integers, summed with the integer distributions the ``Environment``
-keeps per agent type (as is the QMR table), one ``Fraction`` per result.
+``profiles`` (ordered) the others. An anonymous table is read as integers,
+summed with the integer distributions the ``Environment`` keeps per agent
+type (as is the QMR table), one ``Fraction`` per result.
 The audit of an anonymous rule computes one interim table per agent type,
 a sign rule's table sums once per sign of the report, and the projection
 of an anonymous rule conditions on one coalition per count of positive
@@ -108,11 +109,12 @@ def coalition(profile: Sequence[Fraction]) -> frozenset[int]:
 
 class _TableSCF:
     """The body both explicit tables share: a total map ``allocation`` from
-    the ``_key`` of every profile of n support values to an allocation in
-    [0, 1]. A subclass gives ``_key``, ``_domain`` (the key count and a lazy
-    generator of the keys) and the nouns of its messages and JSON form."""
+    the ``_key`` of every profile of n value indices (``_index`` of the
+    values) to an allocation in [0, 1]. A subclass gives ``_key``,
+    ``_domain`` (the key count and a lazy generator of the rational keys the
+    constructor takes) and the nouns of its messages and JSON form."""
 
-    __slots__ = ("values", "n", "allocation")
+    __slots__ = ("values", "n", "allocation", "_index")
 
     def __init__(self, values, n: int, allocation: Mapping):
         self.values = tuple(sorted(parse_rational(v) for v in values))
@@ -126,14 +128,14 @@ class _TableSCF:
         # A table of the wrong size is refused before any key is enumerated;
         # at the right size, with distinct values, every key of n support
         # values means none is missing, and a foreign key means one is.
-        support = set(self.values)
-        if len(support) != len(self.values):
+        self._index = {v: j for j, v in enumerate(self.values)}
+        if len(self._index) != len(self.values):
             raise ValueError("mechanism value set contains duplicates")
         count, expected = self._domain(self.values, n)
         if len(table) != count:
             shown = count if count < 10**15 else f"about 10^{len(str(count)) - 1}"
             raise ValueError(f"{self._what} table has {len(table)} entries, expected {shown}")
-        foreign = [k for k in table if len(k) != n or not support.issuperset(k)]
+        foreign = [k for k in table if len(k) != n or not self._index.keys() >= set(k)]
         if foreign:
             missing = next(k for k in expected if k not in table)
             raise ValueError(
@@ -143,11 +145,11 @@ class _TableSCF:
         for k, p in table.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"allocation at {k} is {p}, outside [0, 1]")
-        self.allocation = table
+        self.allocation = {tuple([self._index[v] for v in k]): p for k, p in table.items()}
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         try:
-            return self.allocation[tuple(self._key(profile))]
+            return self.allocation[tuple(self._key([self._index[v] for v in profile]))]
         except KeyError:
             raise ValueError(f"profile {profile} not in this rule's domain") from None
 
@@ -174,6 +176,15 @@ class AnonymousSCF(_TableSCF):
     @staticmethod
     def _domain(values, n):
         return math.comb(len(values) + n - 1, n), itertools.combinations_with_replacement(values, n)
+
+    @classmethod
+    def from_indices(cls, values: tuple, n: int, allocation: dict):
+        """The rule over sorted ``values`` of an ``allocation`` already keyed by
+        sorted value-index tuples, complete and in [0, 1]; kept unchecked."""
+        rule = cls.__new__(cls)
+        rule.values, rule.n, rule.allocation = values, n, allocation
+        rule._index = {v: j for j, v in enumerate(values)}
+        return rule
 
     def __repr__(self):
         nonzero = sum(1 for p in self.allocation.values() if p != 0)
@@ -331,20 +342,14 @@ def _outcomes(agents, rule):
     return profiles(agents)
 
 
-def _reads_reports(rule) -> bool:
-    """An anonymous rule that reads whole reports, not only their signs."""
-    return rule.anonymous and not isinstance(rule, _SIGN_RULES)
-
-
-def _allocations(env: Environment, rule, keys=None) -> tuple[dict, int]:
-    """``rule`` at each sorted value-index tuple of ``keys`` (default: every
-    report multiset), as integers over one denominator: ``(dict, den)``."""
-    values = env.values.values
-    if keys is None:
-        keys = itertools.combinations_with_replacement(range(len(values)), env.n)
-    keys = list(keys)
-    nums, den = integer_form([rule.evaluate(tuple([values[j] for j in m])) for m in keys])
-    return dict(zip(keys, nums)), den
+def _allocations(env: Environment, rule: _TableSCF) -> tuple[dict, int]:
+    """``rule``'s table as integers over one denominator, ``(dict, den)``,
+    by the same value-index keys. They must index the environment's values,
+    so a rule over other values or another n raises ``ValueError``."""
+    if rule.values != env.values.values or rule.n != env.n:
+        raise ValueError("rule support or agent count does not match the environment")
+    nums, den = integer_form(list(rule.allocation.values()))
+    return dict(zip(rule.allocation, nums)), den
 
 
 def _table_interim(env: Environment, i: int, allocations) -> dict:
@@ -360,12 +365,12 @@ def _table_interim(env: Environment, i: int, allocations) -> dict:
 
 def interim_table(env: Environment, rule, i: int) -> dict:
     """Interim allocation of agent ``i`` at every report in the support: by
-    :func:`_table_interim` for a rule that reads whole reports, else summed
+    :func:`_table_interim` for an anonymous table, else summed
     over the others' outcomes from :func:`_outcomes` (sign points for a QMR,
     WMR or ordinal rule). Such a rule reads only the sign of the report, so
     it is evaluated at one report per sign, whose sum every report of that
     sign gets."""
-    if _reads_reports(rule):
+    if isinstance(rule, _TableSCF) and rule.anonymous:
         return _table_interim(env, i, _allocations(env, rule))
     values = env.values
     by_sign = isinstance(rule, _SIGN_RULES)
@@ -435,11 +440,11 @@ def check_bic(env: Environment, rule) -> BicReport:
 
     Under an anonymous rule an agent's interim depends only on the others'
     distributions, so an agent of an earlier agent's type reuses a copy of
-    that agent's table; other rules get one table per agent. A rule that
-    reads whole reports is evaluated once, into :func:`_allocations`.
+    that agent's table; other rules get one table per agent. An anonymous
+    table is read once, into :func:`_allocations`.
     """
     conditions = list(bic_conditions(env.values))
-    shared = _allocations(env, rule) if _reads_reports(rule) else None
+    shared = _allocations(env, rule) if isinstance(rule, _TableSCF) and rule.anonymous else None
     c_minus: list = []
     c_plus: list = []
     interims: list[dict] = []
@@ -463,14 +468,14 @@ def check_bic(env: Environment, rule) -> BicReport:
 def welfare(env: Environment, rule) -> Fraction:
     """Expected total value on the reform event.
 
-    A rule that reads whole reports is summed in integers over the
+    An anonymous table is summed in integers over the
     multisets ``env`` keeps, the others over :func:`_outcomes`: sign
     points for a QMR, WMR or ordinal rule, ordered profiles of positive
     probability for the rest.
     """
-    if _reads_reports(rule):
+    if isinstance(rule, _TableSCF) and rule.anonymous:
         dist, den = env.multisets()
-        alloc, alloc_den = _allocations(env, rule, dist)
+        alloc, alloc_den = _allocations(env, rule)
         scaled = env.values.scaled
         total = sum(w * alloc[m] * sum(map(scaled.__getitem__, m)) for m, w in dist.items())
         return Fraction(total, den * alloc_den * env.values.scale)
@@ -645,12 +650,13 @@ def _multiset_key(multiset: tuple) -> str:
 def mechanism_to_json(rule) -> dict:
     """Serialize any rule kind to its JSON object form."""
     if isinstance(rule, _TableSCF):
+        names = [format_rational(v) for v in rule.values]
         return {
             "kind": rule._kind,
             "n": rule.n,
-            "values": [format_rational(v) for v in rule.values],
+            "values": names,
             rule._field: {
-                _multiset_key(k): format_rational(p)
+                ",".join([names[j] for j in k]): format_rational(p)
                 for k, p in sorted(rule.allocation.items())
             },
         }

@@ -12,7 +12,7 @@ import functools
 import math
 from fractions import Fraction
 
-__all__ = ["RationalParseError", "parse_rational", "format_rational", "integer_form"]
+__all__ = ["RationalParseError", "parse_rational", "format_rational", "integer_form", "lowest_terms"]
 
 _ALLOWED_CHARS = set("0123456789+-/ ")
 
@@ -50,7 +50,7 @@ def parse_rational(token) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render as ``"p"`` or ``"p/q"`` in lowest terms with positive denominator."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def integer_form(values) -> tuple[list[int], int]:
@@ -60,3 +60,10 @@ def integer_form(values) -> tuple[list[int], int]:
     built from lists, since a tuple built from an iterator is resized.)"""
     den = functools.reduce(math.lcm, [v.denominator for v in values], 1)
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def lowest_terms(num: list[int], den: int) -> tuple[list[int], int]:
+    """``(num, den)`` with the gcd of ``den`` and every numerator divided
+    out: the :func:`integer_form` of the rationals ``num[j] / den``."""
+    g = math.gcd(den, *num)
+    return ([v // g for v in num], den // g) if g > 1 else (num, den)

@@ -21,9 +21,9 @@ program has an optimal vertex; there is no infeasible or unbounded case.
   variable is always the lowest-index blocking one, so runs are
   deterministic. Each tableau row, right-hand side included, is integers
   over one positive denominator, divided by its gcd after every update, so
-  pricing and updates are integer arithmetic and each ratio of the ratio
-  test is one quotient of two integers; the first rows are the program's
-  ``integer_rows``. No floating point and no tolerances appear anywhere.
+  pricing and updates are integer arithmetic, as is the ratio test, which
+  compares steps by cross-multiplication; the first rows are the program's
+  own. No floating point and no tolerances appear anywhere.
 
 * :func:`certify`: the exact optimality proof every :func:`solve` result
   passes. The duals y are read off the final tableau's slack columns. In
@@ -31,7 +31,7 @@ program has an optimal vertex; there is no infeasible or unbounded case.
   UB(y) = sum_j max(0, c_j - a_j.y) (Neumaier & Shcherbina, Math. Prog.
   2004), so a feasible point whose value equals UB(y) is optimal, whichever
   pivot rule proposed it. UB(y), like the feasibility check and c.x, is
-  an integer sum over the integer rows.
+  an integer sum over the program's integer rows.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import integer_form, parse_rational
+from .rationals import integer_form, lowest_terms
 
 __all__ = ["LinearProgram", "LpSolution", "SimplexError", "solve", "certify"]
 
@@ -53,24 +53,17 @@ class SimplexError(RuntimeError):
 class LinearProgram:
     """max c.x subject to a.x == 0 (eq rows), a.x <= 0 (ineq rows), 0 <= x <= 1.
 
-    Every row is a plain list of ``num_vars`` coefficients. This is the form
-    of the welfare program, so x = 0 is always feasible and the optimum is
-    always attained. ``integer_rows`` holds the :func:`integer_form` of each
-    row, equality rows first, made once: the rows are fixed when built.
+    The objective and every row are one integer pair ``(numerators, den)``,
+    ``num_vars`` numerators over a positive denominator in :func:`lowest_terms`
+    (the :func:`integer_form` of the rational row). This is the form of the
+    welfare program, so x = 0 is always feasible and the optimum is attained.
     """
 
-    __slots__ = ("num_vars", "objective", "eq_rows", "ineq_rows", "integer_rows")
+    __slots__ = ("num_vars", "objective", "eq_rows", "ineq_rows")
 
     def __init__(self, num_vars, objective, eq_rows=(), ineq_rows=()):
-        self.num_vars = num_vars
-        self.objective = [parse_rational(c) for c in objective]
-        self.eq_rows = [[parse_rational(a) for a in coeffs] for coeffs in eq_rows]
-        self.ineq_rows = [[parse_rational(a) for a in coeffs] for coeffs in ineq_rows]
-        if len(self.objective) != num_vars:
-            raise ValueError("objective length mismatch")
-        if any(len(coeffs) != num_vars for coeffs in self.eq_rows + self.ineq_rows):
-            raise ValueError("constraint row length mismatch")
-        self.integer_rows = [integer_form(coeffs) for coeffs in self.eq_rows + self.ineq_rows]
+        self.num_vars, self.objective = num_vars, objective
+        self.eq_rows, self.ineq_rows = list(eq_rows), list(ineq_rows)
 
 
 class LpSolution:
@@ -129,27 +122,17 @@ class _Tableau:
         self.basis: list[int] = list(range(n, n + m))
         self.rows: list[tuple[list[int], int]] = []
         self.pivots = self.degenerate = self.flips = 0
-        self.max_den = 1
-        for r, (num, den) in enumerate(lp.integer_rows):
+        for r, (num, den) in enumerate(lp.eq_rows + lp.ineq_rows):
             row = num + [0] * (m + 1)
             row[n + r] = den
             self.rows.append((row, den))
-            self.max_den = max(self.max_den, den)
-
-    def _reduced(self, num: list[int], den: int) -> tuple[list[int], int]:
-        """num / den with the common content divided out."""
-        g = math.gcd(den, *num)
-        if g > 1:
-            num, den = [v // g for v in num], den // g
-        self.max_den = max(self.max_den, den)
-        return num, den
 
     def _eliminate(self, row, pivot, e: int):
         """row - row[e] * pivot, where pivot's entry e is 1 (``z`` stops
         before the pivot's right-hand side)."""
         (a, d), (q, dq) = row, pivot
         f = a[e]
-        return self._reduced([ai * dq - f * qi for ai, qi in zip(a, q)], d * dq)
+        return lowest_terms([ai * dq - f * qi for ai, qi in zip(a, q)], d * dq)
 
     def _complement(self, j: int):
         """Substitute 1 - x_j for x_j: negate column j and take it off each rhs."""
@@ -161,7 +144,7 @@ class _Tableau:
         self.z[0][j] = -self.z[0][j]
 
     def optimize(self, cost: tuple[list[int], int], start=None):
-        """Price ``cost`` (an :func:`integer_form`) over the slack basis,
+        """Price ``cost`` (an integer pair) over the slack basis,
         complement the ones of ``start``, then pivot to optimality.
 
         Dantzig's rule picks the entering column until ``_BLAND_AFTER``
@@ -169,7 +152,7 @@ class _Tableau:
         """
         num, den = cost
         self.z = (num + [0] * (len(self.ub) - len(num)), den)
-        self.max_den = max(self.max_den, den)
+        self.max_den = max([den] + [d for _, d in self.rows])
         for j, v in enumerate(start or ()):
             if v:
                 self._complement(j)
@@ -184,21 +167,25 @@ class _Tableau:
                         break
             if e == -1:
                 return
-            # ratio test: how far can x[e] rise before a bound blocks it
-            candidates = [] if self.ub[e] is None else [(Fraction(self.ub[e]), e, None, False)]
+            # ratio test: how far can x[e] rise before a bound blocks it? The
+            # shortest step num / den (den > 0) wins, by cross-multiplication,
+            # and the lowest leaving index among equal steps
+            block = None if self.ub[e] is None else (1, 1, e, None)
             for r, bv in enumerate(self.basis):
                 a, d = self.rows[r]
                 if a[e] > 0:  # x[bv] falls to 0
-                    candidates.append((Fraction(a[-1], a[e]), bv, r, False))
+                    num, den = a[-1], a[e]
                 elif a[e] < 0 and self.ub[bv] is not None:  # x[bv] rises to its bound
-                    candidates.append((Fraction(self.ub[bv] * d - a[-1], -a[e]), bv, r, True))
-            if not candidates:
+                    num, den = self.ub[bv] * d - a[-1], -a[e]
+                else:
+                    continue
+                if block is None or (num * block[1], bv) < (block[0] * den, block[2]):
+                    block = (num, den, bv, r)
+            if block is None:
                 raise SimplexError("unbounded ray inside the unit box")
-            t_min = min(t for t, _, _, _ in candidates)
-            _, leaving, row_idx, at_upper = min(
-                (c for c in candidates if c[0] == t_min), key=lambda c: c[1])
+            t_num, _, leaving, row_idx = block
             self.pivots += 1
-            if t_min == 0:
+            if t_num == 0:
                 self.degenerate += 1
                 stalled += 1
                 bland = bland or stalled >= _BLAND_AFTER
@@ -210,15 +197,16 @@ class _Tableau:
                 continue
             self.basis[row_idx] = e
             p = self.rows[row_idx][0]
-            piv = p[e]
+            piv = p[e]  # negative iff the leaving variable rises to its upper bound
             # the pivot row divided by its entry e
-            self.rows[row_idx] = pivot = self._reduced([a if piv > 0 else -a for a in p], abs(piv))
+            self.rows[row_idx] = pivot = lowest_terms([a if piv > 0 else -a for a in p], abs(piv))
             for r, row in enumerate(self.rows):
                 if r != row_idx and row[0][e] != 0:
                     self.rows[r] = self._eliminate(row, pivot, e)
             if self.z[0][e] != 0:
                 self.z = self._eliminate(self.z, pivot, e)
-            if at_upper and leaving < self.n_struct:
+            self.max_den = max([self.max_den, self.z[1]] + [d for _, d in self.rows])
+            if piv < 0 and leaving < self.n_struct:
                 self._complement(leaving)
 
     def point(self) -> list[Fraction]:
@@ -253,9 +241,9 @@ def solve(lp: LinearProgram, start: Sequence | None = None) -> LpSolution:
             _verify_point(lp, start)
         except SimplexError as exc:
             raise ValueError(f"infeasible start: {exc}") from None
-    cost, cost_den = integer_form(lp.objective)
+    cost, cost_den = lp.objective
     tab = _Tableau(lp)
-    tab.optimize((cost, cost_den), start)
+    tab.optimize(lp.objective, start)
     x = tab.point()
     x_num, x_den = _verify_point(lp, x)
     value = Fraction(sum(c * v for c, v in zip(cost, x_num)), cost_den * x_den)
@@ -276,7 +264,7 @@ def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):
     y_r >= 0 on every inequality row and UB(y) == ``value`` exactly, so a
     feasible point of that value is optimal.
     """
-    rows = lp.integer_rows
+    rows = lp.eq_rows + lp.ineq_rows
     if len(duals) != len(rows):
         raise SimplexError(f"{len(duals)} duals for {len(rows)} rows")
     if any(y < 0 for y in duals[len(lp.eq_rows):]):
@@ -285,7 +273,7 @@ def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):
     used = [(y, row) for y, row in zip(duals, rows) if y]
     ys, y_den = integer_form([y for y, _ in used])
     row_den = functools.reduce(math.lcm, [d for _, (_, d) in used], 1)
-    cost, cost_den = integer_form(lp.objective)
+    cost, cost_den = lp.objective
     reduced = [c * y_den * row_den for c in cost]
     for y, (_, (num, d)) in zip(ys, used):
         f = y * (row_den // d) * cost_den
@@ -306,7 +294,7 @@ def _verify_point(lp: LinearProgram, x: Sequence[Fraction]) -> tuple[list[int], 
             raise SimplexError(f"point violates the bounds of variable {j}")
     support = [(j, v) for j, v in enumerate(num) if v]  # a row's terms at x_j = 0 are 0
     n_eq = len(lp.eq_rows)
-    for r, (coeffs, _) in enumerate(lp.integer_rows):
+    for r, (coeffs, _) in enumerate(lp.eq_rows + lp.ineq_rows):
         total = sum(coeffs[j] * v for j, v in support)
         if total > 0 or (total and r < n_eq):
             raise SimplexError(f"point violates an {'' if r < n_eq else 'in'}equality row")

@@ -6,7 +6,8 @@ compatibility enters as one exact linear row on interim allocations per
 condition of :func:`bic_conditions`: an equality for each flatness pair, an
 inequality for monotonicity. Agents of one type produce identical rows, so
 rows are emitted once per agent type. Each entry is summed in integers over
-the ``Environment``'s multiset distributions, then made one ``Fraction``.
+the ``Environment``'s multiset distributions, and each row (and the
+objective) is one integer pair, the form :class:`LinearProgram` holds.
 
 Also here: the four-variable interim relaxation for two agents, whose two
 corner candidates correspond to the k=1 and k=2 majority rules, and the
@@ -25,16 +26,15 @@ from .mechanisms import (
     NotBicError,
     Record,
     _qmr_sums,
-    all_multisets,
     bic_conditions,
     check_bic,
     welfare,
     welfare_via_interims,
 )
+from .rationals import lowest_terms
 from .ratlp import LinearProgram, SimplexError, solve
 
 __all__ = [
-    "OptLpIndex",
     "build_opt_lp",
     "OptimalMechanismReport",
     "solve_opt",
@@ -47,45 +47,33 @@ __all__ = [
 ]
 
 
-class OptLpIndex:
-    """Report multisets (lexicographic) and, by value-index tuple, LP columns."""
-
-    __slots__ = ("multisets", "position")
-
-    def __init__(self, values, n: int):
-        self.multisets = all_multisets(values, n)
-        keys = itertools.combinations_with_replacement(range(len(values)), n)
-        self.position = {m: i for i, m in enumerate(keys)}
-
-    def __len__(self):
-        return len(self.multisets)
-
-
-def _interim_coefficients(env: Environment, i: int, index: OptLpIndex) -> tuple[dict, int]:
+def _interim_coefficients(env: Environment, i: int, index: dict) -> tuple[dict, int]:
     """``(rows, den)``: per report v, the integer LP row c with c[m] / den =
     P(others' reports sort with v into m)."""
     dist, den = env.multisets(i)
-    rows = {v: [0] * len(index) for v in env.values}
+    rows = [[0] * len(index) for _ in env.values]
     for rest, w in dist.items():
-        for j, v in enumerate(env.values):
-            rows[v][index.position[tuple(sorted(rest + (j,)))]] = w
-    return rows, den
+        for j, row in enumerate(rows):
+            row[index[tuple(sorted(rest + (j,)))]] = w
+    return dict(zip(env.values, rows)), den
 
 
 def build_opt_lp(env: Environment):
     """Emit the exact LP whose optimum is the best anonymous BIC rule.
 
-    Returns ``(LinearProgram, OptLpIndex)``. Constraint rows are generated
-    once per distinct agent distribution: agents of one type have identical
-    interim coefficients, so their rows would repeat.
+    Returns ``(LinearProgram, index)``; ``index`` maps each report multiset,
+    a sorted value-index tuple, to its column, in lexicographic order. Rows
+    are generated once per distinct agent distribution: agents of one type
+    have identical interim coefficients, so their rows would repeat.
     """
-    index = OptLpIndex(env.values.values, env.n)
-    scaled, zero = env.values.scaled, Fraction(0)
-    objective = [zero] * len(index)
+    keys = itertools.combinations_with_replacement(range(len(env.values)), env.n)
+    index = {m: i for i, m in enumerate(keys)}
+    scaled = env.values.scaled
+    objective = [0] * len(index)
     dist, den = env.multisets()
-    den *= env.values.scale
     for m, w in dist.items():
-        objective[index.position[m]] = Fraction(w * sum(map(scaled.__getitem__, m)), den)
+        objective[index[m]] = w * sum(map(scaled.__getitem__, m))
+    objective = lowest_terms(objective, den * env.values.scale)
 
     conditions = list(bic_conditions(env.values))
     eq_rows = []
@@ -96,25 +84,25 @@ def build_opt_lp(env: Environment):
         interim, den = _interim_coefficients(env, i, index)
         for a, b, kind in conditions:
             rows = eq_rows if kind == "flatness" else ineq_rows
-            rows.append([Fraction(x - y, den) if x != y else zero
-                         for x, y in zip(interim[a], interim[b])])
+            rows.append(lowest_terms([x - y for x, y in zip(interim[a], interim[b])], den))
 
     return LinearProgram(len(index), objective, eq_rows, ineq_rows), index
 
 
-def _best_qmr_start(env: Environment, index: OptLpIndex) -> list[int]:
+def _best_qmr_start(env: Environment, index: dict) -> list[int]:
     """The 0/1 table of the best qualified majority rule, "reform iff at
     least k_star reports are positive", with the k_star of :func:`qmr_best`.
     Every such rule is anonymous and BIC, so its table is a feasible start
     for :func:`solve`."""
     k_star = _qmr_sums(env)[0]
     negatives = len(env.values.negatives)
-    return [int(sum(j >= negatives for j in m) >= k_star) for m in index.position]
+    return [int(sum(j >= negatives for j in m) >= k_star) for m in index]
 
 
-def mechanism_from_vertex(env: Environment, index: OptLpIndex, x) -> AnonymousSCF:
-    """Reconstruct the anonymous rule encoded by an LP point."""
-    return AnonymousSCF(env.values.values, env.n, dict(zip(index.multisets, x)))
+def mechanism_from_vertex(env: Environment, index: dict, x) -> AnonymousSCF:
+    """The anonymous rule an LP point in the box encodes, keyed by the
+    LP's own value-index tuples."""
+    return AnonymousSCF.from_indices(env.values.values, env.n, dict(zip(index, x)))
 
 
 class OptimalMechanismReport(Record):

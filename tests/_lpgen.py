@@ -1,4 +1,6 @@
-"""Shared random LP generator for solver/oracle agreement tests.
+"""Rational LPs for the solver tests: one converter each way between
+rational rows and the solver's integer pairs, and a shared random generator
+for solver/oracle agreement tests.
 
 Every draw has the solver's one form, the form of the welfare program:
 homogeneous rows (a.x == 0 or a.x <= 0) over the unit box.
@@ -6,7 +8,33 @@ homogeneous rows (a.x == 0 or a.x <= 0) over the unit box.
 
 from fractions import Fraction
 
+from anonvote.rationals import integer_form, parse_rational
 from anonvote.ratlp import LinearProgram
+
+
+def exact_lp(objective, eq_rows=(), ineq_rows=()) -> LinearProgram:
+    """The program with these rational rows (ints, Fractions or ``"p/q"``
+    strings), each made the integer pair ``(numerators, den)`` the solver
+    holds; raises ``ValueError`` on a row of another length."""
+
+    def pair(coeffs):
+        if len(coeffs) != len(objective):
+            raise ValueError(f"row of {len(coeffs)} entries for {len(objective)} variables")
+        return integer_form([parse_rational(a) for a in coeffs])
+
+    return LinearProgram(len(objective), pair(objective), [pair(r) for r in eq_rows],
+                         [pair(r) for r in ineq_rows])
+
+
+def rational_rows(lp: LinearProgram):
+    """``(objective, eq_rows, ineq_rows)`` of ``lp`` as lists of Fractions."""
+
+    def rational(pair):
+        num, den = pair
+        return [Fraction(a, den) for a in num]
+
+    return (rational(lp.objective), [rational(r) for r in lp.eq_rows],
+            [rational(r) for r in lp.ineq_rows])
 
 
 def random_lp(rng) -> LinearProgram:
@@ -22,29 +50,22 @@ def random_lp(rng) -> LinearProgram:
     def row():
         return [Fraction(rng.randint(-4, 4)) for _ in range(num_vars)]
 
-    return LinearProgram(
-        num_vars=num_vars,
-        objective=[Fraction(rng.randint(-6, 6)) for _ in range(num_vars)],
-        eq_rows=[row() for _ in range(rng.randint(0, 2))],
-        ineq_rows=[row() for _ in range(rng.randint(0, 3))],
-    )
+    objective = [Fraction(rng.randint(-6, 6)) for _ in range(num_vars)]
+    eq_rows = [row() for _ in range(rng.randint(0, 2))]
+    return exact_lp(objective, eq_rows, [row() for _ in range(rng.randint(0, 3))])
 
 
 def rational_lp(rng) -> LinearProgram:
     """A :func:`random_lp` draw with every row and the objective multiplied
     by its own positive rational, so a row mixes denominators."""
-    lp = random_lp(rng)
+    objective, eq_rows, ineq_rows = rational_rows(random_lp(rng))
 
     def scaled(coeffs):
         k = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         return [k * a for a in coeffs]
 
-    return LinearProgram(
-        num_vars=lp.num_vars,
-        objective=scaled(lp.objective),
-        eq_rows=[scaled(coeffs) for coeffs in lp.eq_rows],
-        ineq_rows=[scaled(coeffs) for coeffs in lp.ineq_rows],
-    )
+    return exact_lp(scaled(objective), [scaled(coeffs) for coeffs in eq_rows],
+                    [scaled(coeffs) for coeffs in ineq_rows])
 
 
 def fractional_optimum(solution) -> bool:

@@ -24,6 +24,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from _lpgen import rational_rows
 from anonvote.environments import AgentDistribution, Environment, ValueSet
 from anonvote.mechanisms import coalition
 from anonvote.ratlp import LinearProgram, LpSolution, _verify_point
@@ -141,9 +142,9 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12,
     if lp.num_vars > max_vars:
         raise GuardExceeded(f"{lp.num_vars} variables exceed the oracle guard {max_vars}")
 
-    rows = [(coeffs, True) for coeffs in lp.eq_rows] + [(coeffs, False) for coeffs in lp.ineq_rows]
+    c, eq_rows, ineq_rows = rational_rows(lp)
+    rows = [(coeffs, True) for coeffs in eq_rows] + [(coeffs, False) for coeffs in ineq_rows]
     n = lp.num_vars
-    c = lp.objective
 
     in_some_row = [any(row[0][j] != 0 for row in rows) for j in range(n)]
     loose = [j for j in range(n) if not in_some_row[j]]

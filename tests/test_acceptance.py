@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from _lpgen import fractional_optimum, random_lp
+from _lpgen import exact_lp, fractional_optimum, random_lp
 from _oracles import random_symmetric_environment, vertex_enumerate
 from anonvote.cli import main as cli_main
 from anonvote.environments import environment_to_json
@@ -37,7 +37,7 @@ from anonvote.mechanisms import (
     welfare_via_interims,
     wmr_build,
 )
-from anonvote.ratlp import LinearProgram, solve
+from anonvote.ratlp import solve
 from anonvote.welfare_opt import aux_corners, build_opt_lp, lemma3_bounds, solve_opt
 
 
@@ -201,9 +201,8 @@ def test_criterion_9_solver_integrity():
         assert fractional_seen >= 8
 
         # Beale's cycling instance; its row x3 <= 1 is the unit box's
-        cycling = LinearProgram(
-            num_vars=4,
-            objective=[Fraction(3, 4), -150, Fraction(1, 50), -6],
+        cycling = exact_lp(
+            [Fraction(3, 4), -150, Fraction(1, 50), -6],
             ineq_rows=[
                 [Fraction(1, 4), -60, Fraction(-1, 25), 9],
                 [Fraction(1, 2), -90, Fraction(-1, 50), 3],

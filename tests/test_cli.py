@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -736,6 +737,38 @@ def test_a_repeated_json_key_is_an_input_error(env_text, mech_text, named, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert named in err
+
+
+def test_one_decoder_serves_every_load_with_the_same_messages(tmp_path):
+    # the duplicate-key decoder is built once: 100 loads keep no block that
+    # json's decoder allocated (a decoder built per load leaves about 300)
+    cases = [
+        ('{"kind": "qmr", "k": 1, "k": 2}', 'key "k" given twice in one object'),
+        ('{"a": {"x": 1, "y": 2, "x": 3}}', 'key "x" given twice in one object'),
+        ('\ufeff{"kind": "qmr", "k": 1}',
+         "invalid JSON at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ('{"kind": "qmr",\n "k": }', "invalid JSON at line 2: Expecting value"),
+    ]
+    for text, message in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.InputError) as refused:
+            cli._load_json(str(path))
+        assert str(refused.value) == f"{path}: {message}"
+    path = tmp_path / "env.json"
+    env_json = environment_to_json(make_theorem2_env(3, 10, 0))
+    path.write_text(json.dumps(env_json))
+    assert cli._load_json(str(path)) == env_json
+    only = [tracemalloc.Filter(True, "*json/decoder.py")]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only)
+        for _ in range(100):
+            cli._load_json(str(path))
+        after = tracemalloc.take_snapshot().filter_traces(only)
+    finally:
+        tracemalloc.stop()
+    assert [s for s in after.compare_to(before, "filename") if s.count_diff > 0] == []
 
 
 def _check_two_halves(mech, tmp_path, capsys):

@@ -70,9 +70,14 @@ def test_family_rejections_name_the_broken_condition():
 # ----------------------------------------------------------- override rule
 
 
+def by_value(rule):
+    """A table rule's allocation keyed by report values, not value indices."""
+    return {tuple(rule.values[j] for j in k): p for k, p in rule.allocation.items()}
+
+
 def test_override_rule_support_n3():
     fstar = make_fstar(3, 10)
-    ones = {m for m, p in fstar.allocation.items() if p == 1}
+    ones = {m for m, p in by_value(fstar).items() if p == 1}
     expected = {
         (F(1), F(1), F(1)),
         (F(1), F(1), F(10)),
@@ -88,7 +93,7 @@ def test_override_rule_support_n3():
 
 def test_override_rule_support_n4():
     fstar = make_fstar(4, 10)
-    ones = {m for m, p in fstar.allocation.items() if p == 1}
+    ones = {m for m, p in by_value(fstar).items() if p == 1}
     assert (F(-1), F(-1), F(10), F(10)) in ones
     assert (F(-100), F(1), F(1), F(1)) in ones
     assert (F(-100), F(-100), F(-100), F(1)) in ones
@@ -182,7 +187,7 @@ def test_removing_one_override_breaks_incentive_compatibility():
     for eps in (F(0), F(1) / 1000):
         env = make_theorem2_env(3, 10, eps)
         fstar = make_fstar(3, 10)
-        allocation = dict(fstar.allocation)
+        allocation = by_value(fstar)
         allocation[(F(-1), F(10), F(10))] = F(0)
         edited = AnonymousSCF(env.values.values, 3, allocation)
         audit = check_bic(env, edited)

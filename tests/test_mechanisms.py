@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -346,8 +347,8 @@ def test_example1_projection_blocks():
     assert projection.by_coalition[frozenset({0})] == Fraction(1, 3)
     assert projection.by_coalition[frozenset({1})] == Fraction(1, 4)
     assert projection.by_coalition[frozenset()] == Fraction(7, 12)
-    for profile, expected in hat_expected.allocation.items():
-        assert projection.evaluate(profile) == expected
+    for key, expected in hat_expected.allocation.items():
+        assert projection.evaluate(tuple(hat_expected.values[j] for j in key)) == expected
 
 
 def test_projection_fixes_ordinal_rules():
@@ -671,6 +672,75 @@ def test_mechanism_json_round_trips_every_kind():
 
     with pytest.raises(ValueError):
         mechanism_from_json({"kind": "mystery"})
+
+
+def index_keyed_tables():
+    """Tables over three values and three agents with random allocations
+    k/5: an anonymous one, the same as an ordered table (flagged anonymous),
+    an ordered one that is not anonymous, and a solved optimum, whose table
+    comes straight from the LP vertex. Each with the table it was built from,
+    keyed by report values (None for the optimum), and its anonymity."""
+    rng = random.Random(67)
+    values = (F(-3), F(-1), F(2))
+    by_multiset = {m: Fraction(rng.randint(0, 5), 5) for m in all_multisets(values, 3)}
+    ordered = {p: by_multiset[tuple(sorted(p))] for p in itertools.product(values, repeat=3)}
+    scrambled = {p: Fraction(rng.randint(0, 5), 5) for p in ordered}
+    env = random_environment(random.Random(71), 3, 4)
+    return [
+        (AnonymousSCF(values, 3, by_multiset), by_multiset, True),
+        (OrderedTableSCF(values, 3, ordered), ordered, True),
+        (OrderedTableSCF(values, 3, scrambled), scrambled, False),
+        (solve_opt(env).mechanism, None, True),
+    ]
+
+
+def test_index_keyed_tables_round_trip_through_json():
+    for rule, by_value, _ in index_keyed_tables():
+        obj = mechanism_to_json(rule)
+        again = mechanism_from_json(json.loads(json.dumps(obj)))
+        assert again == rule
+        assert json.dumps(mechanism_to_json(again)) == json.dumps(obj)
+        if by_value is not None:  # the JSON keys name the values, in their order
+            expected = {",".join(map(str, k)): str(p) for k, p in sorted(by_value.items())}
+            assert list(obj[rule._field].items()) == list(expected.items())
+
+
+def test_index_keyed_tables_evaluate_by_value():
+    for rule, by_value, anonymous in index_keyed_tables():
+        assert rule.anonymous == anonymous
+        for profile in itertools.product(rule.values, repeat=rule.n):
+            value = rule.evaluate(profile)
+            if by_value is not None:
+                assert value == by_value[profile if profile in by_value else tuple(sorted(profile))]
+            if rule.anonymous:
+                assert {rule.evaluate(p) for p in itertools.permutations(profile)} == {value}
+        outside = rule.values[:-1] + (rule.values[-1] + 1,)
+        for profile in (outside, rule.values[:2], rule.values[:1] * (rule.n + 1)):
+            with pytest.raises(ValueError, match="not in this rule's domain"):
+                rule.evaluate(profile)
+
+
+def test_a_table_over_other_values_or_agents_is_refused_by_the_audits():
+    # the tables are read by value index, which would silently misalign
+    env = uniform_env(2, values=(-1, 1))
+    anonymous = {("-1", "-1"): "0", ("-1", "1"): "1/2", ("1", "1"): "1"}
+    rules = [
+        AnonymousSCF((-1, 2), 2, {("-1", "-1"): "0", ("-1", "2"): "1/2", ("2", "2"): "1"}),
+        AnonymousSCF((-2, -1, 1), 2, {m: "0" for m in all_multisets((-2, -1, 1), 2)}),
+        AnonymousSCF((-1, 1), 3, {m: "1" for m in all_multisets((-1, 1), 3)}),
+        OrderedTableSCF((-1, 2), 2, {p: "0" for p in itertools.product((-1, 2), repeat=2)}),
+    ]
+    assert rules[-1].anonymous
+    # a table that is not anonymous is read by value, through evaluate
+    scrambled = {(-1, -1): "0", (-1, 2): "1", (2, -1): "0", (2, 2): "1"}
+    rules.append(OrderedTableSCF((-1, 2), 2, scrambled))
+    assert not rules[-1].anonymous
+    for rule in rules:
+        message = "does not match the environment" if rule.anonymous else "not in this rule's domain"
+        for audit in (check_bic, welfare, lambda env, rule: interim_table(env, rule, 0)):
+            with pytest.raises(ValueError, match=message):
+                audit(env, rule)
+    assert check_bic(env, AnonymousSCF((-1, 1), 2, anonymous)).satisfied
 
 
 # ------------------------------------------------------------------ records

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from _lpgen import exact_lp, rational_rows
 from _oracles import random_symmetric_environment, vertex_enumerate
 from anonvote.environments import (
     AgentDistribution,
@@ -28,7 +29,8 @@ from anonvote.mechanisms import (
     symmetric_threshold,
     welfare,
 )
-from anonvote.ratlp import LinearProgram, solve
+from anonvote.rationals import integer_form
+from anonvote.ratlp import solve
 from anonvote.welfare_opt import (
     AuxPoint,
     _best_qmr_start,
@@ -71,13 +73,31 @@ def test_fstar_is_feasible_for_the_limit_program():
     env = make_theorem2_env(3, 10, 0)
     lp, index = build_opt_lp(env)
     fstar = make_fstar(3, 10)
-    x = [fstar.allocation[m] for m in index.multisets]
-    for coeffs in lp.eq_rows:
+    assert fstar.values == env.values.values  # so both tables share their index keys
+    x = [fstar.allocation[m] for m in index]
+    c, eq_rows, ineq_rows = rational_rows(lp)
+    for coeffs in eq_rows:
         assert sum((c * v for c, v in zip(coeffs, x)), F(0)) == 0
-    for coeffs in lp.ineq_rows:
+    for coeffs in ineq_rows:
         assert sum((c * v for c, v in zip(coeffs, x)), F(0)) <= 0
-    objective = sum((c * v for c, v in zip(lp.objective, x)), F(0))
+    objective = sum((cj * v for cj, v in zip(c, x)), F(0))
     assert objective == 5
+
+
+def test_lp_rows_are_integer_pairs_in_lowest_terms():
+    # the form LinearProgram holds: the integer_form of each rational row,
+    # so the tableau starts from the rows (and denominators) it always had
+    rng = random.Random(37)
+    envs = [random_environment(rng, 2 + t % 3, 5) for t in range(12)]
+    envs += [make_theorem2_env(4, 10, eps) for eps in (0, Fraction(1, 1000))]
+    for env in envs:
+        lp, _ = build_opt_lp(env)
+        objective, eq_rows, ineq_rows = rational_rows(lp)
+        for (num, den), rational in zip([lp.objective] + lp.eq_rows + lp.ineq_rows,
+                                        [objective] + eq_rows + ineq_rows):
+            assert den > 0 and len(num) == lp.num_vars
+            assert (num, den) == integer_form(rational)
+        assert any(den > 1 for _, den in lp.eq_rows + lp.ineq_rows)
 
 
 def test_agents_of_one_type_have_identical_interim_rows():
@@ -224,12 +244,18 @@ def test_optimum_dominates_every_threshold_rule():
         assert solve_opt(env).welfare >= qmr_best(env).best_welfare
 
 
+def positive_counts(env, index):
+    """The number of positive reports in each LP column's multiset."""
+    return [sum(1 for j in m if env.values.values[j] > 0) for m in index]
+
+
 def ordinal_anonymous_lp(env):
     """``build_opt_lp`` with the columns of each positive-report count summed:
     the program over every rule that reads only how many reports are
     positive, randomized ones included (n + 1 variables)."""
     lp, index = build_opt_lp(env)
-    counts = [sum(1 for v in m if v > 0) for m in index.multisets]
+    counts = positive_counts(env, index)
+    objective, eq_rows, ineq_rows = rational_rows(lp)
 
     def collapse(row):
         summed = [Fraction(0)] * (env.n + 1)
@@ -237,11 +263,10 @@ def ordinal_anonymous_lp(env):
             summed[k] += a
         return summed
 
-    return LinearProgram(
-        env.n + 1,
-        collapse(lp.objective),
-        [collapse(row) for row in lp.eq_rows],
-        [collapse(row) for row in lp.ineq_rows],
+    return exact_lp(
+        collapse(objective),
+        [collapse(row) for row in eq_rows],
+        [collapse(row) for row in ineq_rows],
     )
 
 
@@ -293,12 +318,12 @@ def test_worked_example_environment_optimum_is_a_majority_rule():
 # ------------------------------------------------------- the QMR start
 
 
-def start_threshold(start, index, n):
+def start_threshold(start, index, env):
     """The k of a qualified-majority table: its fewest positive reports at a one."""
-    counts = [sum(1 for v in m if v > 0) for m in index.multisets]
+    counts = positive_counts(env, index)
     ones = [k for k, x in zip(counts, start) if x]
-    assert start == [int(k >= min(ones, default=n + 1)) for k in counts]
-    return min(ones, default=n + 1)
+    assert start == [int(k >= min(ones, default=env.n + 1)) for k in counts]
+    return min(ones, default=env.n + 1)
 
 
 def test_qmr_start_and_cold_start_reach_one_certified_optimum():
@@ -321,8 +346,9 @@ def test_qmr_start_and_cold_start_reach_one_certified_optimum():
         lp, index = build_opt_lp(env)
         start = _best_qmr_start(env, index)
         best = qmr_best(env)
-        assert start_threshold(start, index, env.n) == best.k_star
-        assert sum((c for c, x in zip(lp.objective, start) if x), F(0)) == best.best_welfare
+        assert start_threshold(start, index, env) == best.k_star
+        cost, den = lp.objective
+        assert Fraction(sum(c for c, x in zip(cost, start) if x), den) == best.best_welfare
         assert solve(lp, start).objective_value == solve(lp).objective_value
 
 
@@ -371,10 +397,9 @@ def test_scaling_every_value_scales_the_optimum_and_the_qmr_table(q):
     for env in _property_envs(89, count=12):
         base, scaled = solve_opt(env), solve_opt(_scaled(env, q))
         assert scaled.welfare == q * base.welfare
-        allocation = scaled.mechanism.allocation
-        assert [allocation[tuple(v * q for v in m)] for m in base.mechanism.allocation] == list(
-            base.mechanism.allocation.values()
-        )
+        # q > 0 keeps the order of the values, so each value keeps its index
+        assert scaled.mechanism.values == tuple(q * v for v in base.mechanism.values)
+        assert scaled.mechanism.allocation == base.mechanism.allocation
         assert scaled.lp_stats["pivots"] == base.lp_stats["pivots"]
         qmr, scaled_qmr = qmr_best(env), qmr_best(_scaled(env, q))
         assert scaled_qmr.k_star == qmr.k_star
