@@ -143,7 +143,7 @@ class Environment:
     is the index of the first agent with agent i's distribution.
     """
 
-    __slots__ = ("values", "agents", "flags", "types", "_multisets")
+    __slots__ = ("values", "agents", "flags", "types", "_multisets", "_signs")
 
     def __init__(self, values: ValueSet, agents: Sequence[AgentDistribution]):
         if not isinstance(values, ValueSet):
@@ -181,6 +181,7 @@ class Environment:
         self.flags = tuple(flags)
         self.types = tuple(self.agents.index(agent) for agent in self.agents)
         self._multisets: dict = {}
+        self._signs = None
 
     def multisets(self, without: int | None = None) -> tuple[dict, int]:
         """``(distribution, den)``: :func:`multiset_distribution` of every
@@ -195,6 +196,19 @@ class Environment:
             den = math.prod(agent.den for agent in others)
             self._multisets[key] = (multiset_distribution(points), den)
         return self._multisets[key]
+
+    def signs(self) -> list[tuple]:
+        """Per agent, integers ``(den, mass, value)``, each of ``mass`` and
+        ``value`` per sign (negative, positive): P(sign) = mass[sign] / den and
+        E[v 1{sign}] = value[sign] / (den * values.scale). Made on first use."""
+        if self._signs is None:
+            cut, scaled = len(self.values.negatives), self.values.scaled
+            self._signs = []
+            for agent in self.agents:
+                w, v = agent.weights, [p * x for p, x in zip(agent.weights, scaled)]
+                mass, value = (sum(w[:cut]), sum(w[cut:])), (sum(v[:cut]), sum(v[cut:]))
+                self._signs.append((agent.den, mass, value))
+        return self._signs
 
     @property
     def n(self) -> int:

@@ -208,47 +208,19 @@ def example1_fixture():
     delicate.
     """
     values = ValueSet([-2, -1, 1, 2])
-    agent1 = AgentDistribution(
-        {
-            Fraction(2): Fraction(1, 6),
-            Fraction(1): Fraction(1, 6),
-            Fraction(-1): Fraction(1, 6),
-            Fraction(-2): Fraction(1, 2),
-        }
-    )
-    agent2 = AgentDistribution(
-        {
-            Fraction(-2): Fraction(1, 2),
-            Fraction(-1): Fraction(1, 4),
-            Fraction(1): Fraction(1, 8),
-            Fraction(2): Fraction(1, 8),
-        }
-    )
+    agent1 = AgentDistribution(dict(zip(values, map(Fraction, ("1/2", "1/6", "1/6", "1/6")))))
+    agent2 = AgentDistribution(dict(zip(values, map(Fraction, ("1/2", "1/4", "1/8", "1/8")))))
     env = Environment(values, [agent1, agent2])
-
-    one, zero = Fraction(1), Fraction(0)
-    rows = {
-        Fraction(2): (zero, one, one, one),
-        Fraction(1): (zero, one, one, one),
-        Fraction(-1): (zero, one, one, one),
-        Fraction(-2): (one, zero, zero, zero),
-    }
-    columns = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
-    table = {
-        (v1, v2): rows[v1][j] for v1 in rows for j, v2 in enumerate(columns)
-    }
+    profiles = [(v1, v2) for v1 in values for v2 in values]
+    # reform iff both or neither report -2
+    table = {(v1, v2): Fraction((v1 == -2) == (v2 == -2)) for v1, v2 in profiles}
     rule = OrderedTableSCF(values.values, 2, table)
-
     blocks = {
         (True, True): Fraction(1),
         (True, False): Fraction(1, 3),
         (False, True): Fraction(1, 4),
         (False, False): Fraction(7, 12),
     }
-    hat_table = {
-        (v1, v2): blocks[(v1 > 0, v2 > 0)]
-        for v1 in values
-        for v2 in values
-    }
+    hat_table = {(v1, v2): blocks[(v1 > 0, v2 > 0)] for v1, v2 in profiles}
     hat_expected = OrderedTableSCF(values.values, 2, hat_table)
     return env, rule, hat_expected

@@ -25,17 +25,16 @@ by :func:`bic_conditions` for the audit and the program's rows, exact
 welfare two ways, the ordinal conditional-expectation projection, and the
 qualified/weighted majority benchmarks.
 
-Expectations are sums over three kernels. A QMR, a WMR or an ordinal rule
-reads only the sign of each report, so the sign kernel first collapses each
-agent to one point per sign, (E[v | sign], P(sign)): at most 2^n profiles,
-whatever |V|. Then report multisets serve rules flagged anonymous and
-``profiles`` (ordered) the others. An anonymous table is read as integers,
-summed with the integer distributions the ``Environment`` keeps per agent
-type (as is the QMR table), one ``Fraction`` per result.
-The audit of an anonymous rule computes one interim table per agent type,
-a sign rule's table sums once per sign of the report, and the projection
-of an anonymous rule conditions on one coalition per count of positive
-agents of each type.
+Expectations are integer sums over three kernels, one ``Fraction`` per
+result. A QMR, a WMR or an ordinal rule reads only signs: it is evaluated
+once per sign key (the count of positive reporters if anonymous, else their
+coalition), and summed over the others' key distribution, built from each
+agent's integer P(sign). An anonymous table (and the QMR table) is summed
+over the report multisets the ``Environment`` keeps per agent type; only a
+table that is not anonymous streams ordered ``profiles``. The audit of an
+anonymous rule computes one interim table per agent type, and the
+projection of an anonymous table sums once per count of positive agents of
+each type.
 """
 
 from __future__ import annotations
@@ -111,19 +110,25 @@ class _TableSCF:
     """The body both explicit tables share: a total map ``allocation`` from
     the ``_key`` of every profile of n value indices (``_index`` of the
     values) to an allocation in [0, 1]. A subclass gives ``_key``,
-    ``_domain`` (the key count and a lazy generator of the rational keys the
-    constructor takes) and the nouns of its messages and JSON form."""
+    ``_domain`` (the key count and a lazy generator of the keys over given
+    value ranks) and the nouns of its messages and JSON form."""
 
     __slots__ = ("values", "n", "allocation", "_index")
 
     def __init__(self, values, n: int, allocation: Mapping):
         self.values = tuple(sorted(parse_rational(v) for v in values))
         self.n = n
+        # Each distinct token is parsed once; keys are sorted and checked as
+        # ranks among all values, which are value indices once none is foreign.
+        parsed = {t: parse_rational(t) for t in dict.fromkeys(t for key in allocation for t in key)}
+        ranked = sorted({*self.values, *parsed.values()})
+        rank = {t: ranked.index(v) for t, v in parsed.items()}
         table = {}
         for key, prob in allocation.items():
-            k = tuple(self._key(parse_rational(v) for v in key))
+            k = tuple(self._key([rank[t] for t in key]))
             if k in table:
-                raise ValueError(f"{self._what} table gives {self._noun} {_multiset_key(k)} twice")
+                shown = _multiset_key(ranked[r] for r in k)
+                raise ValueError(f"{self._what} table gives {self._noun} {shown} twice")
             table[k] = parse_rational(prob)
         # A table of the wrong size is refused before any key is enumerated;
         # at the right size, with distinct values, every key of n support
@@ -131,27 +136,28 @@ class _TableSCF:
         self._index = {v: j for j, v in enumerate(self.values)}
         if len(self._index) != len(self.values):
             raise ValueError("mechanism value set contains duplicates")
-        count, expected = self._domain(self.values, n)
+        inside = {ranked.index(v) for v in self.values}
+        count, expected = self._domain(sorted(inside), n)
         if len(table) != count:
             shown = count if count < 10**15 else f"about 10^{len(str(count)) - 1}"
             raise ValueError(f"{self._what} table has {len(table)} entries, expected {shown}")
-        foreign = [k for k in table if len(k) != n or not self._index.keys() >= set(k)]
+        foreign = [k for k in table if len(k) != n or not inside >= set(k)]
         if foreign:
-            missing = next(k for k in expected if k not in table)
-            raise ValueError(
-                f"{self._what} table has foreign key {_multiset_key(min(foreign))} "
-                f"and lacks {_multiset_key(missing)}"
-            )
+            keys = min(foreign), next(k for k in expected if k not in table)
+            foreign, missing = (_multiset_key(ranked[r] for r in k) for k in keys)
+            raise ValueError(f"{self._what} table has foreign key {foreign} and lacks {missing}")
         for k, p in table.items():
             if not 0 <= p <= 1:
-                raise ValueError(f"allocation at {k} is {p}, outside [0, 1]")
-        self.allocation = {tuple([self._index[v] for v in k]): p for k, p in table.items()}
+                shown = _multiset_key(self.values[j] for j in k)
+                raise ValueError(f"allocation at {shown} is {p}, outside [0, 1]")
+        self.allocation = table
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         try:
             return self.allocation[tuple(self._key([self._index[v] for v in profile]))]
-        except KeyError:
-            raise ValueError(f"profile {profile} not in this rule's domain") from None
+        except KeyError:  # str, which formats a Fraction as _multiset_key does, takes any entry
+            shown = ",".join(map(str, profile))
+            raise ValueError(f"profile {shown} not in this rule's domain") from None
 
     def __eq__(self, other):
         return (
@@ -241,9 +247,7 @@ class WeightedMajorityRule:
             raise ValueError(
                 f"profile has {len(profile)} entries, rule has {len(self.weights)} weights"
             )
-        support = sum(
-            (w for w, v in zip(self.weights, profile) if v > 0), Fraction(0)
-        )
+        support = sum((w for w, v in zip(self.weights, profile) if v > 0), Fraction(0))
         if support > self.quorum:
             return Fraction(1)
         if support < self.quorum:
@@ -296,8 +300,7 @@ class OrdinalSCF:
         self.n = n
         table = {frozenset(t): parse_rational(p) for t, p in by_coalition.items()}
         agents = frozenset(range(n))
-        expected = 1 << n
-        if len(table) != expected or any(not t <= agents for t in table):
+        if len(table) != 1 << n or any(not t <= agents for t in table):
             raise ValueError("ordinal rule must assign every coalition exactly once")
         for t, p in table.items():
             if not 0 <= p <= 1:
@@ -313,33 +316,7 @@ class OrdinalSCF:
         return f"OrdinalSCF(n={self.n})"
 
 
-def _by_sign(agent) -> Points:
-    """At most one point per sign, (E[v | sign], P(sign)); a sign of mass 0
-    is dropped. A rule that reads only signs allocates the same at these
-    values, and E[v 1{sign profile}] = P(sign profile) E[v | sign]."""
-    points = []
-    for positive in (False, True):
-        side = [(v, q) for v, q in agent.items if (v > 0) == positive]
-        mass = sum(q for _, q in side)
-        if mass:
-            points.append((sum(v * q for v, q in side) / mass, mass))
-    return Points(points)
-
-
 _SIGN_RULES = (QualifiedMajorityRule, WeightedMajorityRule, OrdinalSCF)
-
-
-def _outcomes(agents, rule):
-    """``(profile, probability)`` pairs to weight ``rule`` by, from one of
-    three kernels. A rule that reads only signs (a QMR, a WMR or an
-    :class:`OrdinalSCF`) sees each agent collapsed by :func:`_by_sign`, so
-    at most 2^n points; then report multisets if the rule is anonymous,
-    ordered profiles otherwise."""
-    if isinstance(rule, _SIGN_RULES):
-        agents = [_by_sign(agent) for agent in agents]
-    if rule.anonymous:
-        return multiset_distribution(agents).items()
-    return profiles(agents)
 
 
 def _allocations(env: Environment, rule: _TableSCF) -> tuple[dict, int]:
@@ -363,24 +340,50 @@ def _table_interim(env: Environment, i: int, allocations) -> dict:
     return {v: Fraction(s, den * dist_den) for v, s in zip(env.values, sums)}
 
 
-def interim_table(env: Environment, rule, i: int) -> dict:
-    """Interim allocation of agent ``i`` at every report in the support: by
-    :func:`_table_interim` for an anonymous table, else summed
-    over the others' outcomes from :func:`_outcomes` (sign points for a QMR,
-    WMR or ordinal rule). Such a rule reads only the sign of the report, so
-    it is evaluated at one report per sign, whose sum every report of that
-    sign gets."""
-    if isinstance(rule, _TableSCF) and rule.anonymous:
-        return _table_interim(env, i, _allocations(env, rule))
-    values = env.values
-    by_sign = isinstance(rule, _SIGN_RULES)
-    reports = (values.negatives[0], values.positives[0]) if by_sign else values
-    sums = dict.fromkeys(reports, Fraction(0))
-    for rest, prob in _outcomes(env.agents[:i] + env.agents[i + 1 :], rule):
+def _integer_table(env: Environment, rule):
+    """A rule's values as integers over one denominator, ``(nums, den)``: a
+    sign rule (a QMR, a WMR or an :class:`OrdinalSCF`) evaluated once per
+    sign key, the count of positive reporters if it is anonymous, else their
+    bitmask (bit i for agent i); an anonymous table's :func:`_allocations`."""
+    if not isinstance(rule, _SIGN_RULES):
+        return _allocations(env, rule) if isinstance(rule, _TableSCF) and rule.anonymous else None
+    n = env.n  # such a rule allocates the same at any reports of the same signs, so at +-1
+    masks = [(1 << c) - 1 for c in range(n + 1)] if rule.anonymous else range(1 << n)
+    return integer_form([rule.evaluate([(-1, 1)[m >> i & 1] for i in range(n)]) for m in masks])
+
+
+def _sign_sums(env: Environment, rule, table, i: int) -> tuple[list, int]:
+    """Agent ``i``'s interim under a sign rule's :func:`_integer_table`: per
+    sign of i's report, the sum of weight(key) * nums[key with i's sign] over
+    the others' sign keys, their distribution built one agent at a time from
+    ``env.signs()``; and the denominator of both sums."""
+    (nums, den), dist = table, {0: 1}
+    for j, (agent_den, mass, _) in enumerate(env.signs()):
+        if j != i:
+            bit, step = 1 if rule.anonymous else 1 << j, {}
+            for key, w in dist.items():
+                step[key] = step.get(key, 0) + w * mass[0]
+                step[key + bit] = step.get(key + bit, 0) + w * mass[1]
+            dist, den = step, den * agent_den
+    bit = 1 if rule.anonymous else 1 << i
+    return [sum(w * nums[key + s] for key, w in dist.items()) for s in (0, bit)], den
+
+
+def interim_table(env: Environment, rule, i: int, table=None) -> dict:
+    """Interim allocation of agent ``i`` at every report in the support, from
+    the rule's :func:`_integer_table` (made here unless given): a sign rule's
+    :func:`_sign_sums`, one per sign of the report, an anonymous table's
+    :func:`_table_interim`, else a sum over the others' ordered ``profiles``."""
+    table = table or _integer_table(env, rule)
+    if isinstance(rule, _SIGN_RULES):
+        sums, den = _sign_sums(env, rule, table, i)
+        return {v: Fraction(sums[v > 0], den) for v in env.values}
+    if table:
+        return _table_interim(env, i, table)
+    sums = dict.fromkeys(env.values, Fraction(0))
+    for rest, prob in profiles(env.agents[:i] + env.agents[i + 1 :]):
         for v in sums:
             sums[v] += prob * rule.evaluate(rest[:i] + (v,) + rest[i:])
-    if by_sign:
-        return {v: sums[reports[v > 0]] for v in values}
     return sums
 
 
@@ -440,18 +443,16 @@ def check_bic(env: Environment, rule) -> BicReport:
 
     Under an anonymous rule an agent's interim depends only on the others'
     distributions, so an agent of an earlier agent's type reuses a copy of
-    that agent's table; other rules get one table per agent. An anonymous
-    table is read once, into :func:`_allocations`.
+    that agent's table; other rules get one table per agent. A sign rule or
+    an anonymous table is read once, into its :func:`_integer_table`.
     """
     conditions = list(bic_conditions(env.values))
-    shared = _allocations(env, rule) if isinstance(rule, _TableSCF) and rule.anonymous else None
-    c_minus: list = []
-    c_plus: list = []
-    interims: list[dict] = []
+    shared = _integer_table(env, rule)
+    c_minus, c_plus, interims = [], [], []
     for i in range(env.n):
         first = env.types[i] if rule.anonymous else i
         if first == i:
-            table = _table_interim(env, i, shared) if shared else interim_table(env, rule, i)
+            table = interim_table(env, rule, i, shared)
         else:
             table = dict(interims[first])
         interims.append(table)
@@ -468,11 +469,18 @@ def check_bic(env: Environment, rule) -> BicReport:
 def welfare(env: Environment, rule) -> Fraction:
     """Expected total value on the reform event.
 
-    An anonymous table is summed in integers over the
-    multisets ``env`` keeps, the others over :func:`_outcomes`: sign
-    points for a QMR, WMR or ordinal rule, ordered profiles of positive
-    probability for the rest.
+    A sign rule is summed in integers, over agents i and signs s, as E[v_i
+    1{s}] times i's :func:`_sign_sums` at s (the agents are independent); an
+    anonymous table over the multisets ``env`` keeps; any other rule over
+    ordered profiles of positive probability.
     """
+    if isinstance(rule, _SIGN_RULES):
+        table, total = _integer_table(env, rule), 0
+        for i, (_, _, value) in enumerate(env.signs()):
+            sums, _ = _sign_sums(env, rule, table, i)
+            total += value[0] * sums[0] + value[1] * sums[1]
+        den = table[1] * math.prod(agent.den for agent in env.agents)
+        return Fraction(total, den * env.values.scale)
     if isinstance(rule, _TableSCF) and rule.anonymous:
         dist, den = env.multisets()
         alloc, alloc_den = _allocations(env, rule)
@@ -480,7 +488,7 @@ def welfare(env: Environment, rule) -> Fraction:
         total = sum(w * alloc[m] * sum(map(scaled.__getitem__, m)) for m, w in dist.items())
         return Fraction(total, den * alloc_den * env.values.scale)
     total = Fraction(0)
-    for profile, prob in _outcomes(env.agents, rule):
+    for profile, prob in profiles(env.agents):
         value_sum = sum(profile, Fraction(0))
         if value_sum == 0:
             continue
@@ -521,11 +529,13 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
     says whether it depends only on coalition size, which can fail in
     asymmetric environments even when the input rule is anonymous.
 
-    Each coalition's mass and weighted sum come from :func:`_outcomes` over
-    the agents conditioned on their sign in T (items kept, not normalised),
-    coalitions in ``itertools.product`` order. For an anonymous rule they
-    depend only on how many agents of each type are in T, so each such count
-    is summed once.
+    A sign rule's projection is its own :func:`_integer_table`. For a table,
+    each coalition's mass and weighted sum are sums over the agents' (value
+    index, weight) points of their sign in T (kept, not normalised): in
+    integers over ``multiset_distribution`` for an anonymous table, whose
+    sums depend only on how many agents of each type are in T, so each such
+    count is summed once; over streamed ``profiles`` and ``evaluate`` for
+    the rest. Coalitions come in ``itertools.product`` order.
 
     Requires every coalition event to have positive probability, i.e. no
     agent with a deterministic value sign; otherwise the first coalition of
@@ -536,27 +546,33 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
             f"ordinal projection enumerates 2^n coalitions; n={env.n} exceeds "
             f"{_PROJECTION_MAX_AGENTS}"
         )
-    sums: dict[tuple, tuple] = {}
-    phi: dict[frozenset, Fraction] = {}
+    table, signs, values = _integer_table(env, rule), env.signs(), env.values.values
+    by_key = [Fraction(x, table[1]) for x in table[0]] if isinstance(rule, _SIGN_RULES) else None
+    sums, phi = {}, {}
     for bits in itertools.product((False, True), repeat=env.n):
-        key = tuple(sorted(zip(env.types, bits))) if rule.anonymous else bits
-        if key not in sums:
-            conditioned = [
-                Points((v, q) for v, q in agent.items if (v > 0) == b)
-                for agent, b in zip(env.agents, bits)
-            ]
-            mass = weighted = Fraction(0)
-            for profile, prob in _outcomes(conditioned, rule):
-                mass += prob
-                weighted += prob * rule.evaluate(profile)
-            sums[key] = (mass, weighted)
-        mass, weighted = sums[key]
         t = frozenset(i for i, b in enumerate(bits) if b)
-        if mass == 0:
+        if not all(signs[i][1][b] for i, b in enumerate(bits)):
             raise ZeroProbabilityCoalition(
                 f"coalition {sorted(t)} has probability zero (limit-mode environment)"
             )
-        phi[t] = weighted / mass
+        if by_key:
+            phi[t] = by_key[len(t) if rule.anonymous else sum(1 << i for i in t)]
+            continue
+        key = tuple(sorted(zip(env.types, bits))) if rule.anonymous else bits
+        if key not in sums:
+            points = [Points([(j, w) for j, w in enumerate(agent.weights) if (values[j] > 0) == b])
+                      for agent, b in zip(env.agents, bits)]
+            if table:
+                dist = multiset_distribution(points)
+                weighted = sum(w * table[0][m] for m, w in dist.items())
+                sums[key] = Fraction(weighted, sum(dist.values()) * table[1])
+            else:
+                mass = weighted = 0
+                for m, w in profiles(points):
+                    mass += w
+                    weighted += w * rule.evaluate(tuple([values[j] for j in m]))
+                sums[key] = weighted / mass
+        phi[t] = sums[key]
     return OrdinalSCF(env.n, phi)
 
 

@@ -125,13 +125,12 @@ def test_table_rules_require_a_total_table_in_range(kind, what, repeated, count)
         ({**good, ("2/2", "-1"): "0"}, f"{what} table gives {repeated} twice"),
         ({("-1", "-1"): "0"}, f"{what} table has 1 entries, expected {count}"),
         ({**lacking, ("1", "2"): "1"}, f"{what} table has foreign key 1,2 and lacks 1,1"),
-        ({**good, ("1", "1"): "2"},
-         "allocation at (Fraction(1, 1), Fraction(1, 1)) is 2, outside [0, 1]"),
+        ({**good, ("1", "1"): "2"}, "allocation at 1,1 is 2, outside [0, 1]"),
     ]
     for table, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             kind(values, 2, table)
-    message = "profile (Fraction(1, 1), Fraction(3, 1)) not in this rule's domain"
+    message = "profile 1,3 not in this rule's domain"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         rule.evaluate((F(1), F(3)))
 
@@ -215,9 +214,9 @@ def test_an_anonymous_rule_is_audited_once_per_agent_type(monkeypatch):
     env = make_theorem2_env(5, 13, Fraction(1, 1000))
     calls = []
 
-    def counted(env, rule, i):
+    def counted(env, rule, i, table=None):
         calls.append(i)
-        return interim_table(env, rule, i)
+        return interim_table(env, rule, i, table)
 
     monkeypatch.setattr(mechanisms, "interim_table", counted)
     rule = QualifiedMajorityRule(3)
@@ -231,74 +230,62 @@ def test_an_anonymous_rule_is_audited_once_per_agent_type(monkeypatch):
     assert calls == [0, 1, 2, 3, 4]
 
 
-def test_sign_rules_are_summed_over_sign_points(monkeypatch):
-    env = make_theorem2_env(6, 13, Fraction(1, 1000))
-    n, size = env.n, len(env.values)
-    rule = wmr_build(env)
-    streamed, summed, evaluations = [], [], []
-    profiles, multisets = mechanisms.profiles, mechanisms.multiset_distribution
-    evaluate = WeightedMajorityRule.evaluate
-
-    def counted_profiles(agents):
-        streamed.append(agents)
-        return profiles(agents)
-
-    def counted_multisets(agents):
-        summed.append(agents)
-        return multisets(agents)
-
-    def counted_evaluate(self, profile):
-        evaluations.append(profile)
-        return evaluate(self, profile)
-
-    monkeypatch.setattr(mechanisms, "profiles", counted_profiles)
-    monkeypatch.setattr(mechanisms, "multiset_distribution", counted_multisets)
-    monkeypatch.setattr(WeightedMajorityRule, "evaluate", counted_evaluate)
-    check_bic(env, rule)
-    welfare(env, rule)
-    ordinal_projection(env, rule)
-    # every agent streamed is collapsed to at most one point per sign
-    agents = [agent for group in streamed for agent in group]
-    assert agents and not any(agent in env.agents for agent in agents)
-    for agent in agents:
-        signs = [v > 0 for v, _ in agent.items]
-        assert len(signs) == len(set(signs))
-    assert len(evaluations) <= n * size * 2 ** (n - 1) + 2**n + 2**n
-    # the anonymous optimum is conditioned once per count of positive
-    # agents of each type: (2 + 1) * (4 + 1) sums, not 2^6
-    optimum = solve_opt(env).mechanism
-    summed.clear()
-    ordinal_projection(env, optimum)
-    assert len(summed) == 3 * 5
-
-
-def test_a_sign_rule_interim_is_evaluated_once_per_sign(monkeypatch):
-    env = make_theorem2_env(6, 13, Fraction(1, 1000))
+def sign_rules(env):
+    """The utilitarian WMR and its projection (neither anonymous), an
+    equal-weight WMR, a QMR and a random ordinal rule by coalition size."""
     wmr = wmr_build(env)
-    by_coalition = ordinal_projection(env, wmr)
-    evaluations = []
-    for rule in (wmr, QualifiedMajorityRule(4), by_coalition):
+    return [wmr, ordinal_projection(env, wmr), WeightedMajorityRule([3] * env.n, 7),
+            QualifiedMajorityRule(4), random_ordinal_rule(env.n, random.Random(3), by_size=True)]
+
+
+SIGN_WORK = {
+    "check_bic": lambda env, rule: check_bic(env, rule).interims,
+    "welfare": welfare,
+    "ordinal_projection": lambda env, rule: ordinal_projection(env, rule).by_coalition,
+    "interim_table": lambda env, rule: interim_table(env, rule, 3),
+}
+
+
+@pytest.mark.parametrize("work", SIGN_WORK)
+def test_a_sign_rule_is_evaluated_once_per_sign_key(work, monkeypatch):
+    # a rule that reads only signs is evaluated at most once per count of
+    # positive reporters if it is anonymous, once per coalition otherwise,
+    # and never at two profiles with the same key
+    env = make_theorem2_env(6, 13, Fraction(1, 1000))
+    for rule in sign_rules(env):
+        evaluations = []
         evaluate = type(rule).evaluate
 
         def counted(self, profile, evaluate=evaluate):
-            evaluations.append(profile)
+            evaluations.append(coalition(profile))
             return evaluate(self, profile)
 
-        for i in (0, 3):
-            others = env.agents[:i] + env.agents[i + 1 :]
-            outcomes = list(mechanisms._outcomes(others, rule))
-            # every support report, as a rule that reads whole reports is summed
-            expected = {
-                v: sum((p * rule.evaluate(r[:i] + (v,) + r[i:]) for r, p in outcomes), F(0))
-                for v in env.values
-            }
-            with monkeypatch.context() as patch:
-                patch.setattr(type(rule), "evaluate", counted)
-                evaluations.clear()
-                table = interim_table(env, rule, i)
-            assert table == expected
-            assert list(table) == list(env.values)
-            assert len(evaluations) == 2 * len(outcomes)
+        expected = SIGN_WORK[work](env, rule)
+        with monkeypatch.context() as patch:
+            patch.setattr(type(rule), "evaluate", counted)
+            assert SIGN_WORK[work](env, rule) == expected
+        keys = [len(t) if rule.anonymous else t for t in evaluations]
+        assert len(keys) == len(set(keys)) <= (env.n + 1 if rule.anonymous else 2**env.n)
+        assert keys
+
+
+def test_sign_rules_stream_no_profiles_and_the_optimum_projects_per_type_count(monkeypatch):
+    env = make_theorem2_env(6, 13, Fraction(1, 1000))
+    optimum = solve_opt(env).mechanism
+    streamed, summed = [], []
+    profiles, multisets = mechanisms.profiles, mechanisms.multiset_distribution
+    monkeypatch.setattr(mechanisms, "profiles", lambda agents: streamed.append(agents) or profiles(agents))
+    monkeypatch.setattr(
+        mechanisms, "multiset_distribution", lambda agents: summed.append(agents) or multisets(agents)
+    )
+    for rule in sign_rules(env):
+        for work in SIGN_WORK.values():
+            work(env, rule)
+    assert streamed == summed == []
+    # the anonymous optimum is summed once per count of positive agents of
+    # each type, (2 + 1) * (4 + 1) keys, not 2^6 coalitions
+    ordinal_projection(env, optimum)
+    assert len(summed) == 3 * 5 and streamed == []
 
 
 # ------------------------------------------------------------------ welfare
@@ -605,6 +592,27 @@ def test_welfare_and_interims_equal_the_enumeration():
     # both table kinds are audited to a pass and to a witness
     for kind in (AnonymousSCF, OrderedTableSCF):
         assert {(kind, True), (kind, False)} <= audited
+
+
+def test_mixed_denominators_and_exact_quorums_equal_the_enumeration():
+    # agents whose probabilities have different denominators, and weighted
+    # rules with fractional weights whose quorum some coalitions hit exactly,
+    # where the tie value 1/3 is allocated: {0} and {1, 2} in the first,
+    # every pair in the second (equal weights, so anonymous)
+    env = mixed_denominator_env()
+    tied = [
+        WeightedMajorityRule(["1/2", "1/3", "1/6"], "1/2", "1/3"),
+        WeightedMajorityRule(["2/3"] * 3, "4/3", "1/3"),
+    ]
+    assert [rule.anonymous for rule in tied] == [False, True]
+    values = env.values.values
+    assert tied[0].evaluate((values[3], values[0], values[0])) == Fraction(1, 3)
+    assert tied[0].evaluate((values[0], values[2], values[3])) == Fraction(1, 3)
+    for rule in oracle_rules(env, random.Random(53)) + tied:
+        assert welfare(env, rule) == oracle_welfare(env, rule)
+        for i in range(env.n):
+            assert interim_table(env, rule, i) == oracle_interims(env, rule, i)
+        assert ordinal_projection(env, rule).by_coalition == oracle_projection(env, rule)
 
 
 def test_projection_equals_the_enumeration():
