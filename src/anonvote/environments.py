@@ -32,8 +32,6 @@ __all__ = [
     "ValueSet",
     "AgentDistribution",
     "Environment",
-    "Points",
-    "profiles",
     "multiset_distribution",
     "environment_from_json",
     "environment_to_json",
@@ -192,7 +190,7 @@ class Environment:
         key = None if without is None else self.types[without]
         if key not in self._multisets:
             others = self.agents if key is None else self.agents[:key] + self.agents[key + 1 :]
-            points = [Points(list(enumerate(agent.weights))) for agent in others]
+            points = [list(enumerate(agent.weights)) for agent in others]
             den = math.prod(agent.den for agent in others)
             self._multisets[key] = (multiset_distribution(points), den)
         return self._multisets[key]
@@ -228,42 +226,18 @@ class Environment:
         return f"Environment(n={self.n}, V={[str(v) for v in self.values]})"
 
 
-class Points:
-    """What the kernels read of an agent: (point, weight) ``items``, which
-    need not sum to 1 (an agent conditioned on one sign)."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = tuple(items)
-
-
-def profiles(agents: Sequence[AgentDistribution]):
-    """Stream ``(ordered profile, probability)`` over profiles of positive
-    probability, in lexicographic order, without storing them (there may be
-    |V|^n). A zero-probability prefix is dropped with all its extensions."""
-    supports = [[(v, p) for v, p in agent.items if p] for agent in agents]
-
-    def extend(prefix, prob, depth):
-        if depth == len(supports):
-            yield prefix, prob
-            return
-        for v, p in supports[depth]:
-            yield from extend(prefix + (v,), prob * p, depth + 1)
-
-    return extend((), Fraction(1), 0)
-
-
-def multiset_distribution(agents: Sequence[AgentDistribution]) -> dict:
-    """Probability of each sorted report multiset of positive probability,
-    built one agent at a time: all an anonymous rule sees of the reports."""
+def multiset_distribution(agents: Sequence[Sequence[tuple]], order=sorted) -> dict:
+    """Weight of each report key of positive weight, built one agent at a
+    time from each agent's (point, weight) pairs: the sorted multiset, all an
+    anonymous rule sees of the reports, or with ``order=tuple`` the ordered
+    profile. The weights multiply, so an agent's need not sum to 1."""
     dist = {(): 1}
-    for agent in agents:
-        step: dict[tuple, Fraction] = {}
+    for points in agents:
+        step: dict = {}
         for key, prob in dist.items():
-            for v, p in agent.items:
+            for v, p in points:
                 if p:
-                    m = tuple(sorted(key + (v,)))
+                    m = tuple(order(key + (v,)))
                     step[m] = step.get(m, 0) + prob * p
         dist = step
     return dist

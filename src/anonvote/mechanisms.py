@@ -25,13 +25,14 @@ by :func:`bic_conditions` for the audit and the program's rows, exact
 welfare two ways, the ordinal conditional-expectation projection, and the
 qualified/weighted majority benchmarks.
 
-Expectations are integer sums over three kernels, one ``Fraction`` per
+Expectations are integer sums over two kernels, one ``Fraction`` per
 result. A QMR, a WMR or an ordinal rule reads only signs: it is evaluated
 once per sign key (the count of positive reporters if anonymous, else their
 coalition), and summed over the others' key distribution, built from each
-agent's integer P(sign). An anonymous table (and the QMR table) is summed
-over the report multisets the ``Environment`` keeps per agent type; only a
-table that is not anonymous streams ordered ``profiles``. The audit of an
+agent's integer P(sign). A table is read once into integers by its own
+value-index keys and summed over reports keyed the same way: if it is
+anonymous, the sorted multisets the ``Environment`` keeps per agent type
+(which the QMR table reads too), else ordered profiles. The audit of an
 anonymous rule computes one interim table per agent type, and the
 projection of an anonymous table sums once per count of positive agents of
 each type.
@@ -44,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .environments import Environment, Points, ValueSet, multiset_distribution, profiles
+from .environments import Environment, ValueSet, multiset_distribution
 from .rationals import format_rational, integer_form, parse_rational
 
 __all__ = [
@@ -208,7 +209,7 @@ class QualifiedMajorityRule:
     anonymous = True
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"threshold must be a nonnegative integer, got {k!r}")
         self.k = k
 
@@ -310,6 +311,8 @@ class OrdinalSCF:
         self.anonymous = all(by_size.setdefault(len(t), p) == p for t, p in table.items())
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
+        if len(profile) != self.n:
+            raise ValueError(f"profile has {len(profile)} entries, rule has {self.n} agents")
         return self.by_coalition[coalition(profile)]
 
     def __repr__(self):
@@ -329,24 +332,39 @@ def _allocations(env: Environment, rule: _TableSCF) -> tuple[dict, int]:
     return dict(zip(rule.allocation, nums)), den
 
 
-def _table_interim(env: Environment, i: int, allocations) -> dict:
+def _reports(env: Environment, rule: _TableSCF, without: int | None = None) -> tuple[dict, int]:
+    """``(distribution, den)`` of the reports of every agent, or every agent
+    but ``without``, keyed as ``rule`` reads them: the sorted multisets
+    ``env`` keeps if it is anonymous, else ordered value-index profiles."""
+    if rule.anonymous:
+        return env.multisets(without)
+    agents = [agent for j, agent in enumerate(env.agents) if j != without]
+    points = [list(enumerate(agent.weights)) for agent in agents]
+    return multiset_distribution(points, tuple), math.prod(agent.den for agent in agents)
+
+
+def _table_interim(env: Environment, rule: _TableSCF, i: int, allocations) -> dict:
     """Agent ``i``'s interim table from :func:`_allocations`: per report
     index j, the integer sum of weight(rest) * allocation(rest + j) over the
-    others' report multisets."""
+    others' :func:`_reports`, j sorted in if the rule is anonymous, else
+    inserted at position i."""
     alloc, den = allocations
-    dist, dist_den = env.multisets(i)
-    sums = [sum(w * alloc[tuple(sorted(rest + (j,)))] for rest, w in dist.items())
-            for j in range(len(env.values))]
+    dist, dist_den = _reports(env, rule, i)
+    pairs, ranks = dist.items(), range(len(env.values))
+    if rule.anonymous:
+        sums = [sum(w * alloc[tuple(sorted(rest + (j,)))] for rest, w in pairs) for j in ranks]
+    else:
+        sums = [sum(w * alloc[rest[:i] + (j,) + rest[i:]] for rest, w in pairs) for j in ranks]
     return {v: Fraction(s, den * dist_den) for v, s in zip(env.values, sums)}
 
 
-def _integer_table(env: Environment, rule):
+def _integer_table(env: Environment, rule) -> tuple:
     """A rule's values as integers over one denominator, ``(nums, den)``: a
     sign rule (a QMR, a WMR or an :class:`OrdinalSCF`) evaluated once per
     sign key, the count of positive reporters if it is anonymous, else their
-    bitmask (bit i for agent i); an anonymous table's :func:`_allocations`."""
+    bitmask (bit i for agent i); a table's :func:`_allocations`."""
     if not isinstance(rule, _SIGN_RULES):
-        return _allocations(env, rule) if isinstance(rule, _TableSCF) and rule.anonymous else None
+        return _allocations(env, rule)
     n = env.n  # such a rule allocates the same at any reports of the same signs, so at +-1
     masks = [(1 << c) - 1 for c in range(n + 1)] if rule.anonymous else range(1 << n)
     return integer_form([rule.evaluate([(-1, 1)[m >> i & 1] for i in range(n)]) for m in masks])
@@ -372,19 +390,13 @@ def _sign_sums(env: Environment, rule, table, i: int) -> tuple[list, int]:
 def interim_table(env: Environment, rule, i: int, table=None) -> dict:
     """Interim allocation of agent ``i`` at every report in the support, from
     the rule's :func:`_integer_table` (made here unless given): a sign rule's
-    :func:`_sign_sums`, one per sign of the report, an anonymous table's
-    :func:`_table_interim`, else a sum over the others' ordered ``profiles``."""
+    :func:`_sign_sums`, one per sign of the report, a table's
+    :func:`_table_interim`."""
     table = table or _integer_table(env, rule)
     if isinstance(rule, _SIGN_RULES):
         sums, den = _sign_sums(env, rule, table, i)
         return {v: Fraction(sums[v > 0], den) for v in env.values}
-    if table:
-        return _table_interim(env, i, table)
-    sums = dict.fromkeys(env.values, Fraction(0))
-    for rest, prob in profiles(env.agents[:i] + env.agents[i + 1 :]):
-        for v in sums:
-            sums[v] += prob * rule.evaluate(rest[:i] + (v,) + rest[i:])
-    return sums
+    return _table_interim(env, rule, i, table)
 
 
 class BicViolation(Record):
@@ -443,8 +455,8 @@ def check_bic(env: Environment, rule) -> BicReport:
 
     Under an anonymous rule an agent's interim depends only on the others'
     distributions, so an agent of an earlier agent's type reuses a copy of
-    that agent's table; other rules get one table per agent. A sign rule or
-    an anonymous table is read once, into its :func:`_integer_table`.
+    that agent's table; other rules get one table per agent. Every rule is
+    read once, into its :func:`_integer_table`.
     """
     conditions = list(bic_conditions(env.values))
     shared = _integer_table(env, rule)
@@ -470,9 +482,8 @@ def welfare(env: Environment, rule) -> Fraction:
     """Expected total value on the reform event.
 
     A sign rule is summed in integers, over agents i and signs s, as E[v_i
-    1{s}] times i's :func:`_sign_sums` at s (the agents are independent); an
-    anonymous table over the multisets ``env`` keeps; any other rule over
-    ordered profiles of positive probability.
+    1{s}] times i's :func:`_sign_sums` at s (the agents are independent); a
+    table over its :func:`_reports`.
     """
     if isinstance(rule, _SIGN_RULES):
         table, total = _integer_table(env, rule), 0
@@ -481,21 +492,11 @@ def welfare(env: Environment, rule) -> Fraction:
             total += value[0] * sums[0] + value[1] * sums[1]
         den = table[1] * math.prod(agent.den for agent in env.agents)
         return Fraction(total, den * env.values.scale)
-    if isinstance(rule, _TableSCF) and rule.anonymous:
-        dist, den = env.multisets()
-        alloc, alloc_den = _allocations(env, rule)
-        scaled = env.values.scaled
-        total = sum(w * alloc[m] * sum(map(scaled.__getitem__, m)) for m, w in dist.items())
-        return Fraction(total, den * alloc_den * env.values.scale)
-    total = Fraction(0)
-    for profile, prob in profiles(env.agents):
-        value_sum = sum(profile, Fraction(0))
-        if value_sum == 0:
-            continue
-        alloc = rule.evaluate(profile)
-        if alloc != 0:
-            total += prob * value_sum * alloc
-    return total
+    alloc, alloc_den = _allocations(env, rule)
+    dist, den = _reports(env, rule)
+    scaled = env.values.scaled
+    total = sum(w * alloc[m] * sum(map(scaled.__getitem__, m)) for m, w in dist.items())
+    return Fraction(total, den * alloc_den * env.values.scale)
 
 
 def welfare_via_interims(env: Environment, rule) -> Fraction:
@@ -530,12 +531,12 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
     asymmetric environments even when the input rule is anonymous.
 
     A sign rule's projection is its own :func:`_integer_table`. For a table,
-    each coalition's mass and weighted sum are sums over the agents' (value
-    index, weight) points of their sign in T (kept, not normalised): in
-    integers over ``multiset_distribution`` for an anonymous table, whose
-    sums depend only on how many agents of each type are in T, so each such
-    count is summed once; over streamed ``profiles`` and ``evaluate`` for
-    the rest. Coalitions come in ``itertools.product`` order.
+    each coalition's mass and weighted sum are integer sums over the
+    ``multiset_distribution`` of the agents' (value index, weight) points of
+    their sign in T (kept, not normalised), keyed as the table is read: by
+    sorted multiset if it is anonymous, whose sums then depend only on how
+    many agents of each type are in T, so each such count is summed once,
+    else by ordered profile. Coalitions come in ``itertools.product`` order.
 
     Requires every coalition event to have positive probability, i.e. no
     agent with a deterministic value sign; otherwise the first coalition of
@@ -546,8 +547,8 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
             f"ordinal projection enumerates 2^n coalitions; n={env.n} exceeds "
             f"{_PROJECTION_MAX_AGENTS}"
         )
-    table, signs, values = _integer_table(env, rule), env.signs(), env.values.values
-    by_key = [Fraction(x, table[1]) for x in table[0]] if isinstance(rule, _SIGN_RULES) else None
+    (nums, den), signs, values = _integer_table(env, rule), env.signs(), env.values.values
+    by_key = [Fraction(x, den) for x in nums] if isinstance(rule, _SIGN_RULES) else None
     sums, phi = {}, {}
     for bits in itertools.product((False, True), repeat=env.n):
         t = frozenset(i for i, b in enumerate(bits) if b)
@@ -560,18 +561,11 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
             continue
         key = tuple(sorted(zip(env.types, bits))) if rule.anonymous else bits
         if key not in sums:
-            points = [Points([(j, w) for j, w in enumerate(agent.weights) if (values[j] > 0) == b])
+            points = [[(j, w) for j, w in enumerate(agent.weights) if (values[j] > 0) == b]
                       for agent, b in zip(env.agents, bits)]
-            if table:
-                dist = multiset_distribution(points)
-                weighted = sum(w * table[0][m] for m, w in dist.items())
-                sums[key] = Fraction(weighted, sum(dist.values()) * table[1])
-            else:
-                mass = weighted = 0
-                for m, w in profiles(points):
-                    mass += w
-                    weighted += w * rule.evaluate(tuple([values[j] for j in m]))
-                sums[key] = weighted / mass
+            dist = multiset_distribution(points, sorted if rule.anonymous else tuple)
+            weighted = sum(w * nums[m] for m, w in dist.items())
+            sums[key] = Fraction(weighted, sum(dist.values()) * den)
         phi[t] = sums[key]
     return OrdinalSCF(env.n, phi)
 

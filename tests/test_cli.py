@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -364,6 +367,16 @@ def test_unknown_suite_is_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "mystery"])
     assert excinfo.value.code == 2
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # each adds a large share to a call's set-up time; a fresh interpreter
+    # sees what importing the CLI loads, whatever this process has loaded
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, anonvote.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "[]\n"
 
 
 def test_one_parser_serves_every_call_and_keeps_no_state(gamma0_file, tmp_path, capsys):

@@ -272,20 +272,19 @@ def test_a_sign_rule_is_evaluated_once_per_sign_key(work, monkeypatch):
 def test_sign_rules_stream_no_profiles_and_the_optimum_projects_per_type_count(monkeypatch):
     env = make_theorem2_env(6, 13, Fraction(1, 1000))
     optimum = solve_opt(env).mechanism
-    streamed, summed = [], []
-    profiles, multisets = mechanisms.profiles, mechanisms.multiset_distribution
-    monkeypatch.setattr(mechanisms, "profiles", lambda agents: streamed.append(agents) or profiles(agents))
+    summed, multisets = [], mechanisms.multiset_distribution
     monkeypatch.setattr(
-        mechanisms, "multiset_distribution", lambda agents: summed.append(agents) or multisets(agents)
+        mechanisms, "multiset_distribution",
+        lambda agents, order: summed.append(order) or multisets(agents, order),
     )
     for rule in sign_rules(env):
         for work in SIGN_WORK.values():
             work(env, rule)
-    assert streamed == summed == []
+    assert summed == []
     # the anonymous optimum is summed once per count of positive agents of
-    # each type, (2 + 1) * (4 + 1) keys, not 2^6 coalitions
+    # each type, (2 + 1) * (4 + 1) sorted keys, not 2^6 coalitions
     ordinal_projection(env, optimum)
-    assert len(summed) == 3 * 5 and streamed == []
+    assert summed == [sorted] * (3 * 5)
 
 
 # ------------------------------------------------------------------ welfare
@@ -575,11 +574,22 @@ def mixed_table_rules(env, rng):
     return rules
 
 
+def scrambled_table(env, rng):
+    """An ordered table with a random allocation k/6 at each profile, so not
+    anonymous: read per position, each agent has its own interims, also
+    agents of one type."""
+    profiles = itertools.product(env.values.values, repeat=env.n)
+    rule = OrderedTableSCF(env.values, env.n, {p: Fraction(rng.randint(0, 6), 6) for p in profiles})
+    assert not rule.anonymous
+    return rule
+
+
 def test_welfare_and_interims_equal_the_enumeration():
     rng, table_rng = random.Random(23), random.Random(31)
     audited = set()
     for env in oracle_environments(rng) + [mixed_denominator_env()]:
-        for rule in oracle_rules(env, rng) + mixed_table_rules(env, table_rng):
+        rules = oracle_rules(env, rng) + mixed_table_rules(env, table_rng)
+        for rule in rules + [scrambled_table(env, table_rng)]:
             assert welfare(env, rule) == oracle_welfare(env, rule)
             audit = check_bic(env, rule)
             assert len(audit.interims) == env.n or not audit.satisfied
@@ -616,8 +626,12 @@ def test_mixed_denominators_and_exact_quorums_equal_the_enumeration():
 
 
 def test_projection_equals_the_enumeration():
-    rng = random.Random(29)
-    cases = [(env, rule) for env in oracle_environments(rng) for rule in oracle_rules(env, rng)]
+    rng, table_rng = random.Random(29), random.Random(37)
+    cases = [
+        (env, rule)
+        for env in oracle_environments(rng) + [mixed_denominator_env()]
+        for rule in oracle_rules(env, rng) + [scrambled_table(env, table_rng)]
+    ]
     env, rule, _ = example1_fixture()
     cases.append((env, rule))
     raised, firsts = set(), set()
@@ -638,7 +652,8 @@ def test_projection_equals_the_enumeration():
         )
     # every rule kind meets a coalition of probability zero, and in the
     # second limit environment it is not the empty one
-    assert raised == {QualifiedMajorityRule, WeightedMajorityRule, AnonymousSCF, OrdinalSCF}
+    kinds = {QualifiedMajorityRule, WeightedMajorityRule, AnonymousSCF, OrderedTableSCF, OrdinalSCF}
+    assert raised == kinds
     assert firsts == {(), (1,)}
 
 
@@ -670,6 +685,11 @@ def test_mechanism_json_round_trips_every_kind():
 
     qmr = QualifiedMajorityRule(3)
     assert mechanism_from_json(mechanism_to_json(qmr)) == qmr
+    # a bool is refused on both sides, so no rule writes JSON it cannot read
+    with pytest.raises(ValueError, match="threshold must be a nonnegative integer"):
+        QualifiedMajorityRule(True)
+    with pytest.raises(ValueError, match="must be an integer"):
+        mechanism_from_json({"kind": "qmr", "k": True})
 
     wmr = WeightedMajorityRule([110, 110, 2], 201, Fraction(1, 2))
     assert mechanism_from_json(mechanism_to_json(wmr)) == wmr
@@ -739,13 +759,16 @@ def test_a_table_over_other_values_or_agents_is_refused_by_the_audits():
         OrderedTableSCF((-1, 2), 2, {p: "0" for p in itertools.product((-1, 2), repeat=2)}),
     ]
     assert rules[-1].anonymous
-    # a table that is not anonymous is read by value, through evaluate
+    # a table that is not anonymous is read by value index too
     scrambled = {(-1, -1): "0", (-1, 2): "1", (2, -1): "0", (2, 2): "1"}
     rules.append(OrderedTableSCF((-1, 2), 2, scrambled))
     assert not rules[-1].anonymous
-    for rule in rules:
-        message = "does not match the environment" if rule.anonymous else "not in this rule's domain"
-        for audit in (check_bic, welfare, lambda env, rule: interim_table(env, rule, 0)):
+    # sign rules made for three agents, whose 2-agent coalitions all exist
+    three = ordinal_projection(uniform_env(3, values=(-1, 1)), QualifiedMajorityRule(2))
+    signs = [three, WeightedMajorityRule([1, 1, 2], 2)]
+    audits = (check_bic, welfare, ordinal_projection, lambda env, rule: interim_table(env, rule, 0))
+    for message, group in (("does not match the environment", rules), ("profile has 2", signs)):
+        for rule, audit in itertools.product(group, audits):
             with pytest.raises(ValueError, match=message):
                 audit(env, rule)
     assert check_bic(env, AnonymousSCF((-1, 1), 2, anonymous)).satisfied
