@@ -205,19 +205,24 @@ def enumerated(env):
         yield profile, profile_probability(env.agents, profile)
 
 
-def test_multiset_distribution_equals_the_grouped_enumeration():
-    # sorted, the multisets an anonymous rule reads; with order=tuple, the
-    # ordered profiles of positive probability
+def test_profiles_yield_exactly_the_positive_profiles_in_order():
+    # with order=tuple the kernel keys ordered profiles, and its dict lists
+    # them in the lexicographic order of the enumeration
     for env in kernel_environments():
+        expected = [(p, q) for p, q in enumerated(env) if q != 0]
         points = [agent.items for agent in env.agents]
-        for order in (sorted, tuple):
-            grouped: dict = {}
-            for profile, q in enumerated(env):
-                if q != 0:
-                    key = tuple(order(profile))
-                    grouped[key] = grouped.get(key, Fraction(0)) + q
-            assert multiset_distribution(points, order) == grouped
-            assert sum(grouped.values()) == 1
+        assert list(multiset_distribution(points, tuple).items()) == expected
+
+
+def test_multiset_distribution_equals_the_grouped_enumeration():
+    for env in kernel_environments():
+        grouped: dict = {}
+        for profile, q in enumerated(env):
+            if q != 0:
+                key = tuple(sorted(profile))
+                grouped[key] = grouped.get(key, Fraction(0)) + q
+        assert multiset_distribution([agent.items for agent in env.agents]) == grouped
+        assert sum(grouped.values()) == 1
 
 
 def test_kernels_of_no_agents_hold_the_empty_profile():
