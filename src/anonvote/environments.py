@@ -4,8 +4,8 @@ An environment is a finite value set V (the shared support, 0 excluded) and
 one discrete distribution over V per agent. Agents draw values independently.
 Everything downstream (interim allocations, welfare, the optimization) is
 computed from these objects with exact rationals. Each
-:class:`AgentDistribution` carries its sign statistics (p, U+ and U-),
-computed once when it is built; agents with equal distributions are one type.
+:class:`AgentDistribution` is read once into integers and carries its sign
+statistics (p, U+ and U-), set when it is built; equal ones are one type.
 An :class:`Environment` keeps the report multiset distribution of all its
 agents and, per agent type, of the others, each computed when first used, in
 integers: value-index keys and integer weights over one denominator.
@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import format_rational, integer_form, parse_rational
+from .rationals import format_rational, integer_form, pair_form, parse_pair, parse_rational
 
 __all__ = [
     "InvalidEnvironment",
@@ -43,10 +43,11 @@ class InvalidEnvironment(ValueError):
 
 
 class ValueSet:
-    """Strictly increasing rational values, the common support V, and
-    their :func:`integer_form` ``(scaled, scale)``."""
+    """Strictly increasing rational values, the common support V, their
+    reduced integer pairs ``pairs`` and their :func:`integer_form`
+    ``(scaled, scale)``."""
 
-    __slots__ = ("values", "negatives", "positives", "scaled", "scale")
+    __slots__ = ("values", "pairs", "negatives", "positives", "scaled", "scale")
 
     def __init__(self, values: Iterable):
         vals = tuple(parse_rational(v) for v in values)
@@ -55,6 +56,7 @@ class ValueSet:
         if len(set(vals)) != len(vals):
             raise InvalidEnvironment("value set contains duplicates")
         self.values = tuple(sorted(vals))
+        self.pairs = tuple((v.numerator, v.denominator) for v in self.values)
         self.negatives = tuple(v for v in self.values if v < 0)
         self.positives = tuple(v for v in self.values if v > 0)
         self.scaled, self.scale = integer_form(self.values)
@@ -78,50 +80,63 @@ class ValueSet:
 class AgentDistribution:
     """One agent's probability mass over the value set.
 
-    ``items`` is the canonical (value, probability) tuple, ascending by value;
-    it defines equality so that agents of the same ex-ante type compare equal
-    regardless of their display name.
+    It is read once into integers: ``keys`` are its values as reduced
+    integer pairs ``(num, den)``, ascending, and ``weights`` over ``den``
+    their probabilities, over the least common denominator. Equality and
+    the hash read that form, so agents of the same ex-ante type compare
+    equal regardless of their display name. ``items``, the (value,
+    probability) Fraction pairs in the same order, and the mapping
+    ``probs`` are made when read.
 
-    The sign statistics are set once, here: ``p`` is P(v > 0), ``u_plus`` is
-    E[v | v > 0] and ``u_minus`` is E[|v| | v < 0]; either mean is None when
-    its conditioning event has probability zero (limit mode), and callers
-    must check before using it. ``pos_mass``/``neg_mass`` are the
-    unconditional sign expectations p*u_plus and (1-p)*u_minus, which are
-    always defined. ``(weights, den)`` is the :func:`integer_form` of the
-    probabilities of ``items``.
+    The sign statistics are set once, here, each one Fraction of integer
+    sums: ``p`` is P(v > 0), ``u_plus`` is E[v | v > 0] and ``u_minus`` is
+    E[|v| | v < 0]; either mean is None when its conditioning event has
+    probability zero (limit mode), and callers must check before using it.
+    ``pos_mass``/``neg_mass`` are the unconditional sign expectations
+    p*u_plus and (1-p)*u_minus, which are always defined.
     """
 
-    __slots__ = ("items", "probs", "name", "p", "pos_mass", "neg_mass", "u_plus", "u_minus",
-                 "weights", "den")
+    __slots__ = ("keys", "weights", "den", "name", "p", "pos_mass", "neg_mass", "u_plus",
+                 "u_minus", "_items")
 
     def __init__(self, probs: Mapping, name: str | None = None):
         parsed = {}
         for key, p in probs.items():
-            v = parse_rational(key)
+            v = parse_pair(key)
             if v in parsed:
-                raise InvalidEnvironment(f"probs give value {format_rational(v)} twice")
-            parsed[v] = parse_rational(p)
-        self.items = tuple(sorted(parsed.items()))
-        self.probs = parsed
-        self.weights, self.den = integer_form([p for _, p in self.items])
-        self.name = name
-        self.p = Fraction(0)
-        self.pos_mass = Fraction(0)
-        self.neg_mass = Fraction(0)
-        for v, prob in self.items:
-            if v > 0:
-                self.p += prob
-                self.pos_mass += v * prob
-            else:
-                self.neg_mass += (-v) * prob
-        self.u_plus = self.pos_mass / self.p if self.p > 0 else None
-        self.u_minus = self.neg_mass / (1 - self.p) if self.p < 1 else None
+                raise InvalidEnvironment(f"probs give value {format_rational(Fraction(*v))} twice")
+            parsed[v] = parse_pair(p)
+        scaled, scale = pair_form(list(parsed))
+        weights, den = pair_form(list(parsed.values()))
+        rows = sorted(zip(scaled, parsed, weights))
+        self.keys, self.weights = tuple(v for _, v, _ in rows), tuple(w for _, _, w in rows)
+        self.den, self.name, self._items = den, name, None
+        mass = sum(w for x, _, w in rows if x > 0)
+        up = sum(x * w for x, _, w in rows if x > 0)
+        down = -sum(x * w for x, _, w in rows if x < 0)
+        self.p = Fraction(mass, den)
+        self.pos_mass, self.neg_mass = Fraction(up, scale * den), Fraction(down, scale * den)
+        self.u_plus = Fraction(up, scale * mass) if mass > 0 else None
+        self.u_minus = Fraction(down, scale * (den - mass)) if mass < den else None
+
+    @property
+    def items(self) -> tuple:
+        if self._items is None:
+            pairs = zip(self.keys, self.weights)
+            self._items = tuple((Fraction(*v), Fraction(w, self.den)) for v, w in pairs)
+        return self._items
+
+    @property
+    def probs(self) -> dict:
+        return dict(self.items)
 
     def __eq__(self, other):
-        return isinstance(other, AgentDistribution) and self.items == other.items
+        if not isinstance(other, AgentDistribution):
+            return False
+        return (self.keys, self.weights, self.den) == (other.keys, other.weights, other.den)
 
     def __hash__(self):
-        return hash(self.items)
+        return hash((self.keys, self.weights, self.den))
 
     def __repr__(self):
         body = ", ".join(f"{v}: {p}" for v, p in self.items)
@@ -133,8 +148,9 @@ class Environment:
 
     Every instance satisfies the modeling assumptions; the constructor raises
     :class:`InvalidEnvironment` with every hard error it finds, joined by
-    "; ": fewer than two agents, 0 in the support, missing value sign,
-    probabilities that do not sum exactly to 1, or negative probabilities.
+    "; ": fewer than two agents, 0 in the support, missing value sign, an
+    agent's support other than the value set (its other checks are then
+    skipped), negative probabilities, or probabilities that do not sum to 1.
     Zero-probability support points and deterministic-sign agents are only
     flagged: such environments are accepted in limit mode, and ``flags``
     holds one line per flagged case (empty outside limit mode). ``types[i]``
@@ -152,27 +168,28 @@ class Environment:
         flags: list[str] = []
         if self.n < 2:
             errors.append("environment needs at least 2 agents")
-        if any(v == 0 for v in values):
+        if 0 in values.scaled:
             errors.append("value 0 is not allowed in the support")
         if not values.negatives or not values.positives:
             errors.append("support must contain at least one negative and one positive value")
 
         for i, agent in enumerate(self.agents):
-            if agent.probs.keys() != set(values.values):
-                raise InvalidEnvironment(f"agent {i} support does not match the value set")
             label = f"agent {i} ({agent.name})" if agent.name else f"agent {i}"
-            negative = [v for v, p in agent.items if p < 0]
+            if agent.keys != values.pairs:
+                errors.append(f"{label}: support does not match the value set")
+                continue
+            negative = [v for v, w in zip(values, agent.weights) if w < 0]
             if negative:
                 errors.append(f"{label}: negative probability at {negative[0]}")
                 continue
-            total = Fraction(sum(agent.weights), agent.den)
-            if total != 1:
+            if sum(agent.weights) != agent.den:
+                total = Fraction(sum(agent.weights), agent.den)
                 errors.append(f"{label}: probabilities must sum to 1 (got {total})")
                 continue
-            zeros = [v for v, p in agent.items if p == 0]
+            zeros = [str(v) for v, w in zip(values, agent.weights) if w == 0]
             if zeros:
-                flags.append(f"{label}: zero probability on {{{', '.join(map(str, zeros))}}}")
-            if agent.p == 0 or agent.p == 1:
+                flags.append(f"{label}: zero probability on {{{', '.join(zeros)}}}")
+            if agent.p.denominator == 1:  # p is 0 or 1, as it lies in [0, 1] here
                 flags.append(f"{label}: deterministic value sign (p={agent.p})")
         if errors:
             raise InvalidEnvironment("; ".join(errors))
@@ -252,7 +269,9 @@ def environment_from_json(obj) -> Environment:
          "agents": [{"name": "high", "probs": {"-100": "499/1000", ...}}, ...]}
 
     Numbers are integers or ``"p/q"`` strings. Each agent's ``probs`` keys
-    must match ``values`` exactly (as strings).
+    must match ``values`` as rationals, not as strings: ``"2/4"`` matches a
+    value ``"1/2"``. An agent entry equal to an earlier one, ``probs`` and
+    name both, reuses that entry's distribution.
     """
     if not isinstance(obj, dict):
         raise InvalidEnvironment("environment JSON must be an object")
@@ -265,7 +284,7 @@ def environment_from_json(obj) -> Environment:
         if not isinstance(raw, list):
             raise InvalidEnvironment(f"environment JSON {key!r} must be a list")
     values = ValueSet(raw_values)
-    agents = []
+    agents, seen = [], {}
     for i, raw in enumerate(raw_agents):
         if not isinstance(raw, dict) or "probs" not in raw:
             raise InvalidEnvironment(f"agent {i}: expected an object with 'probs'")
@@ -274,7 +293,11 @@ def environment_from_json(obj) -> Environment:
             raise InvalidEnvironment(f"agent {i}: 'probs' must be an object")
         if not isinstance(raw.get("name", ""), str):
             raise InvalidEnvironment(f"agent {i}: 'name' must be a string")
-        agents.append(AgentDistribution(probs, name=raw.get("name")))
+        # repr tells 1 from 1.0 and True, which compare equal but parse differently
+        key = (raw.get("name"), repr(probs))
+        if key not in seen:
+            seen[key] = AgentDistribution(probs, name=raw.get("name"))
+        agents.append(seen[key])
     return Environment(values, agents)
 
 

@@ -229,10 +229,11 @@ class WeightedMajorityRule:
     Exactly at the quorum the rule allocates ``tie_value``. ``notes`` records
     limit-mode conventions applied while building the rule. ``anonymous``
     holds when all weights coincide (a constant rule with unequal weights is
-    anonymous too, but is not flagged).
+    anonymous too, but is not flagged). The weights and quorum are also
+    kept as integers over one denominator, which ``evaluate`` sums.
     """
 
-    __slots__ = ("weights", "quorum", "tie_value", "notes", "anonymous")
+    __slots__ = ("weights", "quorum", "tie_value", "notes", "anonymous", "_nums", "_quorum")
 
     def __init__(self, weights, quorum, tie_value=Fraction(1, 2), notes=()):
         self.weights = tuple(parse_rational(w) for w in weights)
@@ -242,16 +243,17 @@ class WeightedMajorityRule:
             raise ValueError(f"tie value {self.tie_value} outside [0, 1]")
         self.notes = tuple(notes)
         self.anonymous = len(set(self.weights)) <= 1
+        *self._nums, self._quorum = integer_form([*self.weights, self.quorum])[0]
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         if len(profile) != len(self.weights):
             raise ValueError(
                 f"profile has {len(profile)} entries, rule has {len(self.weights)} weights"
             )
-        support = sum((w for w, v in zip(self.weights, profile) if v > 0), Fraction(0))
-        if support > self.quorum:
+        support = sum([w for w, v in zip(self._nums, profile) if v > 0])
+        if support > self._quorum:
             return Fraction(1)
-        if support < self.quorum:
+        if support < self._quorum:
             return Fraction(0)
         return self.tie_value
 
@@ -636,18 +638,13 @@ def wmr_build(env: Environment, tie_value=Fraction(1, 2)) -> WeightedMajorityRul
     In limit mode an undefined conditional mean is replaced by 0 and the
     substitution is recorded in the rule's ``notes``.
     """
-    weights = []
-    quorum = Fraction(0)
-    notes = []
+    weights, quorum, notes = [], Fraction(0), []
     for i, agent in enumerate(env.agents):
-        u_plus = agent.u_plus
-        u_minus = agent.u_minus
-        if u_plus is None:
-            u_plus = Fraction(0)
+        if agent.u_plus is None:
             notes.append(f"agent {i}: U+ undefined (p=0), using 0")
-        if u_minus is None:
-            u_minus = Fraction(0)
+        if agent.u_minus is None:
             notes.append(f"agent {i}: U- undefined (p=1), using 0")
+        u_plus, u_minus = agent.u_plus or Fraction(0), agent.u_minus or Fraction(0)
         weights.append(u_plus + u_minus)
         quorum += u_minus
     return WeightedMajorityRule(weights, quorum, tie_value, notes)

@@ -3,7 +3,8 @@
 Every probability, value, allocation, and welfare figure in this package is
 a ``fractions.Fraction``. Decimal input is rejected on purpose: exactness
 requires integer or ``p/q`` forms, and base-10 rounding must never leak
-into a computation path. Long sums run on :func:`integer_form`.
+into a computation path. Input is read once into reduced integer pairs
+(:func:`parse_pair`); long sums run on :func:`integer_form`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import functools
 import math
 from fractions import Fraction
 
-__all__ = ["RationalParseError", "parse_rational", "format_rational", "integer_form", "lowest_terms"]
+__all__ = ["RationalParseError", "parse_pair", "parse_rational", "format_rational",
+           "integer_form", "pair_form", "lowest_terms"]
 
 _ALLOWED_CHARS = set("0123456789+-/ ")
 
@@ -21,17 +23,14 @@ class RationalParseError(ValueError):
     """A token could not be read as an exact rational."""
 
 
-def parse_rational(token) -> Fraction:
-    """Parse an integer or a ``"p"`` / ``"p/q"`` string into a Fraction.
-
-    Floats and decimal strings are rejected; Fractions pass through.
-    """
+def parse_pair(token) -> tuple[int, int]:
+    """Parse an integer, a ``"p"`` / ``"p/q"`` string or a Fraction into the
+    reduced integer pair ``(num, den)``, ``den > 0``; floats and decimal
+    strings are rejected."""
     if isinstance(token, Fraction):
-        return token
-    if isinstance(token, bool):
-        raise RationalParseError(f"not an exact rational: {token!r}")
-    if isinstance(token, int):
-        return Fraction(token)
+        return token.numerator, token.denominator
+    if isinstance(token, int) and not isinstance(token, bool):
+        return token, 1
     if isinstance(token, float):
         raise RationalParseError(f"decimal input rejected, use p/q strings: {token!r}")
     if isinstance(token, str):
@@ -39,13 +38,19 @@ def parse_rational(token) -> Fraction:
         if not text or not set(text) <= _ALLOWED_CHARS:
             raise RationalParseError(f"not an exact rational: {token!r}")
         try:
-            if "/" in text:
-                num, den = text.split("/")
-                return Fraction(int(num), int(den))
-            return Fraction(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
+            num, den = map(int, text.split("/")) if "/" in text else (int(text), 1)
+        except ValueError as exc:
             raise RationalParseError(f"not an exact rational: {token!r}") from exc
+        if den == 0:
+            raise RationalParseError(f"not an exact rational: {token!r}")
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        return num // g, den // g
     raise RationalParseError(f"not an exact rational: {token!r}")
+
+
+def parse_rational(token) -> Fraction:
+    """:func:`parse_pair` as a Fraction; a Fraction passes through."""
+    return token if isinstance(token, Fraction) else Fraction(*parse_pair(token))
 
 
 def format_rational(value: Fraction) -> str:
@@ -60,6 +65,12 @@ def integer_form(values) -> tuple[list[int], int]:
     built from lists, since a tuple built from an iterator is resized.)"""
     den = functools.reduce(math.lcm, [v.denominator for v in values], 1)
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def pair_form(pairs) -> tuple[list[int], int]:
+    """:func:`integer_form` of rationals given as reduced ``(num, den)`` pairs."""
+    den = functools.reduce(math.lcm, [d for _, d in pairs], 1)
+    return [a * (den // d) for a, d in pairs], den
 
 
 def lowest_terms(num: list[int], den: int) -> tuple[list[int], int]:

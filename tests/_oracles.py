@@ -15,6 +15,14 @@
   ``anonymous`` flags are checked.
 * :func:`random_symmetric_environment`: seeded draws of environments whose
   agents share one distribution.
+* :func:`mixed_denominator_env`: a fixed environment over values and
+  probabilities of several denominators.
+* :func:`fraction_environment`: an environment's sign statistics, types and
+  flags, recomputed with Fraction sums from each agent's ``items``, against
+  which the integer environment is checked.
+* :func:`wmr_by_fractions`: a weighted majority rule's allocation at one
+  profile from Fraction sums of its weights, against which
+  ``WeightedMajorityRule.evaluate`` is checked.
 """
 
 from __future__ import annotations
@@ -94,6 +102,44 @@ def random_symmetric_environment(rng: random.Random, n_agents: int) -> Environme
     total = sum(weights)
     agent = AgentDistribution({v: Fraction(w, total) for v, w in zip(values, weights)})
     return Environment(ValueSet(values), [agent] * n_agents)
+
+
+def mixed_denominator_env() -> Environment:
+    """Three agents, the first and last of one type, over values of four
+    denominators; the two types' probabilities have different denominators."""
+    values = ValueSet(["-7/3", "-1/2", "3/4", "5/2"])
+    a = AgentDistribution(dict(zip(values, map(Fraction, ("1/3", "1/6", "1/4", "1/4")))))
+    b = AgentDistribution(dict(zip(values, map(Fraction, ("1/5", "3/10", "2/7", "3/14")))))
+    return Environment(values, [a, b, a])
+
+
+def fraction_environment(env: Environment) -> tuple[list, tuple, tuple]:
+    """``(stats, types, flags)``: per agent ``(p, pos_mass, neg_mass, u_plus,
+    u_minus)``, the index of the first agent with equal ``items``, and the
+    limit-mode flags, from Fraction sums over each agent's ``items``."""
+    stats, flags = [], []
+    for i, agent in enumerate(env.agents):
+        p = sum((q for v, q in agent.items if v > 0), Fraction(0))
+        pos = sum((v * q for v, q in agent.items if v > 0), Fraction(0))
+        neg = sum((-v * q for v, q in agent.items if v < 0), Fraction(0))
+        stats.append((p, pos, neg, pos / p if p else None, neg / (1 - p) if p != 1 else None))
+        label = f"agent {i} ({agent.name})" if agent.name else f"agent {i}"
+        zeros = [str(v) for v, q in agent.items if q == 0]
+        if zeros:
+            flags.append(f"{label}: zero probability on {{{', '.join(zeros)}}}")
+        if p in (0, 1):
+            flags.append(f"{label}: deterministic value sign (p={p})")
+    items = [agent.items for agent in env.agents]
+    return stats, tuple(items.index(x) for x in items), tuple(flags)
+
+
+def wmr_by_fractions(rule, profile: Sequence) -> Fraction:
+    """Allocation of a weighted majority rule at ``profile``, from the
+    Fraction sum of the weights of its positive reporters."""
+    support = sum((w for w, v in zip(rule.weights, profile) if v > 0), Fraction(0))
+    if support == rule.quorum:
+        return rule.tie_value
+    return Fraction(1) if support > rule.quorum else Fraction(0)
 
 
 def _gauss_unique(matrix: list[list[Fraction]], rhs: list[Fraction]):

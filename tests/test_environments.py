@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import profile_probability
+from _oracles import fraction_environment, mixed_denominator_env, profile_probability
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -39,6 +39,21 @@ def test_environment_rejects_support_mismatch():
     bad = AgentDistribution({Fraction(-1): Fraction(1, 2), Fraction(2): Fraction(1, 2)})
     with pytest.raises(InvalidEnvironment):
         Environment(values, [bad, bad])
+
+
+def test_every_agent_error_is_collected_with_its_label():
+    # a support mismatch is one error among the others, and skips only that
+    # agent's other checks
+    agents = [{"probs": {"-1": "3/2", "1": "-1/2"}}, {"probs": {"-1": "1/2", "2": "1/2"}}]
+    with pytest.raises(InvalidEnvironment) as caught:
+        environment_from_json({"values": ["-1", "1"], "agents": agents})
+    assert str(caught.value) == (
+        "agent 0: negative probability at 1; agent 1: support does not match the value set"
+    )
+    agents[1]["name"] = "off"
+    off = r"^agent 0: .*; agent 1 \(off\): support does not match"
+    with pytest.raises(InvalidEnvironment, match=off):
+        environment_from_json({"values": ["-1", "1"], "agents": agents})
 
 
 def test_agent_distribution_equality_ignores_name():
@@ -236,6 +251,87 @@ def test_environment_json_round_trip():
     env = make_theorem2_env(3, 10, Fraction(1, 1000))
     again = environment_from_json(environment_to_json(env))
     assert again == env
+
+
+def deterministic_env():
+    values = ValueSet([-1, 1])
+    up = AgentDistribution({Fraction(-1): Fraction(0), Fraction(1): Fraction(1)})
+    half = AgentDistribution({Fraction(-1): Fraction(1, 2), Fraction(1): Fraction(1, 2)})
+    return Environment(values, [up, half, up])
+
+
+def integer_environment_cases():
+    rng = random.Random(41)
+    shapes = ((2, 2), (2, 6), (3, 5), (4, 4), (5, 3))
+    return [random_environment(rng, n_agents=n, max_values=v) for n, v in shapes] + [
+        make_theorem2_env(3, 10, 0),
+        make_theorem2_env(5, 10, 0),
+        make_theorem2_env(6, 13, 0),
+        make_theorem2_env(6, 13, Fraction(1, 1000)),
+        mixed_denominator_env(),
+        deterministic_env(),
+    ]
+
+
+def test_integer_environment_equals_the_fraction_recomputation():
+    for env in integer_environment_cases():
+        stats, types, flags = fraction_environment(env)
+        for agent, expected in zip(env.agents, stats):
+            got = (agent.p, agent.pos_mass, agent.neg_mass, agent.u_plus, agent.u_minus)
+            assert got == expected
+            assert all(type(x) is Fraction for x in expected[:3])
+        assert (env.types, env.flags) == (types, flags)
+        again = environment_from_json(environment_to_json(env))
+        assert again == env
+        assert (again.types, again.flags) == (env.types, env.flags)
+    # limit mode is reached: zero probabilities and a deterministic sign
+    assert fraction_environment(make_theorem2_env(6, 13, 0))[2]
+    assert fraction_environment(deterministic_env())[0][0][4] is None
+
+
+def test_repeated_json_entries_share_one_distribution():
+    obj = environment_to_json(make_theorem2_env(6, 13, 0))
+    env = environment_from_json(obj)
+    assert len({id(agent) for agent in env.agents}) == 2
+    assert all(agent is env.agents[env.types[i]] for i, agent in enumerate(env.agents))
+    # equal probs under another name are one type but their own entry
+    obj["agents"][1]["name"] = "other"
+    env = environment_from_json(obj)
+    assert env.agents[1] == env.agents[0] and env.agents[1] is not env.agents[0]
+    assert env.types == (0, 0, 2, 2, 2, 2)
+    assert env.agents[2] is env.agents[5]
+    named = [flag.split(":")[0] for flag in env.flags]
+    lows = [f"agent {i} (low)" for i in range(2, 6)]
+    assert named == ["agent 0 (high)", "agent 1 (other)"] + lows
+    # entries equal as dicts but not as JSON (1 and 1.0) are each parsed
+    agents = [{"probs": {"-1": 1, "1": 0}}, {"probs": {"-1": 1.0, "1": 0}}]
+    with pytest.raises(ValueError, match="^decimal input rejected"):
+        environment_from_json({"values": ["-1", "1"], "agents": agents})
+
+
+def test_non_canonical_tokens_load_to_the_canonical_environment():
+    canonical = {
+        "values": ["-1", "1/2", "1", "3"],
+        "agents": [
+            {"probs": {"-1": "1/2", "1/2": "1/4", "1": "1/8", "3": "1/8"}},
+            {"probs": {"-1": "1/3", "1/2": "1/3", "1": "0", "3": "1/3"}},
+        ],
+    }
+    noisy = {
+        "values": [" 3 ", "+1", "2/4", "-2/2"],
+        "agents": [
+            {"probs": {"+3": "2/16", "-2/2": "2/4", " 1 ": " 1/8", "2/4": "+1/4"}},
+            {"probs": {"3": "2/6", "-1": "+1/3", "2/2": "-0/5", "1/2": "3/9"}},
+        ],
+    }
+    env, again = environment_from_json(canonical), environment_from_json(noisy)
+    assert again == env and again.values.values == env.values.values
+    assert again.flags == env.flags == ("agent 1: zero probability on {1}",)
+    for a, b in zip(env.agents, again.agents):
+        assert (a.keys, a.weights, a.den) == (b.keys, b.weights, b.den)
+        assert (a.p, a.pos_mass, a.neg_mass, a.u_plus, a.u_minus) == (
+            b.p, b.pos_mass, b.neg_mass, b.u_plus, b.u_minus
+        )
 
 
 def test_json_rejects_key_mismatch_and_decimals():

@@ -8,9 +8,11 @@ import pytest
 
 from _oracles import (
     anonymous_by_permutation,
+    mixed_denominator_env,
     oracle_projection,
     profile_probability,
     random_symmetric_environment,
+    wmr_by_fractions,
 )
 from anonvote import mechanisms
 from anonvote.cli import cmd_check
@@ -544,15 +546,6 @@ def oracle_environments(rng):
     ]
 
 
-def mixed_denominator_env():
-    """Three agents, the first and last of one type, over values of four
-    denominators; the two types' probabilities have different denominators."""
-    values = ValueSet(["-7/3", "-1/2", "3/4", "5/2"])
-    a = AgentDistribution(dict(zip(values, map(Fraction, ("1/3", "1/6", "1/4", "1/4")))))
-    b = AgentDistribution(dict(zip(values, map(Fraction, ("1/5", "3/10", "2/7", "3/14")))))
-    return Environment(values, [a, b, a])
-
-
 def mixed_table_rules(env, rng):
     """Anonymous rules that read whole reports, with allocations k/7 and
     k/12: a table that is a nondecreasing function of the count of positive
@@ -623,6 +616,28 @@ def test_mixed_denominators_and_exact_quorums_equal_the_enumeration():
         for i in range(env.n):
             assert interim_table(env, rule, i) == oracle_interims(env, rule, i)
         assert ordinal_projection(env, rule).by_coalition == oracle_projection(env, rule)
+
+
+def test_weighted_rule_evaluate_equals_the_fraction_sums():
+    # seeded rules with weights of several denominators, zeros and negatives;
+    # each second quorum is the weight of a random coalition, so that
+    # coalition and any other of equal weight get the tie value
+    grid = [Fraction(k, d) for d in (1, 2, 3, 4, 6, 7) for k in range(-6, 7)]
+    ties = 0
+    for n in range(2, 7):
+        rng = random.Random(n)
+        for r in range(12):
+            weights = [rng.choice(grid) for _ in range(n)]
+            weights[rng.randrange(n)] = Fraction(0)
+            if r % 2:
+                quorum = sum((w for w in weights if rng.random() < 0.5), Fraction(0))
+            else:
+                quorum = rng.choice(grid)
+            rule = WeightedMajorityRule(weights, quorum, Fraction(rng.randint(0, 5), 5))
+            for profile in itertools.product((-1, 1), repeat=n):
+                assert rule.evaluate(profile) == wmr_by_fractions(rule, profile)
+                ties += wmr_by_fractions(rule, profile) is rule.tie_value
+    assert ties >= 20
 
 
 def test_projection_equals_the_enumeration():
