@@ -6,9 +6,9 @@ Everything downstream (interim allocations, welfare, the optimization) is
 computed from these objects with exact rationals. Each
 :class:`AgentDistribution` is read once into integers and carries its sign
 statistics (p, U+ and U-), set when it is built; equal ones are one type.
-An :class:`Environment` keeps the report multiset distribution of all its
-agents and, per agent type, of the others, each computed when first used, in
-integers: value-index keys and integer weights over one denominator.
+An :class:`Environment` keeps its column map (``columns``) in integers, each
+part made when first used: per report multiset of all agents, an LP column,
+and per agent type the others' multiset weights and the columns they reach.
 
 An :class:`Environment` is checked once, when it is built: a structurally
 unusable one raises :class:`InvalidEnvironment`, so every environment that
@@ -21,6 +21,7 @@ in :mod:`anonvote.experiments`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -157,7 +158,7 @@ class Environment:
     is the index of the first agent with agent i's distribution.
     """
 
-    __slots__ = ("values", "agents", "flags", "types", "_multisets", "_signs")
+    __slots__ = ("values", "agents", "flags", "types", "_columns", "_signs")
 
     def __init__(self, values: ValueSet, agents: Sequence[AgentDistribution]):
         if not isinstance(values, ValueSet):
@@ -195,22 +196,34 @@ class Environment:
             raise InvalidEnvironment("; ".join(errors))
         self.flags = tuple(flags)
         self.types = tuple(self.agents.index(agent) for agent in self.agents)
-        self._multisets: dict = {}
+        self._columns: dict = {}
         self._signs = None
 
-    def multisets(self, without: int | None = None) -> tuple[dict, int]:
-        """``(distribution, den)``: :func:`multiset_distribution` of every
-        agent, or every agent but ``without``, over their (value index,
-        weight) points, so each sorted index tuple has probability weight /
-        den. It is the same for each agent of one type, so it is kept once
-        per type, when first asked for. Callers share it: read only."""
+    def columns(self, without: int | None = None) -> tuple:
+        """The column map, made on first use and kept per agent type (read
+        only). ``columns()`` is ``(index, value, positives, den)``: ``index``
+        numbers the sorted value-index multisets of n reports, the LP's
+        columns, in lexicographic order; column c has probability times value
+        sum ``value[c] / (den * values.scale)`` and ``positives[c]`` positive
+        reports. ``columns(i)`` is ``(weights, cols, den)``: the others'
+        :func:`multiset_distribution`, multiset r of probability ``weights[r]
+        / den``, and ``cols[j][r]``, the column of r with i's report j."""
         key = None if without is None else self.types[without]
-        if key not in self._multisets:
+        if key not in self._columns:
             others = self.agents if key is None else self.agents[:key] + self.agents[key + 1 :]
-            points = [list(enumerate(agent.weights)) for agent in others]
-            den = math.prod(agent.den for agent in others)
-            self._multisets[key] = (multiset_distribution(points), den)
-        return self._multisets[key]
+            dist = multiset_distribution([list(enumerate(agent.weights)) for agent in others])
+            den, ranks = math.prod(agent.den for agent in others), range(len(self.values))
+            if key is None:
+                keys = itertools.combinations_with_replacement(ranks, self.n)
+                index = {m: c for c, m in enumerate(keys)}
+                scaled, cut = self.values.scaled, len(self.values.negatives)
+                value = [dist.get(m, 0) * sum(map(scaled.__getitem__, m)) for m in index]
+                self._columns[key] = index, value, [sum(j >= cut for j in m) for m in index], den
+            else:
+                index = self.columns()[0]
+                cols = [[index[tuple(sorted(rest + (j,)))] for rest in dist] for j in ranks]
+                self._columns[key] = list(dist.values()), cols, den
+        return self._columns[key]
 
     def signs(self) -> list[tuple]:
         """Per agent, integers ``(den, mass, value)``, each of ``mass`` and

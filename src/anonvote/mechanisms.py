@@ -26,16 +26,16 @@ welfare two ways, the ordinal conditional-expectation projection, and the
 qualified/weighted majority benchmarks.
 
 Expectations are integer sums over two kernels, one ``Fraction`` per
-result. A QMR, a WMR or an ordinal rule reads only signs: it is evaluated
-once per sign key (the count of positive reporters if anonymous, else their
-coalition), and summed over the others' key distribution, built from each
-agent's integer P(sign). A table is read once into integers by its own
-value-index keys and summed over reports keyed the same way: if it is
-anonymous, the sorted multisets the ``Environment`` keeps per agent type
-(which the QMR table reads too), else ordered profiles. The audit of an
-anonymous rule computes one interim table per agent type, and the
-projection of an anonymous table sums once per count of positive agents of
-each type.
+result; each rule is read into integers once and keeps them. A QMR, a WMR
+or an ordinal rule reads only signs: it is evaluated once per sign key (the
+count of positive reporters if anonymous, else their coalition), and summed
+over the others' key distribution, built from each agent's integer P(sign).
+An anonymous table is kept in column order and read through the
+``Environment``'s column map (``env.columns``), as the QMR table and the
+program are; a table that is not anonymous is summed over ordered profiles.
+The audit of an anonymous rule computes one interim table per agent type,
+and the projection of an anonymous table sums once per count of positive
+agents of each type.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .environments import Environment, ValueSet, multiset_distribution
@@ -114,7 +115,7 @@ class _TableSCF:
     ``_domain`` (the key count and a lazy generator of the keys over given
     value ranks) and the nouns of its messages and JSON form."""
 
-    __slots__ = ("values", "n", "allocation", "_index")
+    __slots__ = ("values", "n", "allocation", "_index", "_table")
 
     def __init__(self, values, n: int, allocation: Mapping):
         self.values = tuple(sorted(parse_rational(v) for v in values))
@@ -151,7 +152,7 @@ class _TableSCF:
             if not 0 <= p <= 1:
                 shown = _multiset_key(self.values[j] for j in k)
                 raise ValueError(f"allocation at {shown} is {p}, outside [0, 1]")
-        self.allocation = table
+        self.allocation, self._table = table, None
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         try:
@@ -190,7 +191,7 @@ class AnonymousSCF(_TableSCF):
         sorted value-index tuples, complete and in [0, 1]; kept unchecked."""
         rule = cls.__new__(cls)
         rule.values, rule.n, rule.allocation = values, n, allocation
-        rule._index = {v: j for j, v in enumerate(values)}
+        rule._index, rule._table = {v: j for j, v in enumerate(values)}, None
         return rule
 
     def __repr__(self):
@@ -205,13 +206,13 @@ class QualifiedMajorityRule:
     are kept so benchmark tables cover the constant rules.
     """
 
-    __slots__ = ("k",)
+    __slots__ = ("k", "_table")
     anonymous = True
 
     def __init__(self, k: int):
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"threshold must be a nonnegative integer, got {k!r}")
-        self.k = k
+        self.k, self._table = k, None
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         return Fraction(1) if len(coalition(profile)) >= self.k else Fraction(0)
@@ -233,7 +234,8 @@ class WeightedMajorityRule:
     kept as integers over one denominator, which ``evaluate`` sums.
     """
 
-    __slots__ = ("weights", "quorum", "tie_value", "notes", "anonymous", "_nums", "_quorum")
+    __slots__ = ("weights", "quorum", "tie_value", "notes", "anonymous", "_nums", "_quorum",
+                 "_table")
 
     def __init__(self, weights, quorum, tie_value=Fraction(1, 2), notes=()):
         self.weights = tuple(parse_rational(w) for w in weights)
@@ -241,7 +243,7 @@ class WeightedMajorityRule:
         self.tie_value = parse_rational(tie_value)
         if not 0 <= self.tie_value <= 1:
             raise ValueError(f"tie value {self.tie_value} outside [0, 1]")
-        self.notes = tuple(notes)
+        self.notes, self._table = tuple(notes), None
         self.anonymous = len(set(self.weights)) <= 1
         *self._nums, self._quorum = integer_form([*self.weights, self.quorum])[0]
 
@@ -297,10 +299,9 @@ class OrdinalSCF:
     """Rule that depends only on the coalition of positive reporters;
     ``anonymous`` says whether it depends only on the coalition's size."""
 
-    __slots__ = ("n", "by_coalition", "anonymous")
+    __slots__ = ("n", "by_coalition", "anonymous", "_table")
 
     def __init__(self, n: int, by_coalition: Mapping[frozenset, Fraction]):
-        self.n = n
         table = {frozenset(t): parse_rational(p) for t, p in by_coalition.items()}
         agents = frozenset(range(n))
         if len(table) != 1 << n or any(not t <= agents for t in table):
@@ -308,7 +309,18 @@ class OrdinalSCF:
         for t, p in table.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"allocation at coalition {sorted(t)} is {p}")
-        self.by_coalition = table
+        self._take(n, table)
+
+    @classmethod
+    def from_coalitions(cls, n: int, table: dict):
+        """The rule of a ``table`` already keyed by every coalition, as a
+        frozenset, with Fraction values in [0, 1]; kept unchecked."""
+        rule = cls.__new__(cls)
+        rule._take(n, table)
+        return rule
+
+    def _take(self, n: int, table: dict):
+        self.n, self.by_coalition, self._table = n, table, None
         by_size: dict[int, Fraction] = {}
         self.anonymous = all(by_size.setdefault(len(t), p) == p for t, p in table.items())
 
@@ -324,81 +336,75 @@ class OrdinalSCF:
 _SIGN_RULES = (QualifiedMajorityRule, WeightedMajorityRule, OrdinalSCF)
 
 
-def _allocations(env: Environment, rule: _TableSCF) -> tuple[dict, int]:
-    """``rule``'s table as integers over one denominator, ``(dict, den)``,
-    by the same value-index keys. They must index the environment's values,
-    so a rule over other values or another n raises ``ValueError``."""
-    if rule.values != env.values.values or rule.n != env.n:
-        raise ValueError("rule support or agent count does not match the environment")
-    nums, den = integer_form(list(rule.allocation.values()))
-    return dict(zip(rule.allocation, nums)), den
-
-
-def _reports(env: Environment, rule: _TableSCF, without: int | None = None) -> tuple[dict, int]:
-    """``(distribution, den)`` of the reports of every agent, or every agent
-    but ``without``, keyed as ``rule`` reads them: the sorted multisets
-    ``env`` keeps if it is anonymous, else ordered value-index profiles."""
-    if rule.anonymous:
-        return env.multisets(without)
+def _profiles(env: Environment, without: int | None = None) -> tuple[dict, int]:
+    """``(distribution, den)`` of the ordered value-index profiles of every
+    agent, or every agent but ``without``, as a table that is not anonymous
+    reads them."""
     agents = [agent for j, agent in enumerate(env.agents) if j != without]
     points = [list(enumerate(agent.weights)) for agent in agents]
     return multiset_distribution(points, tuple), math.prod(agent.den for agent in agents)
 
 
-def _table_interim(env: Environment, rule: _TableSCF, i: int, allocations) -> dict:
-    """Agent ``i``'s interim table from :func:`_allocations`: per report
-    index j, the integer sum of weight(rest) * allocation(rest + j) over the
-    others' :func:`_reports`, j sorted in if the rule is anonymous, else
-    inserted at position i."""
-    alloc, den = allocations
-    dist, dist_den = _reports(env, rule, i)
-    pairs, ranks = dist.items(), range(len(env.values))
-    if rule.anonymous:
-        sums = [sum(w * alloc[tuple(sorted(rest + (j,)))] for rest, w in pairs) for j in ranks]
-    else:
-        sums = [sum(w * alloc[rest[:i] + (j,) + rest[i:]] for rest, w in pairs) for j in ranks]
-    return {v: Fraction(s, den * dist_den) for v, s in zip(env.values, sums)}
-
-
-def _integer_table(env: Environment, rule) -> tuple:
+def _integers(rule, n: int) -> tuple:
     """A rule's values as integers over one denominator, ``(nums, den)``: a
     sign rule (a QMR, a WMR or an :class:`OrdinalSCF`) evaluated once per
     sign key, the count of positive reporters if it is anonymous, else their
-    bitmask (bit i for agent i); a table's :func:`_allocations`."""
-    if not isinstance(rule, _SIGN_RULES):
-        return _allocations(env, rule)
-    n = env.n  # such a rule allocates the same at any reports of the same signs, so at +-1
-    masks = [(1 << c) - 1 for c in range(n + 1)] if rule.anonymous else range(1 << n)
-    return integer_form([rule.evaluate([(-1, 1)[m >> i & 1] for i in range(n)]) for m in masks])
+    bitmask (bit i for agent i); a table as a dict by its value-index keys,
+    in column order (see ``Environment.columns``) if it is anonymous."""
+    if isinstance(rule, _SIGN_RULES):  # the same at any reports of the same signs, so at +-1
+        masks = [(1 << c) - 1 for c in range(n + 1)] if rule.anonymous else range(1 << n)
+        return integer_form([rule.evaluate([(-1, 1)[m >> i & 1] for i in range(n)]) for m in masks])
+    ranks, table = range(len(rule.values)), rule.allocation
+    keys = list(itertools.combinations_with_replacement(ranks, n) if rule.anonymous else table)
+    nums, den = integer_form([table[m] for m in keys])
+    return dict(zip(keys, nums)), den
 
 
-def _sign_sums(env: Environment, rule, table, i: int) -> tuple[list, int]:
-    """Agent ``i``'s interim under a sign rule's :func:`_integer_table`: per
-    sign of i's report, the sum of weight(key) * nums[key with i's sign] over
-    the others' sign keys, their distribution built one agent at a time from
-    ``env.signs()``; and the denominator of both sums."""
-    (nums, den), dist = table, {0: 1}
-    for j, (agent_den, mass, _) in enumerate(env.signs()):
-        if j != i:
-            bit, step = 1 if rule.anonymous else 1 << j, {}
-            for key, w in dist.items():
-                step[key] = step.get(key, 0) + w * mass[0]
-                step[key + bit] = step.get(key + bit, 0) + w * mass[1]
-            dist, den = step, den * agent_den
-    bit = 1 if rule.anonymous else 1 << i
-    return [sum(w * nums[key + s] for key, w in dist.items()) for s in (0, bit)], den
+def _integer_table(env: Environment, rule) -> tuple:
+    """:func:`_integers` at ``env.n``, made once per rule and agent count and
+    kept on the rule, which is treated as immutable. A table must index the
+    environment's values, so one over other values or another n raises
+    ``ValueError``."""
+    if not isinstance(rule, _SIGN_RULES) and (rule.values != env.values.values or rule.n != env.n):
+        raise ValueError("rule support or agent count does not match the environment")
+    if rule._table is None or rule._table[0] != env.n:
+        rule._table = env.n, _integers(rule, env.n)
+    return rule._table[1]
 
 
-def interim_table(env: Environment, rule, i: int, table=None) -> dict:
-    """Interim allocation of agent ``i`` at every report in the support, from
-    the rule's :func:`_integer_table` (made here unless given): a sign rule's
-    :func:`_sign_sums`, one per sign of the report, a table's
-    :func:`_table_interim`."""
-    table = table or _integer_table(env, rule)
+def _interim_sums(env: Environment, rule, table, i: int) -> tuple[list, int]:
+    """``(sums, den)``: agent ``i``'s interim at each report index j from the
+    rule's :func:`_integer_table`, read at j's sign and the others' sign keys
+    (built one agent at a time from ``env.signs()``), at the columns
+    ``env.columns(i)`` gives for j, or at the others' ordered profiles with
+    j inserted at position i."""
+    (nums, den), ranks = table, range(len(env.values))
     if isinstance(rule, _SIGN_RULES):
-        sums, den = _sign_sums(env, rule, table, i)
-        return {v: Fraction(sums[v > 0], den) for v in env.values}
-    return _table_interim(env, rule, i, table)
+        dist = {0: 1}
+        for j, (agent_den, mass, _) in enumerate(env.signs()):
+            if j != i:
+                bit, step = 1 if rule.anonymous else 1 << j, {}
+                for key, w in dist.items():
+                    step[key] = step.get(key, 0) + w * mass[0]
+                    step[key + bit] = step.get(key + bit, 0) + w * mass[1]
+                dist, den = step, den * agent_den
+        bit, cut = 1 if rule.anonymous else 1 << i, len(env.values.negatives)
+        low, high = (sum(w * nums[key + s] for key, w in dist.items()) for s in (0, bit))
+        return [low] * cut + [high] * (len(ranks) - cut), den
+    if rule.anonymous:
+        (weights, cols, dist_den), alloc = env.columns(i), list(nums.values())
+        return [sum(map(mul, weights, map(alloc.__getitem__, col))) for col in cols], den * dist_den
+    dist, dist_den = _profiles(env, i)
+    pairs = dist.items()
+    sums = [sum(w * nums[rest[:i] + (j,) + rest[i:]] for rest, w in pairs) for j in ranks]
+    return sums, den * dist_den
+
+
+def interim_table(env: Environment, rule, i: int) -> dict:
+    """Interim allocation of agent ``i`` at every report in the support, one
+    Fraction per :func:`_interim_sums` entry."""
+    sums, den = _interim_sums(env, rule, _integer_table(env, rule), i)
+    return {v: Fraction(s, den) for v, s in zip(env.values, sums)}
 
 
 class BicViolation(Record):
@@ -435,15 +441,16 @@ class NotBicError(ValueError):
 
 
 def bic_conditions(values: ValueSet):
-    """The incentive conditions on an interim table, as ``(a, b, kind)``:
-    the interims at reports a and b are equal (``"flatness"``, each pair of
-    consecutive reports of one sign, negatives first), then the one at the
-    highest negative report a is at most the one at the lowest positive
-    report b (``"monotonicity"``)."""
-    for group in (values.negatives, values.positives):
+    """The incentive conditions on an interim table, as ``(a, b, kind)`` over
+    value indices: the interims at reports a and b are equal (``"flatness"``,
+    each pair of consecutive reports of one sign, negatives first), then the
+    one at the highest negative report a is at most the one at the lowest
+    positive report b (``"monotonicity"``)."""
+    cut = len(values.negatives)
+    for group in (range(cut), range(cut, len(values))):
         for a, b in zip(group, group[1:]):
             yield a, b, "flatness"
-    yield values.negatives[-1], values.positives[0], "monotonicity"
+    yield cut - 1, cut, "monotonicity"
 
 
 def check_bic(env: Environment, rule) -> BicReport:
@@ -455,49 +462,52 @@ def check_bic(env: Environment, rule) -> BicReport:
     constraints are enforced at every support value, including reports of
     probability zero.
 
-    Under an anonymous rule an agent's interim depends only on the others'
+    The conditions compare the integers of :func:`_interim_sums`. Under an
+    anonymous rule an agent's interim depends only on the others'
     distributions, so an agent of an earlier agent's type reuses a copy of
-    that agent's table; other rules get one table per agent. Every rule is
-    read once, into its :func:`_integer_table`.
+    that agent's table; other rules get one table per agent.
     """
     conditions = list(bic_conditions(env.values))
-    shared = _integer_table(env, rule)
-    c_minus, c_plus, interims = [], [], []
+    table, values, interims = _integer_table(env, rule), env.values.values, []
     for i in range(env.n):
         first = env.types[i] if rule.anonymous else i
-        if first == i:
-            table = interim_table(env, rule, i, shared)
-        else:
-            table = dict(interims[first])
-        interims.append(table)
+        if first < i:  # an earlier agent's interims, which passed
+            interims.append(dict(interims[first]))
+            continue
+        sums, den = _interim_sums(env, rule, table, i)
+        interims.append({v: Fraction(x, den) for v, x in zip(values, sums)})
         for a, b, kind in conditions:
-            lo, hi = table[a], table[b]
-            if (lo != hi) if kind == "flatness" else (lo > hi):
-                witness = BicViolation(i, a, b, lo, hi, kind)
+            if (sums[a] != sums[b]) if kind == "flatness" else (sums[a] > sums[b]):
+                lo, hi = values[a], values[b]
+                witness = BicViolation(i, lo, hi, interims[i][lo], interims[i][hi], kind)
                 return BicReport(False, None, None, interims, witness)
-        c_minus.append(lo)  # the last condition, monotonicity, reads both constants
-        c_plus.append(hi)
-    return BicReport(True, c_minus, c_plus, interims, None)
+    lo, hi = (values[j] for j in conditions[-1][:2])  # monotonicity reads both constants
+    return BicReport(True, [t[lo] for t in interims], [t[hi] for t in interims], interims, None)
 
 
 def welfare(env: Environment, rule) -> Fraction:
     """Expected total value on the reform event.
 
     A sign rule is summed in integers, over agents i and signs s, as E[v_i
-    1{s}] times i's :func:`_sign_sums` at s (the agents are independent); a
-    table over its :func:`_reports`.
+    1{s}] times i's :func:`_interim_sums` at s (the agents are independent);
+    an anonymous table against the ``value`` of ``env.columns()``; any other
+    table over the ordered :func:`_profiles`.
     """
+    table = _integer_table(env, rule)
     if isinstance(rule, _SIGN_RULES):
-        table, total = _integer_table(env, rule), 0
+        total = 0
         for i, (_, _, value) in enumerate(env.signs()):
-            sums, _ = _sign_sums(env, rule, table, i)
-            total += value[0] * sums[0] + value[1] * sums[1]
+            sums, _ = _interim_sums(env, rule, table, i)
+            total += value[0] * sums[0] + value[1] * sums[-1]
         den = table[1] * math.prod(agent.den for agent in env.agents)
         return Fraction(total, den * env.values.scale)
-    alloc, alloc_den = _allocations(env, rule)
-    dist, den = _reports(env, rule)
-    scaled = env.values.scaled
-    total = sum(w * alloc[m] * sum(map(scaled.__getitem__, m)) for m, w in dist.items())
+    (alloc, alloc_den), scaled = table, env.values.scaled
+    if rule.anonymous:
+        _, value, _, den = env.columns()
+        total = sum(map(mul, value, alloc.values()))
+    else:
+        dist, den = _profiles(env)
+        total = sum(w * alloc[m] * sum(map(scaled.__getitem__, m)) for m, w in dist.items())
     return Fraction(total, den * alloc_den * env.values.scale)
 
 
@@ -549,7 +559,7 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
             f"ordinal projection enumerates 2^n coalitions; n={env.n} exceeds "
             f"{_PROJECTION_MAX_AGENTS}"
         )
-    (nums, den), signs, values = _integer_table(env, rule), env.signs(), env.values.values
+    (nums, den), signs, cut = _integer_table(env, rule), env.signs(), len(env.values.negatives)
     by_key = [Fraction(x, den) for x in nums] if isinstance(rule, _SIGN_RULES) else None
     sums, phi = {}, {}
     for bits in itertools.product((False, True), repeat=env.n):
@@ -563,13 +573,13 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
             continue
         key = tuple(sorted(zip(env.types, bits))) if rule.anonymous else bits
         if key not in sums:
-            points = [[(j, w) for j, w in enumerate(agent.weights) if (values[j] > 0) == b]
+            points = [[(j, w) for j, w in enumerate(agent.weights) if (j >= cut) == b]
                       for agent, b in zip(env.agents, bits)]
             dist = multiset_distribution(points, sorted if rule.anonymous else tuple)
             weighted = sum(w * nums[m] for m, w in dist.items())
             sums[key] = Fraction(weighted, sum(dist.values()) * den)
         phi[t] = sums[key]
-    return OrdinalSCF(env.n, phi)
+    return OrdinalSCF.from_coalitions(env.n, phi)
 
 
 class QmrTable(Record):
@@ -584,12 +594,8 @@ class QmrTable(Record):
 def _qmr_sums(env: Environment) -> tuple[int, dict]:
     """``(k_star, welfare of f^(k) for k = 0..n+1)`` from one integer sum
     per count of positive reports; the smallest maximizer wins ties."""
-    dist, den = env.multisets()
-    scaled, negatives = env.values.scaled, len(env.values.negatives)
-    buckets = [0] * (env.n + 2)
-    for m, w in dist.items():
-        buckets[sum(j >= negatives for j in m)] += w * sum(map(scaled.__getitem__, m))
-    sums = {k: sum(buckets[k:]) for k in range(env.n + 2)}
+    _, value, positives, den = env.columns()
+    sums = {k: sum(v for v, c in zip(value, positives) if c >= k) for k in range(env.n + 2)}
     k_star = min(sums, key=lambda k: (-sums[k], k))
     return k_star, {k: Fraction(w, den * env.values.scale) for k, w in sums.items()}
 

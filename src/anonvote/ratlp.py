@@ -39,9 +39,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .rationals import integer_form, lowest_terms
+from .rationals import integer_form, lowest_terms, pair_form
 
 __all__ = ["LinearProgram", "LpSolution", "SimplexError", "solve", "certify"]
 
@@ -209,13 +210,12 @@ class _Tableau:
             if piv < 0 and leaving < self.n_struct:
                 self._complement(leaving)
 
-    def point(self) -> list[Fraction]:
-        """The structural values, complements undone."""
-        x = [Fraction(0)] * self.n_struct
-        for (a, d), bv in zip(self.rows, self.basis):
-            if bv < self.n_struct:
-                x[bv] = Fraction(a[-1], d)
-        return [1 - v if flip else v for v, flip in zip(x, self.flipped)]
+    def point(self) -> tuple[list[int], int]:
+        """The structural values as one integer pair ``(nums, den)``, not
+        necessarily in lowest terms, complements undone."""
+        basic = {bv: (a[-1], d) for (a, d), bv in zip(self.rows, self.basis) if bv < self.n_struct}
+        x, den = pair_form([basic.get(j, (0, 1)) for j in range(self.n_struct)])
+        return [den - v if flip else v for v, flip in zip(x, self.flipped)], den
 
     def counters(self) -> dict:
         return {"pivots": self.pivots, "degenerate_pivots": self.degenerate,
@@ -235,23 +235,23 @@ def solve(lp: LinearProgram, start: Sequence | None = None) -> LpSolution:
     if start is not None:
         if len(start) != lp.num_vars:
             raise ValueError(f"start has {len(start)} entries for {lp.num_vars} variables")
-        if any(v not in (0, 1) for v in start):
+        if any(type(v) is not int or v not in (0, 1) for v in start):  # refuses 1.0 and True
             raise ValueError("start entries must be 0 or 1")
         try:
-            _verify_point(lp, start)
+            _verify_point(lp, (list(start), 1))
         except SimplexError as exc:
             raise ValueError(f"infeasible start: {exc}") from None
     cost, cost_den = lp.objective
     tab = _Tableau(lp)
     tab.optimize(lp.objective, start)
-    x = tab.point()
-    x_num, x_den = _verify_point(lp, x)
-    value = Fraction(sum(c * v for c, v in zip(cost, x_num)), cost_den * x_den)
+    x_num, x_den = tab.point()
+    _verify_point(lp, (x_num, x_den))
+    value = Fraction(sum(map(mul, cost, x_num)), cost_den * x_den)
     z, den = tab.z
     # slacks cost 0, so a slack's reduced cost is minus its row's dual
     duals = [Fraction(-zj, den) for zj in z[tab.n_struct:]]
     certify(lp, duals, value)
-    return LpSolution(x, value, duals, **tab.counters())
+    return LpSolution([Fraction(v, x_den) for v in x_num], value, duals, **tab.counters())
 
 
 def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):
@@ -285,10 +285,10 @@ def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):
         raise SimplexError(f"dual bound {bound} != objective {value}")
 
 
-def _verify_point(lp: LinearProgram, x: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Raise :class:`SimplexError` unless ``x`` is in the box and meets every
-    row; returns the :func:`integer_form` of ``x`` the check summed over."""
-    num, den = integer_form(x)
+def _verify_point(lp: LinearProgram, x: tuple[list[int], int]):
+    """Raise :class:`SimplexError` unless the point ``x``, an integer pair
+    ``(nums, den)`` with ``den > 0``, is in the box and meets every row."""
+    num, den = x
     for j, v in enumerate(num):
         if not 0 <= v <= den:
             raise SimplexError(f"point violates the bounds of variable {j}")
@@ -298,4 +298,3 @@ def _verify_point(lp: LinearProgram, x: Sequence[Fraction]) -> tuple[list[int], 
         total = sum(coeffs[j] * v for j, v in support)
         if total > 0 or (total and r < n_eq):
             raise SimplexError(f"point violates an {'' if r < n_eq else 'in'}equality row")
-    return num, den

@@ -5,9 +5,9 @@ The decision variable is one allocation probability per report multiset
 compatibility enters as one exact linear row on interim allocations per
 condition of :func:`bic_conditions`: an equality for each flatness pair, an
 inequality for monotonicity. Agents of one type produce identical rows, so
-rows are emitted once per agent type. Each entry is summed in integers over
-the ``Environment``'s multiset distributions, and each row (and the
-objective) is one integer pair, the form :class:`LinearProgram` holds.
+rows are emitted once per agent type. The objective and the rows are read
+off the ``Environment``'s column map (``env.columns``), and each row (and
+the objective) is one integer pair, the form :class:`LinearProgram` holds.
 
 Also here: the four-variable interim relaxation for two agents, whose two
 corner candidates correspond to the k=1 and k=2 majority rules, and the
@@ -17,7 +17,6 @@ rules.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .environments import Environment
@@ -47,56 +46,40 @@ __all__ = [
 ]
 
 
-def _interim_coefficients(env: Environment, i: int, index: dict) -> tuple[dict, int]:
-    """``(rows, den)``: per report v, the integer LP row c with c[m] / den =
-    P(others' reports sort with v into m)."""
-    dist, den = env.multisets(i)
-    rows = [[0] * len(index) for _ in env.values]
-    for rest, w in dist.items():
-        for j, row in enumerate(rows):
-            row[index[tuple(sorted(rest + (j,)))]] = w
-    return dict(zip(env.values, rows)), den
-
-
 def build_opt_lp(env: Environment):
     """Emit the exact LP whose optimum is the best anonymous BIC rule.
 
-    Returns ``(LinearProgram, index)``; ``index`` maps each report multiset,
-    a sorted value-index tuple, to its column, in lexicographic order. Rows
+    Returns ``(LinearProgram, index)``, the column map's ``index``. The
+    objective is its ``value``; a row scatters the others' weights of
+    ``env.columns(i)`` onto the columns of report a, less those of b. Rows
     are generated once per distinct agent distribution: agents of one type
     have identical interim coefficients, so their rows would repeat.
     """
-    keys = itertools.combinations_with_replacement(range(len(env.values)), env.n)
-    index = {m: i for i, m in enumerate(keys)}
-    scaled = env.values.scaled
-    objective = [0] * len(index)
-    dist, den = env.multisets()
-    for m, w in dist.items():
-        objective[index[m]] = w * sum(map(scaled.__getitem__, m))
-    objective = lowest_terms(objective, den * env.values.scale)
-
+    index, value, _, den = env.columns()
+    objective = lowest_terms(list(value), den * env.values.scale)  # the map is shared
     conditions = list(bic_conditions(env.values))
     eq_rows = []
     ineq_rows = []
-    for i in range(env.n):
-        if env.types[i] != i:
-            continue
-        interim, den = _interim_coefficients(env, i, index)
+    for i in dict.fromkeys(env.types):  # the first agent of each type
+        weights, cols, den = env.columns(i)
         for a, b, kind in conditions:
-            rows = eq_rows if kind == "flatness" else ineq_rows
-            rows.append(lowest_terms([x - y for x, y in zip(interim[a], interim[b])], den))
+            row = [0] * len(index)
+            for c, w in zip(cols[a], weights):
+                row[c] = w
+            for c, w in zip(cols[b], weights):
+                row[c] -= w
+            (eq_rows if kind == "flatness" else ineq_rows).append(lowest_terms(row, den))
 
     return LinearProgram(len(index), objective, eq_rows, ineq_rows), index
 
 
-def _best_qmr_start(env: Environment, index: dict) -> list[int]:
+def _best_qmr_start(env: Environment) -> list[int]:
     """The 0/1 table of the best qualified majority rule, "reform iff at
-    least k_star reports are positive", with the k_star of :func:`qmr_best`.
-    Every such rule is anonymous and BIC, so its table is a feasible start
-    for :func:`solve`."""
+    least k_star reports are positive", with the k_star of :func:`qmr_best`,
+    in column order. Every such rule is anonymous and BIC, so its table is a
+    feasible start for :func:`solve`."""
     k_star = _qmr_sums(env)[0]
-    negatives = len(env.values.negatives)
-    return [int(sum(j >= negatives for j in m) >= k_star) for m in index]
+    return [int(k >= k_star) for k in env.columns()[2]]
 
 
 def mechanism_from_vertex(env: Environment, index: dict, x) -> AnonymousSCF:
@@ -125,7 +108,7 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
     ways; any disagreement raises :class:`SimplexError`.
     """
     lp, index = build_opt_lp(env)
-    start = _best_qmr_start(env, index)
+    start = _best_qmr_start(env)
     solution = solve(lp, start)
     mechanism = mechanism_from_vertex(env, index, solution.x)
     audit = check_bic(env, mechanism)

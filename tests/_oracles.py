@@ -23,6 +23,9 @@
 * :func:`wmr_by_fractions`: a weighted majority rule's allocation at one
   profile from Fraction sums of its weights, against which
   ``WeightedMajorityRule.evaluate`` is checked.
+* :func:`oracle_columns`: the column map by enumerating ordered profiles
+  with Fraction probabilities, against which ``Environment.columns``, read
+  back by :func:`kept_columns`, is checked.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Sequence
 from _lpgen import rational_rows
 from anonvote.environments import AgentDistribution, Environment, ValueSet
 from anonvote.mechanisms import coalition
+from anonvote.rationals import integer_form
 from anonvote.ratlp import LinearProgram, LpSolution, _verify_point
 
 
@@ -338,5 +342,40 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12,
     for j, v in best["x"].items():
         x[j] = v
     value = best["value"] + loose_value
-    _verify_point(lp, x)
+    _verify_point(lp, integer_form(x))
     return LpSolution(x, value)
+
+
+def oracle_columns(env: Environment, without: int | None = None):
+    """The column map from every ordered profile of value indices, with
+    Fraction probabilities. For all agents (``without`` None): per sorted
+    multiset, in lexicographic order, E[sum of values; multiset] and its
+    count of positive reports. Without agent i: per multiset of the others'
+    reports of positive probability, its probability and, per report j of
+    agent i, the multiset with j added; sorted, since it has no order."""
+    values, ranks = env.values.values, range(len(env.values))
+    agents = [agent for i, agent in enumerate(env.agents) if i != without]
+    mass: dict[tuple, Fraction] = {}
+    for profile in itertools.product(ranks, repeat=len(agents)):
+        prob = profile_probability(agents, [values[j] for j in profile])
+        key = tuple(sorted(profile))
+        mass[key] = mass.get(key, Fraction(0)) + prob
+    if without is None:
+        keys = itertools.combinations_with_replacement(ranks, env.n)
+        return [(m, mass[m] * sum(values[j] for j in m), sum(values[j] > 0 for j in m))
+                for m in keys]
+    return sorted((p, tuple(tuple(sorted(rest + (j,))) for j in ranks))
+                  for rest, p in mass.items() if p)
+
+
+def kept_columns(env: Environment, without: int | None = None):
+    """``env.columns(without)`` in the form of :func:`oracle_columns`."""
+    if without is None:
+        index, value, positives, den = env.columns()
+        assert list(index.values()) == list(range(len(index)))
+        scale = den * env.values.scale
+        return [(m, Fraction(value[c], scale), positives[c]) for m, c in index.items()]
+    keys = list(env.columns()[0])
+    weights, cols, den = env.columns(without)
+    return sorted((Fraction(w, den), tuple(keys[col[r]] for col in cols))
+                  for r, w in enumerate(weights))

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from anonvote import cli, environment_to_json, make_theorem2_env, mechanism_to_json
+from anonvote import cli, environment_to_json, make_theorem2_env, mechanism_to_json, wmr_build
 from anonvote.cli import main
 from anonvote.experiments import example1_fixture, make_fstar, random_environment
-from anonvote.mechanisms import QualifiedMajorityRule, welfare
+from anonvote.mechanisms import QualifiedMajorityRule, WeightedMajorityRule, welfare
 from anonvote.rationals import format_rational
 from anonvote.welfare_opt import AuxCorners, aux_corners, solve_opt
 
@@ -79,6 +79,21 @@ def test_solve_and_compare_report_the_same_certified_lp(gamma0_file, capsys):
     assert solved["lp"]["certificate"] == "dual-bound"
     assert solved["lp"]["start"] == "qmr"
     assert compared["opt"]["lp"] == solved["lp"]
+
+
+def test_a_check_of_a_sign_rule_evaluates_it_once_per_sign_key(tmp_path, monkeypatch, capsys):
+    # the audit, the welfare and the projection share one table of the rule:
+    # the utilitarian WMR of six agents is not anonymous, so 2^6 coalitions
+    env = make_theorem2_env(6, 13, Fraction(1, 1000))
+    env_path, mech_path = tmp_path / "env.json", tmp_path / "wmr.json"
+    env_path.write_text(json.dumps(environment_to_json(env)))
+    mech_path.write_text(json.dumps(mechanism_to_json(wmr_build(env))))
+    calls, evaluate = [], WeightedMajorityRule.evaluate
+    monkeypatch.setattr(WeightedMajorityRule, "evaluate",
+                        lambda rule, profile: calls.append(profile) or evaluate(rule, profile))
+    assert main(["check", "--env", str(env_path), "--mech", str(mech_path)]) == 0
+    assert "incentive compatible" in capsys.readouterr().out
+    assert len(calls) == 64
 
 
 def test_check_and_hatf_on_the_worked_example(example1_files, capsys):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import fraction_environment, mixed_denominator_env, profile_probability
+from _oracles import (fraction_environment, kept_columns, mixed_denominator_env, oracle_columns,
+                      profile_probability)
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -242,6 +243,25 @@ def test_multiset_distribution_equals_the_grouped_enumeration():
 
 def test_kernels_of_no_agents_hold_the_empty_profile():
     assert multiset_distribution([]) == multiset_distribution([], tuple) == {(): 1}
+
+
+@pytest.mark.parametrize(
+    "env",
+    kernel_environments() + [make_theorem2_env(4, 10, 0), mixed_denominator_env()],
+    ids=[f"draw{k}" for k in range(12)] + ["family-n3-eps0", "family-n4-eps0", "mixed"],
+)
+def test_the_column_map_equals_the_enumerated_one(env):
+    # every column, zero-weight ones included (payoff 0 in limit mode, eps = 0),
+    # and, per agent, the others' multisets and the columns agent i's reports
+    # sort them into; the mixed environment's repeated type is agents 0 and 2
+    expected = oracle_columns(env)
+    assert kept_columns(env) == expected
+    assert len(expected) == len(list(itertools.combinations_with_replacement(env.values, env.n)))
+    for i in range(env.n):
+        assert kept_columns(env, i) == oracle_columns(env, i)
+    if env.flags:  # limit mode: some columns of nonzero value sum have weight 0
+        sums = [sum(env.values.values[j] for j in m) for m, _, _ in expected]
+        assert any(total and not value for total, (_, value, _) in zip(sums, expected))
 
 
 # --------------------------------------------------------------------- JSON

@@ -6,6 +6,7 @@ import pytest
 from _lpgen import exact_lp, fractional_optimum, random_lp, rational_lp, rational_rows
 from _oracles import GuardExceeded, vertex_enumerate
 from anonvote.experiments import make_theorem2_env, random_environment
+from anonvote.rationals import integer_form
 from anonvote.ratlp import (
     LpSolution,
     SimplexError,
@@ -247,9 +248,11 @@ def test_a_start_reaches_the_cold_optimum_on_random_instances():
         ([0, 0], "2 entries for 3 variables"),  # zip would truncate it to a feasible point
         ([1, 0, 1, 0], "4 entries for 3 variables"),
         ([Fraction(1, 2), Fraction(1, 2), 1], "0 or 1"),  # feasible, but not a 0/1 vector
+        ([0, 0, 1.0], "0 or 1"),  # feasible and equal to a 0/1 vector, but a float
+        ([False, False, True], "0 or 1"),  # the same, as bools
         ([1, 1, 0], "infeasible start"),
     ],
-    ids=["short", "long", "fractional", "infeasible"],
+    ids=["short", "long", "fractional", "float", "bool", "infeasible"],
 )
 def test_a_malformed_start_is_refused(start, message):
     with pytest.raises(ValueError, match=message):
@@ -282,21 +285,21 @@ def test_a_start_that_is_not_bic_is_refused():
 def test_the_feasibility_check_refuses_with_its_message(x, message):
     lp = box_lp([0] * 5, eq=[[1, -1, 0, 2, 0]], ineq=[[-1, 0, 3, 0, 0]])
     with pytest.raises(SimplexError) as refused:
-        _verify_point(lp, x)
+        _verify_point(lp, integer_form(x))
     assert str(refused.value) == message
-    _verify_point(lp, [1, 1, Fraction(1, 3), 0, 1])  # both rows 0, in the box
+    _verify_point(lp, integer_form([1, 1, Fraction(1, 3), 0, 1]))  # both rows 0, in the box
 
 
 def test_the_feasibility_check_sums_coordinates_of_several_denominators():
     # 3/2 * 1/3 - 3 * 1/6 = 0 exactly; -1/4 * 1/3 + 1/2 * 1/6 = 0, on the boundary
     lp = box_lp([0] * 3, eq=[[Fraction(3, 2), -3, 0]], ineq=[[Fraction(-1, 4), Fraction(1, 2), 0]])
-    _verify_point(lp, [Fraction(1, 3), Fraction(1, 6), 0])
+    _verify_point(lp, integer_form([Fraction(1, 3), Fraction(1, 6), 0]))
     with pytest.raises(SimplexError) as refused:
-        _verify_point(lp, [Fraction(1, 3), Fraction(1, 3), 0])  # off by 1/6
+        _verify_point(lp, integer_form([Fraction(1, 3), Fraction(1, 3), 0]))  # off by 1/6
     assert str(refused.value) == "point violates an equality row"
     lp = box_lp([0] * 3, ineq=[[Fraction(-1, 4), Fraction(1, 2), 0]])
     with pytest.raises(SimplexError) as refused:
-        _verify_point(lp, [Fraction(1, 3), Fraction(1, 3), 0])
+        _verify_point(lp, integer_form([Fraction(1, 3), Fraction(1, 3), 0]))
     assert str(refused.value) == "point violates an inequality row"
 
 

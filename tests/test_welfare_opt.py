@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from _lpgen import exact_lp, rational_rows
-from _oracles import random_symmetric_environment, vertex_enumerate
+from _oracles import kept_columns, oracle_columns, random_symmetric_environment, vertex_enumerate
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -34,7 +34,6 @@ from anonvote.ratlp import solve
 from anonvote.welfare_opt import (
     AuxPoint,
     _best_qmr_start,
-    _interim_coefficients,
     aux_corners,
     build_opt_lp,
     lemma3_bounds,
@@ -105,11 +104,13 @@ def test_agents_of_one_type_have_identical_interim_rows():
     rng = random.Random(19)
     for n in (2, 3):
         env = random_symmetric_environment(rng, n)
-        lp, index = build_opt_lp(env)
+        lp, _ = build_opt_lp(env)
         assert len(lp.ineq_rows) == 1
-        first = _interim_coefficients(env, 0, index)
-        for i in range(1, n):
-            assert _interim_coefficients(env, i, index) == first
+        # the others' reports, and the columns each report sorts them into,
+        # are the same without any one agent: enumerated, and as the rows read them
+        first = oracle_columns(env, 0)
+        for i in range(n):
+            assert oracle_columns(env, i) == kept_columns(env, i) == first
         assert env.types == (0,) * n
     assert make_theorem2_env(5, 10, Fraction(1, 1000)).types == (0, 0, 2, 2, 2)
 
@@ -146,8 +147,9 @@ def _three_types():
 )
 def test_a_solve_computes_each_report_distribution_once(env, expected, monkeypatch):
     # one distribution of all agents (objective, welfare) and one of the
-    # others per agent type (LP rows, both audits); every module that binds
-    # the function is patched, so no call escapes the count
+    # others per agent type (LP rows, both audits), each read through the
+    # column map; every module that binds the function is patched, so no
+    # call escapes the count
     calls = []
 
     def counted(agents, order=sorted):
@@ -164,23 +166,15 @@ def test_a_solve_computes_each_report_distribution_once(env, expected, monkeypat
     assert sorted(calls) == [env.n - 1] * (expected - 1) + [env.n]
     # agents of one type share theirs
     for i in range(env.n):
-        env.multisets(i)
+        env.columns(i)
     assert len(calls) == expected
-    # callers read the kept distributions and leave them as computed: mapped
-    # back to values and Fractions, each is the distribution of the agents
+    # callers read the kept map and leave it as computed: read back in
+    # Fractions, it is the one enumerated from the agents' ordered profiles
     monkeypatch.undo()
     assert welfare(env, report.mechanism) == report.welfare
-
-    def as_fractions(kept):
-        dist, den = kept
-        values = env.values.values
-        return {tuple(values[j] for j in m): Fraction(w, den) for m, w in dist.items()}
-
-    points = [agent.items for agent in env.agents]
-    assert as_fractions(env.multisets()) == multiset_distribution(points)
+    assert kept_columns(env) == oracle_columns(env)
     for i in range(env.n):
-        others = points[:i] + points[i + 1 :]
-        assert as_fractions(env.multisets(i)) == multiset_distribution(others)
+        assert kept_columns(env, i) == oracle_columns(env, i)
 
 
 PINNED = pytest.mark.parametrize(
@@ -345,7 +339,7 @@ def test_qmr_start_and_cold_start_reach_one_certified_optimum():
     assert len(envs) >= 200
     for env in envs:
         lp, index = build_opt_lp(env)
-        start = _best_qmr_start(env, index)
+        start = _best_qmr_start(env)
         best = qmr_best(env)
         assert start_threshold(start, index, env) == best.k_star
         cost, den = lp.objective
