@@ -33,12 +33,10 @@ from .experiments import (
     run_theorem2_demo,
 )
 from .mechanisms import (
-    AnonymousSCF,
     BicViolation,
-    OrderedTableSCF,
     QualifiedMajorityRule,
-    WeightedMajorityRule,
     ZeroProbabilityCoalition,
+    _integer_table,
     check_bic,
     mechanism_from_json,
     mechanism_to_json,
@@ -97,23 +95,16 @@ def _load_environment(path: str):
         raise InputError(f"{path}: {exc}") from None
 
 
-def _load_mechanism(path: str):
+def _load_mechanism(path: str, env):
     obj = _load_json(path)
     if isinstance(obj, dict) and "mechanism" in obj and "kind" not in obj:
         obj = obj["mechanism"]  # accept a full solve report
     try:
-        return mechanism_from_json(obj)
+        rule = mechanism_from_json(obj)
+        _integer_table(env, rule)  # the audits' support check; they keep the table
+        return rule
     except (RationalParseError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from None
-
-
-def _check_support(env, rule):
-    if isinstance(rule, (AnonymousSCF, OrderedTableSCF)):
-        if rule.values != env.values.values or rule.n != env.n:
-            raise InputError("mechanism support or agent count does not match the environment")
-    elif isinstance(rule, WeightedMajorityRule):
-        if len(rule.weights) != env.n:
-            raise InputError("weighted rule has a weight count different from n")
 
 
 _SIZE_LIMIT = 8
@@ -582,9 +573,7 @@ def main(argv=None) -> int:
             _check_size(env, args.force_large)
             inputs.append(env)
             if "mech" in args:
-                rule = _load_mechanism(args.mech)
-                _check_support(env, rule)
-                inputs.append(rule)
+                inputs.append(_load_mechanism(args.mech, env))
         payload = args.func(args, *inputs)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

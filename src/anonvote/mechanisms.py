@@ -186,12 +186,15 @@ class AnonymousSCF(_TableSCF):
         return math.comb(len(values) + n - 1, n), itertools.combinations_with_replacement(values, n)
 
     @classmethod
-    def from_indices(cls, values: tuple, n: int, allocation: dict):
-        """The rule over sorted ``values`` of an ``allocation`` already keyed by
-        sorted value-index tuples, complete and in [0, 1]; kept unchecked."""
-        rule = cls.__new__(cls)
-        rule.values, rule.n, rule.allocation = values, n, allocation
-        rule._index, rule._table = {v: j for j, v in enumerate(values)}, None
+    def from_indices(cls, values: tuple, n: int, index, x: tuple[list[int], int]):
+        """The rule over sorted ``values`` whose allocation at the j-th key of
+        ``index`` (every sorted value-index tuple, in column order) is entry j
+        of the integer pair ``x = (nums, den)`` in lowest terms, in [0, 1];
+        kept unchecked, with ``x`` as its :func:`_integer_table`."""
+        (nums, den), rule = x, cls.__new__(cls)
+        rule.values, rule.n, rule._index = values, n, {v: j for j, v in enumerate(values)}
+        rule.allocation = {k: Fraction(v, den) for k, v in zip(index, nums)}
+        rule._table = n, (dict(zip(index, nums)), den)
         return rule
 
     def __repr__(self):

@@ -31,7 +31,8 @@ program has an optimal vertex; there is no infeasible or unbounded case.
   UB(y) = sum_j max(0, c_j - a_j.y) (Neumaier & Shcherbina, Math. Prog.
   2004), so a feasible point whose value equals UB(y) is optimal, whichever
   pivot rule proposed it. UB(y), like the feasibility check and c.x, is
-  an integer sum over the program's integer rows.
+  an integer sum over the program's integer rows. The vertex and the duals
+  leave as integer pairs too; only the optimal value is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .rationals import integer_form, lowest_terms, pair_form
+from .rationals import lowest_terms, pair_form
 
 __all__ = ["LinearProgram", "LpSolution", "SimplexError", "solve", "certify"]
 
@@ -54,10 +55,10 @@ class SimplexError(RuntimeError):
 class LinearProgram:
     """max c.x subject to a.x == 0 (eq rows), a.x <= 0 (ineq rows), 0 <= x <= 1.
 
-    The objective and every row are one integer pair ``(numerators, den)``,
-    ``num_vars`` numerators over a positive denominator in :func:`lowest_terms`
-    (the :func:`integer_form` of the rational row). This is the form of the
-    welfare program, so x = 0 is always feasible and the optimum is attained.
+    The objective and every row are one integer pair ``(numerators, den)``, a
+    list of ``num_vars`` ints over a positive int (else ``ValueError``), best
+    in :func:`lowest_terms`. This is the form of the welfare program, so x = 0
+    is always feasible and the optimum is attained.
     """
 
     __slots__ = ("num_vars", "objective", "eq_rows", "ineq_rows")
@@ -65,16 +66,22 @@ class LinearProgram:
     def __init__(self, num_vars, objective, eq_rows=(), ineq_rows=()):
         self.num_vars, self.objective = num_vars, objective
         self.eq_rows, self.ineq_rows = list(eq_rows), list(ineq_rows)
+        for r, (num, den) in enumerate([objective, *self.eq_rows, *self.ineq_rows]):
+            if not (type(num) is list and len(num) == num_vars and type(den) is int and den > 0
+                    and all(type(a) is int for a in num)):
+                what = f"row {r - 1}" if r else "objective"
+                raise ValueError(f"{what} is not a list of {num_vars} ints over a positive int")
 
 
 class LpSolution:
     """An exact optimal vertex, its duals and the pivot counters that reached it.
 
-    ``duals`` holds one y_r per row, equality rows first, the certificate
-    :func:`certify` accepted. ``degenerate_pivots`` counts pivots of step
-    length 0, ``bound_flips`` those where the entering variable reaches its
-    own bound, and ``max_den_bits`` is the bit length of the largest row
-    denominator the tableau reached.
+    ``x`` and ``duals``, one y_r per row, equality rows first, the certificate
+    :func:`certify` accepted, are integer pairs in :func:`lowest_terms`.
+    ``degenerate_pivots`` counts pivots of step length 0, ``bound_flips``
+    those where the entering variable reaches its own bound, and
+    ``max_den_bits`` is the bit length of the largest row denominator the
+    tableau reached.
     """
 
     __slots__ = ("x", "objective_value", "duals", "pivots",
@@ -211,11 +218,11 @@ class _Tableau:
                 self._complement(leaving)
 
     def point(self) -> tuple[list[int], int]:
-        """The structural values as one integer pair ``(nums, den)``, not
-        necessarily in lowest terms, complements undone."""
+        """The structural values as one integer pair ``(nums, den)`` in
+        :func:`lowest_terms`, complements undone."""
         basic = {bv: (a[-1], d) for (a, d), bv in zip(self.rows, self.basis) if bv < self.n_struct}
         x, den = pair_form([basic.get(j, (0, 1)) for j in range(self.n_struct)])
-        return [den - v if flip else v for v, flip in zip(x, self.flipped)], den
+        return lowest_terms([den - v if flip else v for v, flip in zip(x, self.flipped)], den)
 
     def counters(self) -> dict:
         return {"pivots": self.pivots, "degenerate_pivots": self.degenerate,
@@ -244,45 +251,44 @@ def solve(lp: LinearProgram, start: Sequence | None = None) -> LpSolution:
     cost, cost_den = lp.objective
     tab = _Tableau(lp)
     tab.optimize(lp.objective, start)
-    x_num, x_den = tab.point()
-    _verify_point(lp, (x_num, x_den))
-    value = Fraction(sum(map(mul, cost, x_num)), cost_den * x_den)
+    x = tab.point()
+    _verify_point(lp, x)
+    value = Fraction(sum(map(mul, cost, x[0])), cost_den * x[1])
     z, den = tab.z
     # slacks cost 0, so a slack's reduced cost is minus its row's dual
-    duals = [Fraction(-zj, den) for zj in z[tab.n_struct:]]
+    duals = lowest_terms([-zj for zj in z[tab.n_struct:]], den)
     certify(lp, duals, value)
-    return LpSolution([Fraction(v, x_den) for v in x_num], value, duals, **tab.counters())
+    return LpSolution(x, value, duals, **tab.counters())
 
 
-def certify(lp: LinearProgram, duals: Sequence[Fraction], value: Fraction):
+def certify(lp: LinearProgram, duals: tuple[list[int], int], value: Fraction):
     """Prove that no feasible point of ``lp`` is worth more than ``value``.
 
-    ``duals`` holds one y_r per row, equality rows first. For every feasible
-    x, c.x = sum_j (c_j - a_j.y) x_j + y.(A x) <= UB(y) = sum_j max(0,
-    c_j - a_j.y): A x is 0 on equality rows and <= 0 on inequality rows,
-    where y_r >= 0, and 0 <= x_j <= 1. Raises :class:`SimplexError` unless
-    y_r >= 0 on every inequality row and UB(y) == ``value`` exactly, so a
-    feasible point of that value is optimal.
+    ``duals`` is one integer pair ``(ys, den)``, den > 0, of one y_r per row,
+    equality rows first. For every feasible x, c.x = sum_j (c_j - a_j.y) x_j +
+    y.(A x) <= UB(y) = sum_j max(0, c_j - a_j.y): A x is 0 on equality rows
+    and <= 0 on inequality rows, where y_r >= 0, and 0 <= x_j <= 1. Raises
+    :class:`SimplexError` unless y_r >= 0 on every inequality row and UB(y) ==
+    ``value`` exactly, so a feasible point of that value is optimal.
     """
-    rows = lp.eq_rows + lp.ineq_rows
-    if len(duals) != len(rows):
-        raise SimplexError(f"{len(duals)} duals for {len(rows)} rows")
-    if any(y < 0 for y in duals[len(lp.eq_rows):]):
+    (ys, y_den), rows = duals, lp.eq_rows + lp.ineq_rows
+    if len(ys) != len(rows) or y_den <= 0:
+        raise SimplexError(f"{len(ys)} duals over denominator {y_den} for {len(rows)} rows")
+    if any(y < 0 for y in ys[len(lp.eq_rows):]):
         raise SimplexError("negative dual on an inequality row")
     # every c_j - a_j.y over one denominator, cost_den * y_den * row_den
-    used = [(y, row) for y, row in zip(duals, rows) if y]
-    ys, y_den = integer_form([y for y, _ in used])
+    used = [(y, row) for y, row in zip(ys, rows) if y]
     row_den = functools.reduce(math.lcm, [d for _, (_, d) in used], 1)
     cost, cost_den = lp.objective
     reduced = [c * y_den * row_den for c in cost]
-    for y, (_, (num, d)) in zip(ys, used):
+    for y, (num, d) in used:
         f = y * (row_den // d) * cost_den
         for j, a in enumerate(num):
             if a:
                 reduced[j] -= f * a
-    bound = Fraction(sum(r for r in reduced if r > 0), cost_den * y_den * row_den)
-    if bound != value:
-        raise SimplexError(f"dual bound {bound} != objective {value}")
+    bound, den = sum(r for r in reduced if r > 0), cost_den * y_den * row_den
+    if bound * value.denominator != value.numerator * den:
+        raise SimplexError(f"dual bound {Fraction(bound, den)} != objective {value}")
 
 
 def _verify_point(lp: LinearProgram, x: tuple[list[int], int]):

@@ -84,8 +84,9 @@ def _best_qmr_start(env: Environment) -> list[int]:
 
 def mechanism_from_vertex(env: Environment, index: dict, x) -> AnonymousSCF:
     """The anonymous rule an LP point in the box encodes, keyed by the
-    LP's own value-index tuples."""
-    return AnonymousSCF.from_indices(env.values.values, env.n, dict(zip(index, x)))
+    LP's own value-index tuples; ``x`` is the point as ``solve`` returns it,
+    an integer pair in lowest terms, and is kept as the rule's integers."""
+    return AnonymousSCF.from_indices(env.values.values, env.n, index, x)
 
 
 class OptimalMechanismReport(Record):

@@ -71,4 +71,5 @@ def rational_lp(rng) -> LinearProgram:
 def fractional_optimum(solution) -> bool:
     """True when the optimum is nonzero and some coordinate lies strictly
     inside (0, 1): the rows, not the box, shaped that vertex."""
-    return solution.objective_value != 0 and any(0 < v < 1 for v in solution.x)
+    nums, den = solution.x
+    return solution.objective_value != 0 and any(0 < v < den for v in nums)

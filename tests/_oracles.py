@@ -26,6 +26,8 @@
 * :func:`oracle_columns`: the column map by enumerating ordered profiles
   with Fraction probabilities, against which ``Environment.columns``, read
   back by :func:`kept_columns`, is checked.
+* :func:`fractions_of`: the Fractions of an integer pair ``(nums, den)``,
+  the form ``LpSolution.x`` and ``LpSolution.duals`` take.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ from anonvote.environments import AgentDistribution, Environment, ValueSet
 from anonvote.mechanisms import coalition
 from anonvote.rationals import integer_form
 from anonvote.ratlp import LinearProgram, LpSolution, _verify_point
+
+
+def fractions_of(pair) -> list[Fraction]:
+    """The rationals ``nums[j] / den`` of the integer pair ``(nums, den)``."""
+    nums, den = pair
+    return [Fraction(v, den) for v in nums]
 
 
 class GuardExceeded(RuntimeError):
@@ -342,7 +350,8 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12,
     for j, v in best["x"].items():
         x[j] = v
     value = best["value"] + loose_value
-    _verify_point(lp, integer_form(x))
+    x = integer_form(x)  # in lowest terms, the form solve returns
+    _verify_point(lp, x)
     return LpSolution(x, value)
 
 

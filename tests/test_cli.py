@@ -357,9 +357,23 @@ def test_theorem2_commands_keep_the_size_guard(argv, capsys):
 
 
 def test_support_mismatch_is_an_input_error(gamma0_file, tmp_path, capsys):
-    mech = tmp_path / "wrong.json"
-    mech.write_text(json.dumps(mechanism_to_json(make_fstar(3, 100))))
-    assert main(["check", "--env", gamma0_file, "--mech", str(mech)]) == 2
+    # one check, the audits' own, refuses a table over other values and a
+    # weighted rule for another agent count, and names the mechanism file
+    wrong = {
+        "table.json": (make_fstar(3, 100),
+                       "rule support or agent count does not match the environment"),
+        "wmr8.json": (wmr_build(make_theorem2_env(8, 19, Fraction(1, 1000))),
+                      "profile has 3 entries, rule has 8 weights"),
+    }
+    for name, (rule, message) in wrong.items():
+        mech = tmp_path / name
+        mech.write_text(json.dumps(mechanism_to_json(rule)))
+        for command in ("check", "hatf"):
+            for fmt in ("table", "json"):
+                argv = [command, "--env", gamma0_file, "--mech", str(mech), "--format", fmt]
+                assert main(argv) == 2
+                out, err = capsys.readouterr()
+                assert (out, err) == ("", f"error: {mech}: {message}\n")
 
 
 def test_hatf_refuses_zero_probability_coalitions(tmp_path, capsys):

@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from _lpgen import exact_lp, fractional_optimum, random_lp, rational_lp, rational_rows
-from _oracles import GuardExceeded, vertex_enumerate
+from _oracles import GuardExceeded, fractions_of, vertex_enumerate
+from anonvote import ratlp
 from anonvote.experiments import make_theorem2_env, random_environment
 from anonvote.rationals import integer_form
 from anonvote.ratlp import (
+    LinearProgram,
     LpSolution,
     SimplexError,
     _verify_point,
@@ -30,7 +33,7 @@ def box_lp(objective, eq=(), ineq=()):
 
 def test_single_variable_box():
     sol = solve(box_lp([1]))
-    assert (sol.x, sol.objective_value) == ([F(1)], F(1))
+    assert (fractions_of(sol.x), sol.objective_value) == ([F(1)], F(1))
 
 
 def test_degenerate_optimal_face_returns_a_vertex():
@@ -38,22 +41,23 @@ def test_degenerate_optimal_face_returns_a_vertex():
     lp = box_lp([1, 1, 0], ineq=[[1, 1, -1]])
     sol = solve(lp)
     assert sol.objective_value == 1
-    assert sol.x[0] + sol.x[1] == 1 and sol.x[2] == 1
-    assert all(v in (F(0), F(1)) or 0 <= v <= 1 for v in sol.x)
+    x = fractions_of(sol.x)
+    assert x[0] + x[1] == 1 and x[2] == 1
+    assert all(v in (F(0), F(1)) or 0 <= v <= 1 for v in x)
 
 
 def test_equality_row():
     lp = box_lp([1, 2, 0], eq=[[1, 1, -1]])
     sol = solve(lp)
     assert sol.objective_value == 2
-    assert sol.x == [F(0), F(1), F(1)]
+    assert fractions_of(sol.x) == [F(0), F(1), F(1)]
 
 
 def test_homogeneous_equality_row_starts_feasible():
     # the slack of an equality row starts basic at 0, inside its [0, 0]
     # bounds, and x = 0 is already optimal
     sol = solve(box_lp([-1], eq=[[1]]))
-    assert (sol.x, sol.pivots) == ([F(0)], 0)
+    assert (fractions_of(sol.x), sol.pivots) == ([F(0)], 0)
 
 
 @pytest.mark.parametrize(
@@ -69,6 +73,52 @@ def test_redundant_equality_rows_agree_with_the_oracle(eq):
     sol = solve(lp)
     oracle = vertex_enumerate(lp)
     assert sol.objective_value == oracle.objective_value > 0
+
+
+@pytest.mark.parametrize(
+    "objective, row, message",
+    [
+        (([1, 1], 1), ([1, -1, 5], 1), "row 1 is"),  # one coefficient too long
+        (([1, 1], 1), ([1, -1], -1), "row 1 is"),
+        (([1, 1], 1), ([1, -1], 0), "row 1 is"),
+        (([1, 1], 1), ((1, -1), 1), "row 1 is"),
+        (([1, Fraction(1, 2)], 1), ([1, -1], 1), "objective is"),
+        (([1, 1], True), ([1, -1], 1), "objective is"),
+    ],
+    ids=["long-row", "negative-den", "zero-den", "tuple-row", "fraction-entry", "bool-den"],
+)
+def test_a_malformed_program_is_refused(objective, row, message):
+    with pytest.raises(ValueError, match=f"^{message} not a list of 2 ints over a positive int$"):
+        LinearProgram(2, objective, eq_rows=[([1, 0], 1)], ineq_rows=[row])
+    LinearProgram(2, ([1, 1], 1), eq_rows=[([1, 0], 1)], ineq_rows=[([1, -1], 3)])
+
+
+def test_the_vertex_and_the_duals_are_integer_pairs_in_lowest_terms(monkeypatch):
+    # one pair per vector, so equal vectors are equal pairs; the optimal
+    # value is the one Fraction a solve makes
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(ratlp, "Fraction", counted)
+    rng = random.Random(29)
+    lps = [rational_lp(rng) for _ in range(60)]
+    lps += [build_opt_lp(random_environment(rng, 3, 4))[0] for _ in range(10)]
+    fractional = {"x": 0, "duals": 0}
+    for lp in lps:
+        made.clear()
+        sol = solve(lp)
+        assert len(made) == 1 and Fraction(*made[0]) == sol.objective_value
+        rows = len(lp.eq_rows) + len(lp.ineq_rows)
+        for name, (nums, den), size in (("x", sol.x, lp.num_vars), ("duals", sol.duals, rows)):
+            assert type(nums) is list and len(nums) == size
+            assert all(type(v) is int for v in nums) and type(den) is int and den > 0
+            assert math.gcd(den, *nums) == 1
+            fractional[name] += den > 1
+        assert integer_form(fractions_of(sol.x)) == sol.x
+    assert fractional["x"] >= 10 and fractional["duals"] >= 10
 
 
 # ------------------------------------------------------------- degeneracy
@@ -87,7 +137,7 @@ def test_blands_rule_terminates_on_the_classic_cycling_instance():
     )
     sol = solve(lp)
     assert sol.objective_value == Fraction(1, 20)
-    assert sol.x == [Fraction(1, 25), F(0), F(1), F(0)]
+    assert fractions_of(sol.x) == [Fraction(1, 25), F(0), F(1), F(0)]
     assert (sol.pivots, sol.degenerate_pivots) == (54, 52)
     assert vertex_enumerate(lp).objective_value == Fraction(1, 20)
 
@@ -96,14 +146,15 @@ def test_blands_rule_terminates_on_the_classic_cycling_instance():
 
 
 def _mutated_certificates(lp, sol):
-    """(duals, value) pairs that no optimal dual certifies."""
-    y, value = sol.duals, sol.objective_value
-    yield [d + Fraction(1, 7) for d in y], value
+    """(duals, value) pairs that no optimal dual certifies, the duals an
+    integer pair as certify takes them."""
+    y, value = fractions_of(sol.duals), sol.objective_value
+    yield integer_form([d + Fraction(1, 7) for d in y]), value
     if value > 0:
-        yield y, value / 2
-        yield y, F(0)
+        yield sol.duals, value / 2
+        yield sol.duals, F(0)
     for r in range(len(lp.eq_rows), len(y)):
-        yield y[:r] + [Fraction(-1, 7)] + y[r + 1 :], value
+        yield integer_form(y[:r] + [Fraction(-1, 7)] + y[r + 1 :]), value
 
 
 def test_certify_rejects_mutated_duals_and_values():
@@ -111,7 +162,7 @@ def test_certify_rejects_mutated_duals_and_values():
     for _ in range(200):
         lp, _ = build_opt_lp(random_environment(rng, 3, 4))
         sol = solve(lp)
-        assert len(sol.duals) == len(lp.eq_rows) + len(lp.ineq_rows)
+        assert len(sol.duals[0]) == len(lp.eq_rows) + len(lp.ineq_rows)
         # one monotonicity row per agent type, and a positive optimum, so
         # every kind of mutation below is drawn
         assert lp.ineq_rows and sol.objective_value > 0
@@ -129,9 +180,9 @@ def test_certify_sums_duals_and_rows_of_several_denominators():
     d = [Fraction(1, 21), Fraction(1, 11), Fraction(1, 2)]
     lp = box_lp([dj + y[0] * a + y[1] * b for dj, a, b in zip(d, eq, ineq)], eq=[eq], ineq=[ineq])
     value = sum(d)
-    certify(lp, y, value)
+    certify(lp, integer_form(y), value)
     assert solve(lp).objective_value == value
-    mutations = list(_mutated_certificates(lp, LpSolution([F(1)] * 3, value, y)))
+    mutations = list(_mutated_certificates(lp, LpSolution(([1] * 3, 1), value, integer_form(y))))
     assert len(mutations) == 4
     for duals, wrong in mutations:
         with pytest.raises(SimplexError):
@@ -141,9 +192,16 @@ def test_certify_sums_duals_and_rows_of_several_denominators():
 def test_certify_needs_one_dual_per_row():
     lp = box_lp([1, 1], ineq=[[1, -1]])
     sol = solve(lp)
-    assert len(sol.duals) == 1
+    ys, den = sol.duals
+    assert len(ys) == 1
     with pytest.raises(SimplexError):
-        certify(lp, sol.duals + [F(0)], sol.objective_value)
+        certify(lp, (ys + [0], den), sol.objective_value)
+    # over a positive denominator: with -1, max -x over the box would be
+    # certified at -1, though x = 0 is worth 0
+    lp = box_lp([-1])
+    certify(lp, ([], 1), F(0))
+    with pytest.raises(SimplexError, match="0 duals over denominator -1 for 0 rows"):
+        certify(lp, ([], -1), F(-1))
 
 
 # ------------------------------------------------------------ determinism
@@ -217,12 +275,12 @@ def test_a_feasible_start_is_where_the_simplex_begins():
     # already, and the one pivot only proves it (step length 0)
     lp = box_lp([1, 1, 0], ineq=[[1, 1, -1]])
     sol = solve(lp, [1, 0, 1])
-    assert (sol.x, sol.pivots, sol.degenerate_pivots) == ([F(1), F(0), F(1)], 1, 1)
+    assert (fractions_of(sol.x), sol.pivots, sol.degenerate_pivots) == ([F(1), F(0), F(1)], 1, 1)
     # an equality row's slack stays at 0; the climb from (1, 0, 1) takes
     # two pivots, the climb from x = 0 three
     lp = box_lp([1, 2, 0], eq=[[1, 1, -1]])
     sol = solve(lp, [1, 0, 1])
-    assert (sol.x, sol.objective_value, sol.pivots) == ([F(0), F(1), F(1)], F(2), 2)
+    assert (fractions_of(sol.x), sol.objective_value, sol.pivots) == ([F(0), F(1), F(1)], F(2), 2)
     assert solve(lp).pivots == 3
 
 
@@ -232,7 +290,7 @@ def test_a_start_reaches_the_cold_optimum_on_random_instances():
     for _ in range(40):
         lp = rational_lp(rng)
         cold = solve(lp)
-        start = [int(v == 1) for v in cold.x]
+        start = [int(v == 1) for v in fractions_of(cold.x)]
         try:
             warm = solve(lp, start)
         except ValueError:

@@ -6,6 +6,7 @@ import pytest
 
 from _lpgen import exact_lp, rational_rows
 from _oracles import kept_columns, oracle_columns, random_symmetric_environment, vertex_enumerate
+from anonvote import mechanisms
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -175,6 +176,32 @@ def test_a_solve_computes_each_report_distribution_once(env, expected, monkeypat
     assert kept_columns(env) == oracle_columns(env)
     for i in range(env.n):
         assert kept_columns(env, i) == oracle_columns(env, i)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [_three_types(), make_theorem2_env(4, 10, 0), make_theorem2_env(6, 13, Fraction(1, 1000))],
+    ids=["three-types", "two-type-n4-limit", "two-type-n6"],
+)
+def test_a_solve_never_rederives_its_optimums_integer_table(env, monkeypatch):
+    # the vertex pair solve returns is the optimum's integer table: both
+    # audits and welfare read it, and _integers never runs on the optimum
+    calls = []
+
+    def counted(rule, n):
+        calls.append(rule)
+        return integers(rule, n)
+
+    integers = mechanisms._integers
+    monkeypatch.setattr(mechanisms, "_integers", counted)
+    report = solve_opt(env)
+    assert calls == []
+    monkeypatch.undo()
+    # and it is the table _integers makes from the optimum's allocation,
+    # keyed in column order
+    n, (table, den) = report.mechanism._table
+    fresh, fresh_den = integers(report.mechanism, env.n)
+    assert (n, list(table.items()), den) == (env.n, list(fresh.items()), fresh_den)
 
 
 PINNED = pytest.mark.parametrize(
