@@ -37,6 +37,7 @@ from .mechanisms import (
     QualifiedMajorityRule,
     ZeroProbabilityCoalition,
     _integer_table,
+    _projection_refusal,
     check_bic,
     mechanism_from_json,
     mechanism_to_json,
@@ -571,6 +572,8 @@ def main(argv=None) -> int:
         if "env" in args:
             env = _load_environment(args.env)
             _check_size(env, args.force_large)
+            if args.func is cmd_hatf and (refusal := _projection_refusal(env.n)):
+                raise InputError(refusal)  # before the rule's table is made
             inputs.append(env)
             if "mech" in args:
                 inputs.append(_load_mechanism(args.mech, env))

@@ -8,7 +8,8 @@ computed from these objects with exact rationals. Each
 statistics (p, U+ and U-), set when it is built; equal ones are one type.
 An :class:`Environment` keeps its column map (``columns``) in integers, each
 part made when first used: per report multiset of all agents, an LP column,
-and per agent type the others' multiset weights and the columns they reach.
+and per agent type the others' multiset weights and the columns they reach,
+with multisets keyed by the integer codes of :func:`multiset_distribution`.
 
 An :class:`Environment` is checked once, when it is built: a structurally
 unusable one raises :class:`InvalidEnvironment`, so every environment that
@@ -94,11 +95,12 @@ class AgentDistribution:
     E[|v| | v < 0]; either mean is None when its conditioning event has
     probability zero (limit mode), and callers must check before using it.
     ``pos_mass``/``neg_mass`` are the unconditional sign expectations
-    p*u_plus and (1-p)*u_minus, which are always defined.
+    p*u_plus and (1-p)*u_minus, which are always defined. ``mass`` is the
+    integer weight over ``den`` of each sign, (negative, positive).
     """
 
-    __slots__ = ("keys", "weights", "den", "name", "p", "pos_mass", "neg_mass", "u_plus",
-                 "u_minus", "_items")
+    __slots__ = ("keys", "weights", "den", "name", "p", "mass", "pos_mass", "neg_mass",
+                 "u_plus", "u_minus", "_items")
 
     def __init__(self, probs: Mapping, name: str | None = None):
         parsed = {}
@@ -115,7 +117,7 @@ class AgentDistribution:
         mass = sum(w for x, _, w in rows if x > 0)
         up = sum(x * w for x, _, w in rows if x > 0)
         down = -sum(x * w for x, _, w in rows if x < 0)
-        self.p = Fraction(mass, den)
+        self.p, self.mass = Fraction(mass, den), (den - mass, mass)
         self.pos_mass, self.neg_mass = Fraction(up, scale * den), Fraction(down, scale * den)
         self.u_plus = Fraction(up, scale * mass) if mass > 0 else None
         self.u_minus = Fraction(down, scale * (den - mass)) if mass < den else None
@@ -158,7 +160,7 @@ class Environment:
     is the index of the first agent with agent i's distribution.
     """
 
-    __slots__ = ("values", "agents", "flags", "types", "_columns", "_signs")
+    __slots__ = ("values", "agents", "flags", "types", "_columns")
 
     def __init__(self, values: ValueSet, agents: Sequence[AgentDistribution]):
         if not isinstance(values, ValueSet):
@@ -197,46 +199,46 @@ class Environment:
         self.flags = tuple(flags)
         self.types = tuple(self.agents.index(agent) for agent in self.agents)
         self._columns: dict = {}
-        self._signs = None
+
+    def units(self, ordered: bool = False) -> list[list[int]]:
+        """Per agent i and value index j, the unit of i's report j in a
+        report code (see :func:`multiset_distribution`): (n+1)^j, or
+        j * |V|^i if ``ordered``."""
+        size = len(self.values)
+        return [[j * size**i if ordered else (self.n + 1) ** j for j in range(size)]
+                for i in range(self.n)]
 
     def columns(self, without: int | None = None) -> tuple:
         """The column map, made on first use and kept per agent type (read
-        only). ``columns()`` is ``(index, value, positives, den)``: ``index``
-        numbers the sorted value-index multisets of n reports, the LP's
-        columns, in lexicographic order; column c has probability times value
-        sum ``value[c] / (den * values.scale)`` and ``positives[c]`` positive
-        reports. ``columns(i)`` is ``(weights, cols, den)``: the others'
-        :func:`multiset_distribution`, multiset r of probability ``weights[r]
-        / den``, and ``cols[j][r]``, the column of r with i's report j."""
+        only). ``columns()`` is ``(index, value, positives, den, codes)``:
+        ``index`` numbers the sorted value-index multisets of n reports, the
+        LP's columns, in lexicographic order; column c has probability times
+        value sum ``value[c] / (den * values.scale)`` and ``positives[c]``
+        positive reports; ``codes`` maps each multiset's code, the sum of
+        (n+1)^j over its reports j, to its column. ``columns(i)`` is
+        ``(weights, cols, den)``: the others' :func:`multiset_distribution`,
+        multiset r of probability ``weights[r] / den``, and ``cols[j][r]``,
+        the column of r with i's report j."""
         key = None if without is None else self.types[without]
         if key not in self._columns:
             others = self.agents if key is None else self.agents[:key] + self.agents[key + 1 :]
-            dist = multiset_distribution([list(enumerate(agent.weights)) for agent in others])
+            units = self.units()[0]
+            dist = multiset_distribution([list(zip(units, agent.weights)) for agent in others])
             den, ranks = math.prod(agent.den for agent in others), range(len(self.values))
             if key is None:
                 keys = itertools.combinations_with_replacement(ranks, self.n)
                 index = {m: c for c, m in enumerate(keys)}
+                codes = {sum(map(units.__getitem__, m)): c for m, c in index.items()}
                 scaled, cut = self.values.scaled, len(self.values.negatives)
-                value = [dist.get(m, 0) * sum(map(scaled.__getitem__, m)) for m in index]
-                self._columns[key] = index, value, [sum(j >= cut for j in m) for m in index], den
+                value = [dist.get(code, 0) * sum(map(scaled.__getitem__, m))
+                         for code, m in zip(codes, index)]
+                positives = [sum(j >= cut for j in m) for m in index]
+                self._columns[key] = index, value, positives, den, codes
             else:
-                index = self.columns()[0]
-                cols = [[index[tuple(sorted(rest + (j,)))] for rest in dist] for j in ranks]
+                codes = self.columns()[4]
+                cols = [[codes[r + unit] for r in dist] for unit in units]
                 self._columns[key] = list(dist.values()), cols, den
         return self._columns[key]
-
-    def signs(self) -> list[tuple]:
-        """Per agent, integers ``(den, mass, value)``, each of ``mass`` and
-        ``value`` per sign (negative, positive): P(sign) = mass[sign] / den and
-        E[v 1{sign}] = value[sign] / (den * values.scale). Made on first use."""
-        if self._signs is None:
-            cut, scaled = len(self.values.negatives), self.values.scaled
-            self._signs = []
-            for agent in self.agents:
-                w, v = agent.weights, [p * x for p, x in zip(agent.weights, scaled)]
-                mass, value = (sum(w[:cut]), sum(w[cut:])), (sum(v[:cut]), sum(v[cut:]))
-                self._signs.append((agent.den, mass, value))
-        return self._signs
 
     @property
     def n(self) -> int:
@@ -256,19 +258,20 @@ class Environment:
         return f"Environment(n={self.n}, V={[str(v) for v in self.values]})"
 
 
-def multiset_distribution(agents: Sequence[Sequence[tuple]], order=sorted) -> dict:
-    """Weight of each report key of positive weight, built one agent at a
-    time from each agent's (point, weight) pairs: the sorted multiset, all an
-    anonymous rule sees of the reports, or with ``order=tuple`` the ordered
-    profile. The weights multiply, so an agent's need not sum to 1."""
-    dist = {(): 1}
+def multiset_distribution(agents: Sequence[Sequence[tuple]]) -> dict:
+    """Weight of each report code of positive weight, built one agent at a
+    time from each agent's (unit, weight) pairs; a code sums its units. Unit
+    (n+1)^j for value index j codes a sorted multiset by its counts, all an
+    anonymous rule sees; j * |V|^i at position i codes an ordered profile by
+    its digits. The weights multiply, so an agent's need not sum to 1."""
+    dist = {0: 1}
     for points in agents:
         step: dict = {}
+        get, live = step.get, [(unit, p) for unit, p in points if p]
         for key, prob in dist.items():
-            for v, p in points:
-                if p:
-                    m = tuple(order(key + (v,)))
-                    step[m] = step.get(m, 0) + prob * p
+            for unit, p in live:
+                code = key + unit
+                step[code] = get(code, 0) + prob * p
         dist = step
     return dist
 

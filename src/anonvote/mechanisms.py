@@ -32,7 +32,7 @@ count of positive reporters if anonymous, else their coalition), and summed
 over the others' key distribution, built from each agent's integer P(sign).
 An anonymous table is kept in column order and read through the
 ``Environment``'s column map (``env.columns``), as the QMR table and the
-program are; a table that is not anonymous is summed over ordered profiles.
+program are; a table that is not anonymous is read at ordered-profile codes.
 The audit of an anonymous rule computes one interim table per agent type,
 and the projection of an anonymous table sums once per count of positive
 agents of each type.
@@ -194,7 +194,7 @@ class AnonymousSCF(_TableSCF):
         (nums, den), rule = x, cls.__new__(cls)
         rule.values, rule.n, rule._index = values, n, {v: j for j, v in enumerate(values)}
         rule.allocation = {k: Fraction(v, den) for k, v in zip(index, nums)}
-        rule._table = n, (dict(zip(index, nums)), den)
+        rule._table = n, x
         return rule
 
     def __repr__(self):
@@ -339,28 +339,22 @@ class OrdinalSCF:
 _SIGN_RULES = (QualifiedMajorityRule, WeightedMajorityRule, OrdinalSCF)
 
 
-def _profiles(env: Environment, without: int | None = None) -> tuple[dict, int]:
-    """``(distribution, den)`` of the ordered value-index profiles of every
-    agent, or every agent but ``without``, as a table that is not anonymous
-    reads them."""
-    agents = [agent for j, agent in enumerate(env.agents) if j != without]
-    points = [list(enumerate(agent.weights)) for agent in agents]
-    return multiset_distribution(points, tuple), math.prod(agent.den for agent in agents)
-
-
 def _integers(rule, n: int) -> tuple:
     """A rule's values as integers over one denominator, ``(nums, den)``: a
     sign rule (a QMR, a WMR or an :class:`OrdinalSCF`) evaluated once per
     sign key, the count of positive reporters if it is anonymous, else their
-    bitmask (bit i for agent i); a table as a dict by its value-index keys,
-    in column order (see ``Environment.columns``) if it is anonymous."""
+    bitmask (bit i for agent i); a table in column order (see
+    ``Environment.columns``) if it is anonymous, else at each ordered
+    profile's code, the sum of j * |V|^i over its reports j at positions i
+    (see :func:`multiset_distribution`)."""
     if isinstance(rule, _SIGN_RULES):  # the same at any reports of the same signs, so at +-1
         masks = [(1 << c) - 1 for c in range(n + 1)] if rule.anonymous else range(1 << n)
         return integer_form([rule.evaluate([(-1, 1)[m >> i & 1] for i in range(n)]) for m in masks])
     ranks, table = range(len(rule.values)), rule.allocation
-    keys = list(itertools.combinations_with_replacement(ranks, n) if rule.anonymous else table)
-    nums, den = integer_form([table[m] for m in keys])
-    return dict(zip(keys, nums)), den
+    if rule.anonymous:
+        return integer_form([table[m] for m in itertools.combinations_with_replacement(ranks, n)])
+    # codes count up in the product order of the reversed profiles: digit i is position i
+    return integer_form([table[p[::-1]] for p in itertools.product(ranks, repeat=n)])
 
 
 def _integer_table(env: Environment, rule) -> tuple:
@@ -378,29 +372,29 @@ def _integer_table(env: Environment, rule) -> tuple:
 def _interim_sums(env: Environment, rule, table, i: int) -> tuple[list, int]:
     """``(sums, den)``: agent ``i``'s interim at each report index j from the
     rule's :func:`_integer_table`, read at j's sign and the others' sign keys
-    (built one agent at a time from ``env.signs()``), at the columns
-    ``env.columns(i)`` gives for j, or at the others' ordered profiles with
-    j inserted at position i."""
+    (built one agent at a time from each agent's ``mass``), at the columns
+    ``env.columns(i)`` gives for j, or at the codes of the others' ordered
+    profiles with j's unit at position i added."""
     (nums, den), ranks = table, range(len(env.values))
     if isinstance(rule, _SIGN_RULES):
         dist = {0: 1}
-        for j, (agent_den, mass, _) in enumerate(env.signs()):
+        for j, agent in enumerate(env.agents):
             if j != i:
-                bit, step = 1 if rule.anonymous else 1 << j, {}
+                bit, step, mass = 1 if rule.anonymous else 1 << j, {}, agent.mass
                 for key, w in dist.items():
                     step[key] = step.get(key, 0) + w * mass[0]
                     step[key + bit] = step.get(key + bit, 0) + w * mass[1]
-                dist, den = step, den * agent_den
+                dist, den = step, den * agent.den
         bit, cut = 1 if rule.anonymous else 1 << i, len(env.values.negatives)
         low, high = (sum(w * nums[key + s] for key, w in dist.items()) for s in (0, bit))
         return [low] * cut + [high] * (len(ranks) - cut), den
     if rule.anonymous:
-        (weights, cols, dist_den), alloc = env.columns(i), list(nums.values())
-        return [sum(map(mul, weights, map(alloc.__getitem__, col))) for col in cols], den * dist_den
-    dist, dist_den = _profiles(env, i)
-    pairs = dist.items()
-    sums = [sum(w * nums[rest[:i] + (j,) + rest[i:]] for rest, w in pairs) for j in ranks]
-    return sums, den * dist_den
+        weights, cols, dist_den = env.columns(i)
+        return [sum(map(mul, weights, map(nums.__getitem__, col))) for col in cols], den * dist_den
+    units, others = env.units(ordered=True), [k for k in range(env.n) if k != i]
+    pairs = multiset_distribution([list(zip(units[k], env.agents[k].weights)) for k in others])
+    den *= math.prod(env.agents[k].den for k in others)
+    return [sum(w * nums[code + unit] for code, w in pairs.items()) for unit in units[i]], den
 
 
 def interim_table(env: Environment, rule, i: int) -> dict:
@@ -491,27 +485,21 @@ def check_bic(env: Environment, rule) -> BicReport:
 def welfare(env: Environment, rule) -> Fraction:
     """Expected total value on the reform event.
 
-    A sign rule is summed in integers, over agents i and signs s, as E[v_i
-    1{s}] times i's :func:`_interim_sums` at s (the agents are independent);
-    an anonymous table against the ``value`` of ``env.columns()``; any other
-    table over the ordered :func:`_profiles`.
+    An anonymous table is summed against the ``value`` of ``env.columns()``;
+    any other rule in integers, over agents i and reports j, as j's weight
+    and value times i's :func:`_interim_sums` at j (the agents are
+    independent).
     """
-    table = _integer_table(env, rule)
-    if isinstance(rule, _SIGN_RULES):
-        total = 0
-        for i, (_, _, value) in enumerate(env.signs()):
-            sums, _ = _interim_sums(env, rule, table, i)
-            total += value[0] * sums[0] + value[1] * sums[-1]
-        den = table[1] * math.prod(agent.den for agent in env.agents)
-        return Fraction(total, den * env.values.scale)
-    (alloc, alloc_den), scaled = table, env.values.scaled
-    if rule.anonymous:
-        _, value, _, den = env.columns()
-        total = sum(map(mul, value, alloc.values()))
-    else:
-        dist, den = _profiles(env)
-        total = sum(w * alloc[m] * sum(map(scaled.__getitem__, m)) for m, w in dist.items())
-    return Fraction(total, den * alloc_den * env.values.scale)
+    table, scaled = _integer_table(env, rule), env.values.scaled
+    if rule.anonymous and not isinstance(rule, _SIGN_RULES):
+        (alloc, alloc_den), (_, value, _, den, _) = table, env.columns()
+        return Fraction(sum(map(mul, value, alloc)), den * alloc_den * env.values.scale)
+    total = 0
+    for i, agent in enumerate(env.agents):
+        sums, _ = _interim_sums(env, rule, table, i)
+        total += sum(w * x * s for w, x, s in zip(agent.weights, scaled, sums))
+    den = table[1] * math.prod(agent.den for agent in env.agents)
+    return Fraction(total, den * env.values.scale)
 
 
 def welfare_via_interims(env: Environment, rule) -> Fraction:
@@ -533,7 +521,11 @@ class ZeroProbabilityCoalition(ValueError):
     """A coalition event has probability zero, so conditioning is undefined."""
 
 
-_PROJECTION_MAX_AGENTS = 12
+def _projection_refusal(n: int) -> str | None:
+    """Why :func:`ordinal_projection` refuses n agents, or None: it
+    enumerates all 2^n coalitions, so it takes at most 12 agents."""
+    if n > 12:
+        return f"ordinal projection enumerates 2^n coalitions; n={n} exceeds 12"
 
 
 def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
@@ -547,27 +539,28 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
 
     A sign rule's projection is its own :func:`_integer_table`. For a table,
     each coalition's mass and weighted sum are integer sums over the
-    ``multiset_distribution`` of the agents' (value index, weight) points of
-    their sign in T (kept, not normalised), keyed as the table is read: by
-    sorted multiset if it is anonymous, whose sums then depend only on how
-    many agents of each type are in T, so each such count is summed once,
-    else by ordered profile. Coalitions come in ``itertools.product`` order.
+    ``multiset_distribution`` of the agents' (unit, weight) points of their
+    sign in T (kept, not normalised), coded as the table is read: by sorted
+    multiset, at its code's column, if it is anonymous, whose sums then
+    depend only on how many agents of each type are in T, so each such count
+    is summed once, else by ordered profile. Coalitions come in
+    ``itertools.product`` order.
 
     Requires every coalition event to have positive probability, i.e. no
     agent with a deterministic value sign; otherwise the first coalition of
     probability zero raises :class:`ZeroProbabilityCoalition`.
     """
-    if env.n > _PROJECTION_MAX_AGENTS:
-        raise ValueError(
-            f"ordinal projection enumerates 2^n coalitions; n={env.n} exceeds "
-            f"{_PROJECTION_MAX_AGENTS}"
-        )
-    (nums, den), signs, cut = _integer_table(env, rule), env.signs(), len(env.values.negatives)
+    if refusal := _projection_refusal(env.n):
+        raise ValueError(refusal)
+    (nums, den), cut = _integer_table(env, rule), len(env.values.negatives)
     by_key = [Fraction(x, den) for x in nums] if isinstance(rule, _SIGN_RULES) else None
+    if not by_key:  # a code's table entry: at its column, or at the code if ordered
+        units, halves = env.units(not rule.anonymous), (slice(cut), slice(cut, None))
+        codes = env.columns()[4] if rule.anonymous else range(len(nums))
     sums, phi = {}, {}
     for bits in itertools.product((False, True), repeat=env.n):
         t = frozenset(i for i, b in enumerate(bits) if b)
-        if not all(signs[i][1][b] for i, b in enumerate(bits)):
+        if not all(agent.mass[b] for agent, b in zip(env.agents, bits)):
             raise ZeroProbabilityCoalition(
                 f"coalition {sorted(t)} has probability zero (limit-mode environment)"
             )
@@ -576,10 +569,9 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
             continue
         key = tuple(sorted(zip(env.types, bits))) if rule.anonymous else bits
         if key not in sums:
-            points = [[(j, w) for j, w in enumerate(agent.weights) if (j >= cut) == b]
-                      for agent, b in zip(env.agents, bits)]
-            dist = multiset_distribution(points, sorted if rule.anonymous else tuple)
-            weighted = sum(w * nums[m] for m, w in dist.items())
+            dist = multiset_distribution([list(zip(u[halves[b]], agent.weights[halves[b]]))
+                                          for u, agent, b in zip(units, env.agents, bits)])
+            weighted = sum(w * nums[codes[m]] for m, w in dist.items())
             sums[key] = Fraction(weighted, sum(dist.values()) * den)
         phi[t] = sums[key]
     return OrdinalSCF.from_coalitions(env.n, phi)
@@ -597,7 +589,7 @@ class QmrTable(Record):
 def _qmr_sums(env: Environment) -> tuple[int, dict]:
     """``(k_star, welfare of f^(k) for k = 0..n+1)`` from one integer sum
     per count of positive reports; the smallest maximizer wins ties."""
-    _, value, positives, den = env.columns()
+    _, value, positives, den, _ = env.columns()
     sums = {k: sum(v for v, c in zip(value, positives) if c >= k) for k in range(env.n + 2)}
     k_star = min(sums, key=lambda k: (-sums[k], k))
     return k_star, {k: Fraction(w, den * env.values.scale) for k, w in sums.items()}

@@ -55,7 +55,7 @@ def build_opt_lp(env: Environment):
     are generated once per distinct agent distribution: agents of one type
     have identical interim coefficients, so their rows would repeat.
     """
-    index, value, _, den = env.columns()
+    index, value, _, den, _ = env.columns()
     objective = lowest_terms(list(value), den * env.values.scale)  # the map is shared
     conditions = list(bic_conditions(env.values))
     eq_rows = []

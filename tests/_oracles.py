@@ -26,6 +26,9 @@
 * :func:`oracle_columns`: the column map by enumerating ordered profiles
   with Fraction probabilities, against which ``Environment.columns``, read
   back by :func:`kept_columns`, is checked.
+* :func:`coded_points` and :func:`decode`: each agent's report points with
+  the units of a report code, and the value-index tuple of a code, through
+  which ``multiset_distribution`` is read against the enumeration.
 * :func:`fractions_of`: the Fractions of an integer pair ``(nums, den)``,
   the form ``LpSolution.x`` and ``LpSolution.duals`` take.
 """
@@ -52,6 +55,31 @@ def fractions_of(pair) -> list[Fraction]:
 
 class GuardExceeded(RuntimeError):
     """Instance too large for the enumeration oracle's work budget."""
+
+
+def coded_points(agents: Sequence[AgentDistribution], ordered: bool) -> list[list[tuple]]:
+    """Each agent's (unit, probability) points over its support: unit
+    j * |V|^i for value index j at position i of an ordered profile, or
+    (n+1)^j for a sorted multiset of n reports."""
+    n = len(agents)
+    return [[(j * len(agent.items) ** i if ordered else (n + 1) ** j, p)
+             for j, (_, p) in enumerate(agent.items)] for i, agent in enumerate(agents)]
+
+
+def decode(code: int, size: int, n: int, ordered: bool) -> tuple:
+    """The value-index tuple of the report code of n reports over ``size``
+    values: an ordered profile, whose entry i is the code's digit i in base
+    ``size``, or a sorted multiset, which holds index j as many times as the
+    code's digit j in base n + 1."""
+    base, length = (size, n) if ordered else (n + 1, size)
+    if not 0 <= code < base**length:
+        raise ValueError(f"code {code} has more than {length} digits in base {base}")
+    digits = [code // base**k % base for k in range(length)]
+    if ordered:
+        return tuple(digits)
+    if sum(digits) != n:
+        raise ValueError(f"code {code} counts {sum(digits)} reports, not {n}")
+    return tuple(j for j, count in enumerate(digits) for _ in range(count))
 
 
 def profile_probability(agents: Sequence[AgentDistribution], profile: Sequence[Fraction]) -> Fraction:
@@ -380,7 +408,7 @@ def oracle_columns(env: Environment, without: int | None = None):
 def kept_columns(env: Environment, without: int | None = None):
     """``env.columns(without)`` in the form of :func:`oracle_columns`."""
     if without is None:
-        index, value, positives, den = env.columns()
+        index, value, positives, den, _ = env.columns()
         assert list(index.values()) == list(range(len(index)))
         scale = den * env.values.scale
         return [(m, Fraction(value[c], scale), positives[c]) for m, c in index.items()]

@@ -392,6 +392,30 @@ def test_hatf_refuses_zero_probability_coalitions(tmp_path, capsys):
     assert "probability zero" in capsys.readouterr().err
 
 
+def test_hatf_refuses_more_than_twelve_agents_before_the_rules_table(tmp_path, monkeypatch,
+                                                                      capsys):
+    # an 18-agent weighted rule with distinct weights is not anonymous, so
+    # its table has 2^18 sign keys: none is evaluated before the refusal
+    values = ["-2", "-1", "1", "2"]
+    agents = [{"probs": dict(zip(values, ["1/4", "1/4", f"{k + 1}/40", f"{19 - k}/40"]))}
+              for k in range(18)]
+    env_path, mech_path = tmp_path / "env18.json", tmp_path / "wmr18.json"
+    env_path.write_text(json.dumps({"values": values, "agents": agents}))
+    rule = wmr_build(cli.environment_from_json(json.loads(env_path.read_text())))
+    assert len(set(rule.weights)) == 18
+    mech_path.write_text(json.dumps(mechanism_to_json(rule)))
+    calls, evaluate = [], WeightedMajorityRule.evaluate
+    monkeypatch.setattr(WeightedMajorityRule, "evaluate",
+                        lambda rule, profile: calls.append(profile) or evaluate(rule, profile))
+    message = "error: ordinal projection enumerates 2^n coalitions; n=18 exceeds 12\n"
+    for fmt in ("table", "json"):
+        argv = ["hatf", "--env", str(env_path), "--mech", str(mech_path), "--force-large",
+                "--format", fmt]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+    assert calls == []
+
+
 def test_unknown_suite_is_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "mystery"])

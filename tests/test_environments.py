@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import (fraction_environment, kept_columns, mixed_denominator_env, oracle_columns,
-                      profile_probability)
+from _oracles import (coded_points, decode, fraction_environment, kept_columns,
+                      mixed_denominator_env, oracle_columns, profile_probability)
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -221,35 +221,48 @@ def enumerated(env):
         yield profile, profile_probability(env.agents, profile)
 
 
+KERNEL_CASES = kernel_environments() + [make_theorem2_env(4, 10, 0), mixed_denominator_env()]
+KERNEL_IDS = [f"draw{k}" for k in range(12)] + ["family-n3-eps0", "family-n4-eps0", "mixed"]
+
+
+def decoded_kernel(env, ordered):
+    """The kernel over every agent's coded points, keyed back by the value
+    tuples the decoder reads off each code; the units are the environment's."""
+    points = coded_points(env.agents, ordered)
+    assert [[unit for unit, _ in agent] for agent in points] == env.units(ordered)
+    dist = multiset_distribution(points)
+    values = env.values.values
+    return [(tuple(values[j] for j in decode(code, len(values), env.n, ordered)), q)
+            for code, q in dist.items()]
+
+
 def test_profiles_yield_exactly_the_positive_profiles_in_order():
-    # with order=tuple the kernel keys ordered profiles, and its dict lists
-    # them in the lexicographic order of the enumeration
-    for env in kernel_environments():
+    # with the units of an ordered profile the kernel keys ordered profiles,
+    # and its dict lists them in the lexicographic order of the enumeration
+    for env in KERNEL_CASES:
         expected = [(p, q) for p, q in enumerated(env) if q != 0]
-        points = [agent.items for agent in env.agents]
-        assert list(multiset_distribution(points, tuple).items()) == expected
+        assert decoded_kernel(env, ordered=True) == expected
 
 
 def test_multiset_distribution_equals_the_grouped_enumeration():
-    for env in kernel_environments():
+    for env in KERNEL_CASES:
         grouped: dict = {}
         for profile, q in enumerated(env):
             if q != 0:
                 key = tuple(sorted(profile))
                 grouped[key] = grouped.get(key, Fraction(0)) + q
-        assert multiset_distribution([agent.items for agent in env.agents]) == grouped
+        kept = decoded_kernel(env, ordered=False)
+        assert dict(kept) == grouped and len(kept) == len(grouped)
         assert sum(grouped.values()) == 1
 
 
 def test_kernels_of_no_agents_hold_the_empty_profile():
-    assert multiset_distribution([]) == multiset_distribution([], tuple) == {(): 1}
+    for size, ordered in itertools.product((2, 4), (False, True)):
+        kept = {decode(code, size, 0, ordered): w for code, w in multiset_distribution([]).items()}
+        assert kept == {(): 1}
 
 
-@pytest.mark.parametrize(
-    "env",
-    kernel_environments() + [make_theorem2_env(4, 10, 0), mixed_denominator_env()],
-    ids=[f"draw{k}" for k in range(12)] + ["family-n3-eps0", "family-n4-eps0", "mixed"],
-)
+@pytest.mark.parametrize("env", KERNEL_CASES, ids=KERNEL_IDS)
 def test_the_column_map_equals_the_enumerated_one(env):
     # every column, zero-weight ones included (payoff 0 in limit mode, eps = 0),
     # and, per agent, the others' multisets and the columns agent i's reports
@@ -300,6 +313,9 @@ def test_integer_environment_equals_the_fraction_recomputation():
             got = (agent.p, agent.pos_mass, agent.neg_mass, agent.u_plus, agent.u_minus)
             assert got == expected
             assert all(type(x) is Fraction for x in expected[:3])
+            # the integer sign weights the sign kernel and the projection read
+            negative = sum((q for v, q in agent.items if v < 0), Fraction(0))
+            assert [Fraction(m, agent.den) for m in agent.mass] == [negative, expected[0]]
         assert (env.types, env.flags) == (types, flags)
         again = environment_from_json(environment_to_json(env))
         assert again == env

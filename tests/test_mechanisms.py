@@ -279,18 +279,22 @@ def test_sign_rules_stream_no_profiles_and_the_optimum_projects_per_type_count(m
     env = make_theorem2_env(6, 13, Fraction(1, 1000))
     optimum = solve_opt(env).mechanism
     summed, multisets = [], mechanisms.multiset_distribution
+    powers = {(env.n + 1) ** j for j in range(len(env.values))}  # the units of a sorted multiset
     monkeypatch.setattr(
         mechanisms, "multiset_distribution",
-        lambda agents, order: summed.append(order) or multisets(agents, order),
+        lambda agents: summed.append(
+            (len(agents), {unit for points in agents for unit, _ in points} <= powers)
+        ) or multisets(agents),
     )
     for rule in sign_rules(env):
         for work in SIGN_WORK.values():
             work(env, rule)
     assert summed == []
     # the anonymous optimum is summed once per count of positive agents of
-    # each type, (2 + 1) * (4 + 1) sorted keys, not 2^6 coalitions
+    # each type, (2 + 1) * (4 + 1) sums keyed by sorted multiset over all six
+    # agents, not 2^6 coalitions
     ordinal_projection(env, optimum)
-    assert summed == [sorted] * (3 * 5)
+    assert summed == [(env.n, True)] * (3 * 5)
 
 
 # ------------------------------------------------------------------ welfare
@@ -649,7 +653,8 @@ def test_projection_equals_the_enumeration():
     cases = [
         (env, rule)
         for env in oracle_environments(rng) + [mixed_denominator_env()]
-        for rule in oracle_rules(env, rng) + [scrambled_table(env, table_rng)]
+        for rule in oracle_rules(env, rng) + mixed_table_rules(env, table_rng)
+        + [scrambled_table(env, table_rng)]
     ]
     env, rule, _ = example1_fixture()
     cases.append((env, rule))
