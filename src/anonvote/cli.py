@@ -21,13 +21,13 @@ from fractions import Fraction
 
 from .environments import (
     InvalidEnvironment,
+    TooLarge,
     environment_from_json,
     environment_to_json,
 )
 from .experiments import (
     cardinal_ordinal_ratio_sweep,
     example1_fixture,
-    make_theorem2_env,
     random_environment,
     random_feasible_mechanism,
     run_theorem2_demo,
@@ -37,7 +37,6 @@ from .mechanisms import (
     QualifiedMajorityRule,
     ZeroProbabilityCoalition,
     _integer_table,
-    _projection_refusal,
     check_bic,
     mechanism_from_json,
     mechanism_to_json,
@@ -106,17 +105,6 @@ def _load_mechanism(path: str, env):
         return rule
     except (RationalParseError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from None
-
-
-_SIZE_LIMIT = 8
-
-
-def _check_size(env, force_large: bool):
-    if not force_large and max(env.n, len(env.values)) > _SIZE_LIMIT:
-        raise InputError(
-            f"refusing n > {_SIZE_LIMIT} or |V| > {_SIZE_LIMIT} without --force-large "
-            f"(got n={env.n}, |V|={len(env.values)})"
-        )
 
 
 def _pair(q: Fraction | None) -> dict | None:
@@ -195,7 +183,6 @@ def _theorem2_report(args):
     M = _parse_rat_arg(args.M, "--M")
     eps = _parse_rat_arg(args.eps, "--eps")
     try:
-        _check_size(make_theorem2_env(args.n, M, eps), args.force_large)
         return run_theorem2_demo(args.n, M, eps)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -235,9 +222,9 @@ def _print_solve(payload):
 
 def cmd_compare(args, env) -> dict:
     wmr = _wmr_rule(env, args)
+    wmr_welfare = welfare(env, wmr)  # before the LP: its sign table may be refused
     qmr = qmr_best(env)
     opt = solve_opt(env)
-    wmr_welfare = welfare(env, wmr)
     flags = list(wmr.notes)
     ratios = None
     if wmr_welfare != 0:
@@ -280,7 +267,7 @@ def cmd_check(args, env, rule) -> dict:
     w = welfare(env, rule)
     try:
         hat = _projection_json(ordinal_projection(env, rule))
-    except (ZeroProbabilityCoalition, ValueError) as exc:
+    except ValueError as exc:  # ZeroProbabilityCoalition or TooLarge
         hat = {"error": str(exc)}
     witness = audit.witness
     return {
@@ -324,10 +311,7 @@ def _print_check(payload):
 
 
 def cmd_hatf(args, env, rule) -> dict:
-    try:
-        return _projection_json(ordinal_projection(env, rule))
-    except (ZeroProbabilityCoalition, ValueError) as exc:
-        raise InputError(str(exc)) from None
+    return _projection_json(ordinal_projection(env, rule))
 
 
 def cmd_qmr(args, env) -> dict:
@@ -505,13 +489,12 @@ _SUITES = {
 
 
 def _data_options(p, func, render, env=True, mech=False):
-    """Declare a data command's inputs (with the size guard) and ``--format``."""
+    """Declare a data command's inputs and ``--format``."""
     if env:
         p.add_argument("--env", required=True, metavar="FILE", help="environment JSON file")
     if mech:
         p.add_argument("--mech", required=True, metavar="FILE", help="mechanism JSON file")
     p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--force-large", action="store_true", help="lift the n/|V| size guard")
     p.set_defaults(func=func, render=render)
 
 
@@ -550,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--M", default="10")
     p.add_argument("--eps", default="1/1000")
-    p.add_argument("--force-large", action="store_true", help="lift the theorem2 suite's n guard")
 
     p = sub.add_parser("demo-theorem2", help="walk through one two-type family member")
     p.add_argument("--n", type=int, default=3)
@@ -568,17 +550,11 @@ def main(argv=None) -> int:
             passed, message = _SUITES[args.suite](args)
             print(f"{'PASS' if passed else 'FAIL'} {args.suite}: {message}")
             return 0 if passed else 1
-        inputs = []
-        if "env" in args:
-            env = _load_environment(args.env)
-            _check_size(env, args.force_large)
-            if args.func is cmd_hatf and (refusal := _projection_refusal(env.n)):
-                raise InputError(refusal)  # before the rule's table is made
-            inputs.append(env)
-            if "mech" in args:
-                inputs.append(_load_mechanism(args.mech, env))
+        inputs = [_load_environment(args.env)] if "env" in args else []
+        if "mech" in args:
+            inputs.append(_load_mechanism(args.mech, inputs[0]))
         payload = args.func(args, *inputs)
-    except InputError as exc:
+    except (InputError, TooLarge, ZeroProbabilityCoalition) as exc:  # the input's fault: exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -30,6 +30,9 @@ from typing import Iterable, Mapping, Sequence
 from .rationals import format_rational, integer_form, pair_form, parse_pair, parse_rational
 
 __all__ = [
+    "MAX_ENTRIES",
+    "TooLarge",
+    "refuse_above",
     "InvalidEnvironment",
     "ValueSet",
     "AgentDistribution",
@@ -38,6 +41,21 @@ __all__ = [
     "environment_from_json",
     "environment_to_json",
 ]
+
+
+MAX_ENTRIES = math.comb(15, 8)  # 6,435 columns at n = |V| = 8; 2^12 <= 6,435 < 2^13
+
+
+class TooLarge(ValueError):
+    """An enumeration would make more than ``MAX_ENTRIES`` entries."""
+
+
+def refuse_above(count: int, what: str) -> int:
+    """``count``, the size of the enumeration ``what``, if it is at most
+    ``MAX_ENTRIES``; else :class:`TooLarge` naming both is raised."""
+    if count > MAX_ENTRIES:
+        raise TooLarge(f"too large: {count} {what}, above the limit of {MAX_ENTRIES}")
+    return count
 
 
 class InvalidEnvironment(ValueError):
@@ -218,13 +236,17 @@ class Environment:
         (n+1)^j over its reports j, to its column. ``columns(i)`` is
         ``(weights, cols, den)``: the others' :func:`multiset_distribution`,
         multiset r of probability ``weights[r] / den``, and ``cols[j][r]``,
-        the column of r with i's report j."""
+        the column of r with i's report j. Past ``MAX_ENTRIES`` columns,
+        each part is refused before it is made."""
         key = None if without is None else self.types[without]
         if key not in self._columns:
+            size = len(self.values)
+            refuse_above(math.comb(self.n + size - 1, self.n),
+                         f"columns of {self.n} agents over {size} values")
             others = self.agents if key is None else self.agents[:key] + self.agents[key + 1 :]
             units = self.units()[0]
             dist = multiset_distribution([list(zip(units, agent.weights)) for agent in others])
-            den, ranks = math.prod(agent.den for agent in others), range(len(self.values))
+            den, ranks = math.prod(agent.den for agent in others), range(size)
             if key is None:
                 keys = itertools.combinations_with_replacement(ranks, self.n)
                 index = {m: c for c, m in enumerate(keys)}

@@ -19,7 +19,7 @@ from .environments import AgentDistribution, Environment, ValueSet
 from .mechanisms import (AnonymousSCF, OrderedTableSCF, Record, all_multisets, qmr_best,
                          welfare, wmr_build)
 from .rationals import parse_rational
-from .welfare_opt import build_opt_lp, mechanism_from_vertex, solve_opt
+from .welfare_opt import build_opt_lp, solve_opt
 from .ratlp import solve
 
 __all__ = [
@@ -142,10 +142,9 @@ def run_theorem2_demo(n: int, M, eps) -> Theorem2Report:
     M = parse_rational(M)
     eps = parse_rational(eps)
     env = make_theorem2_env(n, M, eps)
+    wmr_welfare = welfare(env, wmr_build(env))  # before the LP: its sign table may be refused
     qmr = qmr_best(env)
     opt = solve_opt(env)
-    wmr_rule = wmr_build(env)
-    wmr_welfare = welfare(env, wmr_rule)
     fstar_welfare = welfare(env, make_fstar(n, M)) if eps == 0 else None
     return Theorem2Report(n, M, eps, qmr, opt, fstar_welfare, wmr_welfare)
 
@@ -195,7 +194,7 @@ def random_feasible_mechanism(env: Environment, rng: random.Random) -> Anonymous
     """
     lp, index = build_opt_lp(env)
     lp.objective = ([rng.randint(-10, 10) for _ in range(lp.num_vars)], 1)
-    return mechanism_from_vertex(env, index, solve(lp).x)
+    return AnonymousSCF.from_indices(env.values.values, env.n, index, solve(lp).x)
 
 
 def example1_fixture():

@@ -46,7 +46,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .environments import Environment, ValueSet, multiset_distribution
+from .environments import Environment, ValueSet, multiset_distribution, refuse_above
 from .rationals import format_rational, integer_form, parse_rational
 
 __all__ = [
@@ -343,12 +343,14 @@ def _integers(rule, n: int) -> tuple:
     """A rule's values as integers over one denominator, ``(nums, den)``: a
     sign rule (a QMR, a WMR or an :class:`OrdinalSCF`) evaluated once per
     sign key, the count of positive reporters if it is anonymous, else their
-    bitmask (bit i for agent i); a table in column order (see
+    bitmask (bit i for agent i), 2^n keys refused past ``MAX_ENTRIES`` (see
+    :func:`refuse_above`); a table in column order (see
     ``Environment.columns``) if it is anonymous, else at each ordered
     profile's code, the sum of j * |V|^i over its reports j at positions i
     (see :func:`multiset_distribution`)."""
     if isinstance(rule, _SIGN_RULES):  # the same at any reports of the same signs, so at +-1
-        masks = [(1 << c) - 1 for c in range(n + 1)] if rule.anonymous else range(1 << n)
+        masks = ([(1 << c) - 1 for c in range(n + 1)] if rule.anonymous else
+                 range(refuse_above(1 << n, f"sign keys of {n} agents (the rule is not anonymous)")))
         return integer_form([rule.evaluate([(-1, 1)[m >> i & 1] for i in range(n)]) for m in masks])
     ranks, table = range(len(rule.values)), rule.allocation
     if rule.anonymous:
@@ -521,13 +523,6 @@ class ZeroProbabilityCoalition(ValueError):
     """A coalition event has probability zero, so conditioning is undefined."""
 
 
-def _projection_refusal(n: int) -> str | None:
-    """Why :func:`ordinal_projection` refuses n agents, or None: it
-    enumerates all 2^n coalitions, so it takes at most 12 agents."""
-    if n > 12:
-        return f"ordinal projection enumerates 2^n coalitions; n={n} exceeds 12"
-
-
 def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
     """Project a rule onto coalitions by conditional expectation.
 
@@ -544,14 +539,22 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
     multiset, at its code's column, if it is anonymous, whose sums then
     depend only on how many agents of each type are in T, so each such count
     is summed once, else by ordered profile. Coalitions come in
-    ``itertools.product`` order.
+    ``itertools.product`` order; their 2^n are refused past ``MAX_ENTRIES``
+    (see :func:`refuse_above`).
 
     Requires every coalition event to have positive probability, i.e. no
     agent with a deterministic value sign; otherwise the first coalition of
-    probability zero raises :class:`ZeroProbabilityCoalition`.
+    probability zero in that order raises :class:`ZeroProbabilityCoalition`:
+    the empty one if some agent is never negative, else the highest-index
+    agent that is never positive, alone.
     """
-    if refusal := _projection_refusal(env.n):
-        raise ValueError(refusal)
+    refuse_above(1 << env.n, f"coalitions of {env.n} agents")
+    masses = [agent.mass for agent in env.agents]  # (negative, positive) weights
+    if not all(map(all, masses)):
+        stuck = [i for i, m in enumerate(masses) if not m[1]][-1:]  # never positive
+        first = stuck if all(m[0] for m in masses) else []
+        raise ZeroProbabilityCoalition(
+            f"coalition {first} has probability zero (limit-mode environment)")
     (nums, den), cut = _integer_table(env, rule), len(env.values.negatives)
     by_key = [Fraction(x, den) for x in nums] if isinstance(rule, _SIGN_RULES) else None
     if not by_key:  # a code's table entry: at its column, or at the code if ordered
@@ -560,10 +563,6 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
     sums, phi = {}, {}
     for bits in itertools.product((False, True), repeat=env.n):
         t = frozenset(i for i, b in enumerate(bits) if b)
-        if not all(agent.mass[b] for agent, b in zip(env.agents, bits)):
-            raise ZeroProbabilityCoalition(
-                f"coalition {sorted(t)} has probability zero (limit-mode environment)"
-            )
         if by_key:
             phi[t] = by_key[len(t) if rule.anonymous else sum(1 << i for i in t)]
             continue

@@ -37,7 +37,6 @@ __all__ = [
     "build_opt_lp",
     "OptimalMechanismReport",
     "solve_opt",
-    "mechanism_from_vertex",
     "AuxPoint",
     "AuxCorners",
     "aux_corners",
@@ -82,13 +81,6 @@ def _best_qmr_start(env: Environment) -> list[int]:
     return [int(k >= k_star) for k in env.columns()[2]]
 
 
-def mechanism_from_vertex(env: Environment, index: dict, x) -> AnonymousSCF:
-    """The anonymous rule an LP point in the box encodes, keyed by the
-    LP's own value-index tuples; ``x`` is the point as ``solve`` returns it,
-    an integer pair in lowest terms, and is kept as the rule's integers."""
-    return AnonymousSCF.from_indices(env.values.values, env.n, index, x)
-
-
 class OptimalMechanismReport(Record):
     """Solved program: optimal rule, its welfare, and per-agent interims."""
 
@@ -111,7 +103,7 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
     lp, index = build_opt_lp(env)
     start = _best_qmr_start(env)
     solution = solve(lp, start)
-    mechanism = mechanism_from_vertex(env, index, solution.x)
+    mechanism = AnonymousSCF.from_indices(env.values.values, env.n, index, solution.x)
     audit = check_bic(env, mechanism)
     if not audit.satisfied:
         raise SimplexError(f"optimal vertex fails the incentive audit: {audit.witness}")
@@ -153,22 +145,16 @@ class AuxPoint(Record):
         return f"AuxPoint{self.as_tuple()}"
 
 
-class AuxCorners:
+class AuxCorners(Record):
     """The two corner candidates of the interim relaxation and their values."""
 
-    __slots__ = ("first", "second", "value_first", "value_second", "winner")
+    __slots__ = ("first", "second", "value_first", "value_second")
 
-    def __init__(self, first, second, value_first, value_second):
-        self.first = first
-        self.second = second
-        self.value_first = value_first
-        self.value_second = value_second
-        if value_first > value_second:
-            self.winner = "first"
-        elif value_second > value_first:
-            self.winner = "second"
-        else:
-            self.winner = "both"
+    @property
+    def winner(self) -> str:
+        """The corner worth more, "first" or "second", or "both" on a tie."""
+        first, second = self.value_first, self.value_second
+        return "first" if first > second else "second" if second > first else "both"
 
     def best_value(self):
         return max(self.value_first, self.value_second)

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from anonvote import cli, environment_to_json, make_theorem2_env, mechanism_to_json, wmr_build
+from anonvote import (cli, environment_to_json, environments, experiments, make_theorem2_env,
+                      mechanism_to_json, wmr_build)
 from anonvote.cli import main
 from anonvote.experiments import example1_fixture, make_fstar, random_environment
 from anonvote.mechanisms import QualifiedMajorityRule, WeightedMajorityRule, welfare
@@ -332,28 +333,63 @@ def test_check_and_hatf_print_the_same_coalitions(example1_files, capsys):
     assert coalition_lines("check") == lines
 
 
-def test_size_guard_requires_force_large(tmp_path, capsys):
+def test_the_column_count_decides_the_size_refusal(tmp_path, monkeypatch, capsys):
+    # nine agents over {-1, 1} have 10 columns and solve; nine over 8 values
+    # have C(16, 9) = 11,440 and are refused before any distribution is made
     dist = {"probs": {"-1": "1/2", "1": "1/2"}}
-    env = {"values": ["-1", "1"], "agents": [dist] * 9}
-    path = tmp_path / "nine.json"
-    path.write_text(json.dumps(env))
-    assert main(["solve", "--env", str(path)]) == 2
-    assert "force-large" in capsys.readouterr().err
-    assert main(["solve", "--env", str(path), "--force-large"]) == 0
+    nine = tmp_path / "nine.json"
+    nine.write_text(json.dumps({"values": ["-1", "1"], "agents": [dist] * 9}))
+    assert main(["solve", "--env", str(nine)]) == 0
+    assert capsys.readouterr().err == ""
+    rng = random.Random(1)
+    draws = (random_environment(rng, 9, 8) for _ in iter(int, 1))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(environment_to_json(next(e for e in draws if len(e.values) == 8))))
+    calls = []
+    monkeypatch.setattr(environments, "multiset_distribution", lambda *a: calls.append(a))
+    for command in ("solve", "compare", "qmr"):
+        assert main([command, "--env", str(wide)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: too large: 11440 columns of 9 agents over 8 values, "
+                "above the limit of 6435\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["demo-theorem2", "--n", "12", "--M", "30", "--eps", "1/1000"],
-        ["verify", "theorem2", "--n", "12", "--M", "30"],
+        ["demo-theorem2", "--M", "30", "--eps", "1/1000"],
+        ["verify", "theorem2", "--M", "30"],
     ],
     ids=["demo-theorem2", "verify-theorem2"],
 )
-def test_theorem2_commands_keep_the_size_guard(argv, capsys):
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "refusing n > 8" in err and "--force-large" in err and "n=12" in err
+def test_theorem2_commands_keep_the_size_guard(argv, monkeypatch, capsys):
+    # the family's weighted rule is not anonymous: 2^12 sign keys are admitted,
+    # 2^13 refused before the program is solved
+    assert main(argv + ["--n", "12"]) == 0
+    assert capsys.readouterr().err == ""
+    solves = []
+    monkeypatch.setattr(experiments, "solve_opt", solves.append)
+    assert main(argv + ["--n", "13"]) == 2
+    assert capsys.readouterr() == ("", "error: too large: 8192 sign keys of 13 agents "
+                                       "(the rule is not anonymous), above the limit of 6435\n")
+    assert solves == []
+
+
+def test_compare_refuses_a_large_sign_table_before_the_program(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "fam13.json"
+    path.write_text(json.dumps(environment_to_json(make_theorem2_env(13, 30, Fraction(1, 1000)))))
+    solves = []
+    monkeypatch.setattr(cli, "solve_opt", solves.append)
+    assert main(["compare", "--env", str(path)]) == 2
+    assert "too large: 8192 sign keys of 13 agents" in capsys.readouterr().err
+    assert solves == []
+    # an anonymous rule's table is small, but its projection has 2^13 coalitions
+    mech = tmp_path / "qmr.json"
+    mech.write_text(json.dumps({"kind": "qmr", "k": 7}))
+    assert main(["hatf", "--env", str(path), "--mech", str(mech)]) == 2
+    assert capsys.readouterr() == ("", "error: too large: 8192 coalitions of 13 agents, "
+                                       "above the limit of 6435\n")
 
 
 def test_support_mismatch_is_an_input_error(gamma0_file, tmp_path, capsys):
@@ -395,7 +431,8 @@ def test_hatf_refuses_zero_probability_coalitions(tmp_path, capsys):
 def test_hatf_refuses_more_than_twelve_agents_before_the_rules_table(tmp_path, monkeypatch,
                                                                       capsys):
     # an 18-agent weighted rule with distinct weights is not anonymous, so
-    # its table has 2^18 sign keys: none is evaluated before the refusal
+    # its table has 2^18 sign keys: none is evaluated before the refusal,
+    # which names the mechanism file, under hatf and check alike
     values = ["-2", "-1", "1", "2"]
     agents = [{"probs": dict(zip(values, ["1/4", "1/4", f"{k + 1}/40", f"{19 - k}/40"]))}
               for k in range(18)]
@@ -407,10 +444,10 @@ def test_hatf_refuses_more_than_twelve_agents_before_the_rules_table(tmp_path, m
     calls, evaluate = [], WeightedMajorityRule.evaluate
     monkeypatch.setattr(WeightedMajorityRule, "evaluate",
                         lambda rule, profile: calls.append(profile) or evaluate(rule, profile))
-    message = "error: ordinal projection enumerates 2^n coalitions; n=18 exceeds 12\n"
-    for fmt in ("table", "json"):
-        argv = ["hatf", "--env", str(env_path), "--mech", str(mech_path), "--force-large",
-                "--format", fmt]
+    message = (f"error: {mech_path}: too large: 262144 sign keys of 18 agents "
+               "(the rule is not anonymous), above the limit of 6435\n")
+    for command, fmt in itertools.product(("hatf", "check"), ("table", "json")):
+        argv = [command, "--env", str(env_path), "--mech", str(mech_path), "--format", fmt]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", message)
     assert calls == []

@@ -6,14 +6,18 @@ import pytest
 
 from _oracles import (coded_points, decode, fraction_environment, kept_columns,
                       mixed_denominator_env, oracle_columns, profile_probability)
+from anonvote import environments
 from anonvote.environments import (
+    MAX_ENTRIES,
     AgentDistribution,
     Environment,
     InvalidEnvironment,
+    TooLarge,
     ValueSet,
     environment_from_json,
     environment_to_json,
     multiset_distribution,
+    refuse_above,
 )
 from anonvote.experiments import make_theorem2_env, random_environment
 
@@ -275,6 +279,29 @@ def test_the_column_map_equals_the_enumerated_one(env):
     if env.flags:  # limit mode: some columns of nonzero value sum have weight 0
         sums = [sum(env.values.values[j] for j in m) for m, _, _ in expected]
         assert any(total and not value for total, (_, value, _) in zip(sums, expected))
+
+
+def test_refuse_above_admits_exactly_max_entries():
+    # the column map at n = |V| = 8, which also admits 2^12 coalitions, not 2^13
+    assert MAX_ENTRIES == 6435 == len(list(itertools.combinations_with_replacement(range(8), 8)))
+    assert 2**12 <= MAX_ENTRIES < 2**13
+    assert refuse_above(6435, "columns") == 6435
+    with pytest.raises(TooLarge, match="^too large: 6436 columns, above the limit of 6435$"):
+        refuse_above(6436, "columns")
+    assert issubclass(TooLarge, ValueError)
+
+
+def test_the_column_map_is_refused_before_its_first_entry(monkeypatch):
+    rng = random.Random(1)
+    eight, nine = (next(env for env in iter(lambda: random_environment(rng, n, 8), None)
+                        if len(env.values) == 8) for n in (8, 9))
+    assert len(eight.columns()[0]) == MAX_ENTRIES  # n = |V| = 8 is admitted
+    calls = []
+    monkeypatch.setattr(environments, "multiset_distribution", lambda *a: calls.append(a))
+    for without in (None, 0):
+        with pytest.raises(TooLarge, match="^too large: 11440 columns of 9 agents over 8 values,"):
+            nine.columns(without)
+    assert calls == []
 
 
 # --------------------------------------------------------------------- JSON

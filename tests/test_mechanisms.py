@@ -56,7 +56,8 @@ from anonvote.mechanisms import (
     welfare_via_interims,
     wmr_build,
 )
-from anonvote.welfare_opt import AuxPoint, Lemma3Report, OptimalMechanismReport, solve_opt
+from anonvote.welfare_opt import (AuxCorners, AuxPoint, Lemma3Report, OptimalMechanismReport,
+                                  solve_opt)
 
 
 def F(x):
@@ -385,6 +386,35 @@ def test_projection_rejects_zero_probability_coalitions():
     env = Environment(values, [stuck, free])
     with pytest.raises(ZeroProbabilityCoalition):
         ordinal_projection(env, QualifiedMajorityRule(1))
+
+
+@pytest.mark.parametrize(
+    "signs, first",
+    [
+        ("+-0", []),  # agent 0 is never negative: the empty coalition
+        ("0-+", []),  # a never-negative agent outranks every never-positive one
+        ("-0-", [2]),  # two never positive: the highest index comes first
+        ("0-0", [1]),
+    ],
+)
+def test_projection_names_the_first_coalition_of_probability_zero(monkeypatch, signs, first):
+    # "+" never negative, "-" never positive, "0" both signs: the refusal is
+    # decided from the agents' masses, before the rule's table is read or any
+    # coalition enumerated, and names the first coalition of probability
+    # zero in product order
+    values = ValueSet([-1, 1])
+    kinds = {"+": (0, 1), "-": (1, 0), "0": (Fraction(1, 2), Fraction(1, 2))}
+    agents = [AgentDistribution(dict(zip(values, kinds[c]))) for c in signs]
+    env = Environment(values, agents)
+    expected = oracle_projection(env, QualifiedMajorityRule(2))
+    assert sorted(next(t for t, phi in expected.items() if phi is None)) == first
+    calls = []
+    monkeypatch.setattr(mechanisms, "_integer_table", lambda *a: calls.append(a))
+    for rule in (QualifiedMajorityRule(2), WeightedMajorityRule([1, 2, 3], 3)):
+        with pytest.raises(ZeroProbabilityCoalition,
+                           match=re.escape(f"coalition {first} has probability zero")):
+            ordinal_projection(env, rule)
+    assert calls == []
 
 
 # ------------------------------------------------------------- benchmarks
@@ -803,7 +833,7 @@ def test_a_table_over_other_values_or_agents_is_refused_by_the_audits():
 
 def test_every_record_is_built_by_position_or_by_name():
     records = [BicViolation, BicReport, QmrTable, SymmetricThreshold,
-               OptimalMechanismReport, AuxPoint, Lemma3Report, Theorem2Report]
+               OptimalMechanismReport, AuxPoint, AuxCorners, Lemma3Report, Theorem2Report]
     assert set(Record.__subclasses__()) == set(records)
     for cls in records:
         fields = cls.__slots__
