@@ -112,7 +112,7 @@ def _pair(q: Fraction | None) -> dict | None:
 
 
 def _rational_table(table: dict) -> dict:
-    return {format_rational(v): format_rational(q) for v, q in sorted(table.items())}
+    return {format_rational(v): format_rational(q) for v, q in table.items()}
 
 
 def _fmt(q) -> str:

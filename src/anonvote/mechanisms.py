@@ -307,22 +307,11 @@ class OrdinalSCF:
     def __init__(self, n: int, by_coalition: Mapping[frozenset, Fraction]):
         table = {frozenset(t): parse_rational(p) for t, p in by_coalition.items()}
         agents = frozenset(range(n))
-        if len(table) != 1 << n or any(not t <= agents for t in table):
+        if not len(table) == len(by_coalition) == 1 << n or any(not t <= agents for t in table):
             raise ValueError("ordinal rule must assign every coalition exactly once")
         for t, p in table.items():
-            if not 0 <= p <= 1:
+            if not 0 <= p.numerator <= p.denominator:  # 0 <= p <= 1, in integers
                 raise ValueError(f"allocation at coalition {sorted(t)} is {p}")
-        self._take(n, table)
-
-    @classmethod
-    def from_coalitions(cls, n: int, table: dict):
-        """The rule of a ``table`` already keyed by every coalition, as a
-        frozenset, with Fraction values in [0, 1]; kept unchecked."""
-        rule = cls.__new__(cls)
-        rule._take(n, table)
-        return rule
-
-    def _take(self, n: int, table: dict):
         self.n, self.by_coalition, self._table = n, table, None
         by_size: dict[int, Fraction] = {}
         self.anonymous = all(by_size.setdefault(len(t), p) == p for t, p in table.items())
@@ -532,15 +521,15 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
     says whether it depends only on coalition size, which can fail in
     asymmetric environments even when the input rule is anonymous.
 
-    A sign rule's projection is its own :func:`_integer_table`. For a table,
-    each coalition's mass and weighted sum are integer sums over the
-    ``multiset_distribution`` of the agents' (unit, weight) points of their
-    sign in T (kept, not normalised), coded as the table is read: by sorted
-    multiset, at its code's column, if it is anonymous, whose sums then
-    depend only on how many agents of each type are in T, so each such count
-    is summed once, else by ordered profile. Coalitions come in
-    ``itertools.product`` order; their 2^n are refused past ``MAX_ENTRIES``
-    (see :func:`refuse_above`).
+    Each coalition T is keyed by one integer, the sum of its members' units:
+    1 for an anonymous sign rule (T's size), (n+1)^t for an agent of type t
+    under an anonymous table (T's count of each type in base n+1, which
+    fixes its sums), else 2^i (T's bitmask); each key is projected once. A
+    sign rule reads its :func:`_integer_table` at the key. A table's mass
+    and weighted sum at T are integer sums over the ``multiset_distribution``
+    of the agents' (unit, weight) points of their sign in T, unnormalised
+    and coded as the table is read. Coalitions come in ``itertools.product``
+    order; their 2^n are refused past ``MAX_ENTRIES`` (:func:`refuse_above`).
 
     Requires every coalition event to have positive probability, i.e. no
     agent with a deterministic value sign; otherwise the first coalition of
@@ -556,24 +545,27 @@ def ordinal_projection(env: Environment, rule) -> OrdinalSCF:
         raise ZeroProbabilityCoalition(
             f"coalition {first} has probability zero (limit-mode environment)")
     (nums, den), cut = _integer_table(env, rule), len(env.values.negatives)
-    by_key = [Fraction(x, den) for x in nums] if isinstance(rule, _SIGN_RULES) else None
-    if not by_key:  # a code's table entry: at its column, or at the code if ordered
-        units, halves = env.units(not rule.anonymous), (slice(cut), slice(cut, None))
+    sign, agents = isinstance(rule, _SIGN_RULES), range(env.n)
+    if rule.anonymous:
+        units = [1 if sign else (env.n + 1) ** t for t in env.types]
+    else:
+        units = [1 << i for i in agents]
+    if not sign:  # a code's table entry: at its column, or at the code if ordered
+        reports, halves = env.units(not rule.anonymous), (slice(cut), slice(cut, None))
         codes = env.columns()[4] if rule.anonymous else range(len(nums))
     sums, phi = {}, {}
-    for bits in itertools.product((False, True), repeat=env.n):
-        t = frozenset(i for i, b in enumerate(bits) if b)
-        if by_key:
-            phi[t] = by_key[len(t) if rule.anonymous else sum(1 << i for i in t)]
-            continue
-        key = tuple(sorted(zip(env.types, bits))) if rule.anonymous else bits
+    for bits in itertools.product((0, 1), repeat=env.n):
+        key = sum(itertools.compress(units, bits))
         if key not in sums:
-            dist = multiset_distribution([list(zip(u[halves[b]], agent.weights[halves[b]]))
-                                          for u, agent, b in zip(units, env.agents, bits)])
-            weighted = sum(w * nums[codes[m]] for m, w in dist.items())
-            sums[key] = Fraction(weighted, sum(dist.values()) * den)
-        phi[t] = sums[key]
-    return OrdinalSCF.from_coalitions(env.n, phi)
+            if sign:
+                sums[key] = Fraction(nums[key], den)
+            else:
+                dist = multiset_distribution([list(zip(u[halves[b]], agent.weights[halves[b]]))
+                                              for u, agent, b in zip(reports, env.agents, bits)])
+                weighted = sum(w * nums[codes[m]] for m, w in dist.items())
+                sums[key] = Fraction(weighted, sum(dist.values()) * den)
+        phi[frozenset(itertools.compress(agents, bits))] = sums[key]
+    return OrdinalSCF(env.n, phi)
 
 
 class QmrTable(Record):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import mixed_denominator_env
 from anonvote import (cli, environment_to_json, environments, experiments, make_theorem2_env,
                       mechanism_to_json, wmr_build)
 from anonvote.cli import main
@@ -61,6 +62,25 @@ def test_solve_json_round_trips_through_check(gamma0_file, tmp_path, capsys):
     assert audit["bic"]["satisfied"] is True
     assert audit["anonymous"] is True
     assert audit["welfare"]["exact"] == "5"
+
+
+def test_interim_tables_list_their_reports_in_ascending_value_order(tmp_path, capsys):
+    # the audit builds each interim table in value order and the report keeps
+    # it; over these values the order of the strings differs from it
+    env = mixed_denominator_env()
+    shown = [format_rational(v) for v in env.values]
+    assert sorted(shown) != shown
+    env_path, mech_path = tmp_path / "mixed.json", tmp_path / "mixedopt.json"
+    env_path.write_text(json.dumps(environment_to_json(env)))
+    code, solved = run_json(capsys, ["solve", "--env", str(env_path), "--format", "json"])
+    assert code == 0
+    mech_path.write_text(json.dumps(solved))
+    code, checked = run_json(
+        capsys, ["check", "--env", str(env_path), "--mech", str(mech_path), "--format", "json"]
+    )
+    assert code == 0
+    tables = [row["table"] for row in solved["interims"]] + checked["interims"]
+    assert [list(table) for table in tables] == [shown] * (2 * env.n)
 
 
 def test_compare_reports_ratios(gamma0_file, capsys):

@@ -138,6 +138,24 @@ def test_table_rules_require_a_total_table_in_range(kind, what, repeated, count)
         rule.evaluate((F(1), F(3)))
 
 
+def test_ordinal_rules_refuse_a_partial_table_or_an_allocation_outside_0_1():
+    # every coalition of agents 0..n-1 exactly once, each in [0, 1], which
+    # is read from the allocation's integers
+    good = {(): "0", (0,): "1/3", (1,): "1/2", (0, 1): "1"}
+    rule = OrdinalSCF(2, good)
+    assert rule.by_coalition == {frozenset(t): Fraction(p) for t, p in good.items()}
+    assert OrdinalSCF(2, {**good, (0, 1): 0}).by_coalition[frozenset({0, 1})] == 0
+    lacking = {t: p for t, p in good.items() if t != (0, 1)}
+    message = "ordinal rule must assign every coalition exactly once"
+    for table in (lacking, {**lacking, (0, 2): "1"}, {**good, frozenset({0, 1}): "1"}):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OrdinalSCF(2, table)
+    for p in ("-1/3", Fraction(4, 3)):
+        message = f"allocation at coalition [0, 1] is {p}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OrdinalSCF(2, {**good, (0, 1): p})
+
+
 def test_ordered_table_anonymity_check():
     _, rule, hat = example1_fixture()
     assert rule.anonymous
@@ -279,14 +297,23 @@ def test_a_sign_rule_is_evaluated_once_per_sign_key(work, monkeypatch):
 def test_sign_rules_stream_no_profiles_and_the_optimum_projects_per_type_count(monkeypatch):
     env = make_theorem2_env(6, 13, Fraction(1, 1000))
     optimum = solve_opt(env).mechanism
+    small, rng = make_theorem2_env(3, 10, Fraction(1, 1000)), random.Random(7)
+    ordered, flagged = scrambled_table(small, rng), mixed_table_rules(small, rng)[3]
+    assert small.types == (0, 0, 2) and flagged.anonymous
     summed, multisets = [], mechanisms.multiset_distribution
-    powers = {(env.n + 1) ** j for j in range(len(env.values))}  # the units of a sorted multiset
     monkeypatch.setattr(
         mechanisms, "multiset_distribution",
         lambda agents: summed.append(
-            (len(agents), {unit for points in agents for unit, _ in points} <= powers)
+            (len(agents), {unit for points in agents for unit, _ in points})
         ) or multisets(agents),
     )
+
+    def sums(env):
+        """Each call's agent count and whether its units are those of a
+        sorted multiset, powers of n + 1."""
+        powers = {(env.n + 1) ** j for j in range(len(env.values))}
+        return [(count, units <= powers) for count, units in summed]
+
     for rule in sign_rules(env):
         for work in SIGN_WORK.values():
             work(env, rule)
@@ -295,7 +322,16 @@ def test_sign_rules_stream_no_profiles_and_the_optimum_projects_per_type_count(m
     # each type, (2 + 1) * (4 + 1) sums keyed by sorted multiset over all six
     # agents, not 2^6 coalitions
     ordinal_projection(env, optimum)
-    assert summed == [(env.n, True)] * (3 * 5)
+    assert sums(env) == [(env.n, True)] * (3 * 5)
+    # an ordered table that is not anonymous is summed once per coalition,
+    # by ordered profile; one flagged anonymous once per count of positive
+    # agents of each type, (2 + 1) * (1 + 1) sums by sorted multiset
+    summed.clear()
+    ordinal_projection(small, ordered)
+    assert sums(small) == [(small.n, False)] * 2**small.n
+    summed.clear()
+    ordinal_projection(small, flagged)
+    assert sums(small) == [(small.n, True)] * (3 * 2)
 
 
 # ------------------------------------------------------------------ welfare
