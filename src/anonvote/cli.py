@@ -6,8 +6,9 @@ prints it, and ``--format table`` (the default) prints a text view of that
 same payload. ``verify`` runs a named assertion suite and prints one
 PASS/FAIL line.
 
-Exit codes: 0 on success/pass, 1 when a verify suite fails an assertion,
-2 on input errors. All reported comparisons are computed on exact
+Exit codes: 0 on success/pass, 1 when a verify suite fails an assertion
+or the reader of stdout has closed it (nothing more is printed), 2 on
+input errors. All reported comparisons are computed on exact
 rationals; decimal renderings are annotations only.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -544,24 +546,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, code = _build_parser().parse_args(argv), 0
     try:
         if args.command == "verify":
             passed, message = _SUITES[args.suite](args)
             print(f"{'PASS' if passed else 'FAIL'} {args.suite}: {message}")
-            return 0 if passed else 1
-        inputs = [_load_environment(args.env)] if "env" in args else []
-        if "mech" in args:
-            inputs.append(_load_mechanism(args.mech, inputs[0]))
-        payload = args.func(args, *inputs)
+            code = 0 if passed else 1
+        else:
+            inputs = [_load_environment(args.env)] if "env" in args else []
+            if "mech" in args:
+                inputs.append(_load_mechanism(args.mech, inputs[0]))
+            payload = args.func(args, *inputs)
+            if args.format == "json":
+                print(json.dumps(payload, indent=2))
+            else:
+                args.render(payload)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except (InputError, TooLarge, ZeroProbabilityCoalition) as exc:  # the input's fault: exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        args.render(payload)
-    return 0
+    except BrokenPipeError:  # the reader has gone: stdout's last flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

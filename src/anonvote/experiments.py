@@ -188,9 +188,9 @@ def random_feasible_mechanism(env: Environment, rng: random.Random) -> Anonymous
 
     Maximizes a random integer objective over the same constraint set as the
     welfare program, so the returned rule is anonymous and incentive
-    compatible but typically far from welfare-optimal. The simplex starts
-    at x = 0: the best qualified majority rule, where :func:`solve_opt`
-    starts, is no closer to the optimum of a random objective.
+    compatible but typically far from welfare-optimal. :func:`solve` starts
+    at the box optimum of the random objective, as it does for
+    :func:`solve_opt`'s.
     """
     lp, index = build_opt_lp(env)
     lp.objective = ([rng.randint(-10, 10) for _ in range(lp.num_vars)], 1)

@@ -309,12 +309,14 @@ class OrdinalSCF:
         agents = frozenset(range(n))
         if not len(table) == len(by_coalition) == 1 << n or any(not t <= agents for t in table):
             raise ValueError("ordinal rule must assign every coalition exactly once")
+        self.n, self.by_coalition, self._table, self.anonymous = n, table, None, True
+        by_size: dict[int, tuple] = {}  # each size's first allocation, a reduced pair
         for t, p in table.items():
-            if not 0 <= p.numerator <= p.denominator:  # 0 <= p <= 1, in integers
+            pair = p.numerator, p.denominator
+            if not 0 <= pair[0] <= pair[1]:  # 0 <= p <= 1, in integers
                 raise ValueError(f"allocation at coalition {sorted(t)} is {p}")
-        self.n, self.by_coalition, self._table = n, table, None
-        by_size: dict[int, Fraction] = {}
-        self.anonymous = all(by_size.setdefault(len(t), p) == p for t, p in table.items())
+            if by_size.setdefault(len(t), pair) != pair:  # equal pairs, equal values
+                self.anonymous = False
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         if len(profile) != self.n:
@@ -577,18 +579,13 @@ class QmrTable(Record):
         return f"QmrTable(k_star={self.k_star}, best={self.best_welfare})"
 
 
-def _qmr_sums(env: Environment) -> tuple[int, dict]:
-    """``(k_star, welfare of f^(k) for k = 0..n+1)`` from one integer sum
-    per count of positive reports; the smallest maximizer wins ties."""
+def qmr_best(env: Environment) -> QmrTable:
+    """Exact welfare of f^(k) for k = 0..n+1, from one integer sum per count
+    of positive reports; the smallest maximizer wins ties."""
     _, value, positives, den, _ = env.columns()
     sums = {k: sum(v for v, c in zip(value, positives) if c >= k) for k in range(env.n + 2)}
     k_star = min(sums, key=lambda k: (-sums[k], k))
-    return k_star, {k: Fraction(w, den * env.values.scale) for k, w in sums.items()}
-
-
-def qmr_best(env: Environment) -> QmrTable:
-    """Exact welfare of f^(k) for k = 0..n+1; smallest maximizer wins ties."""
-    k_star, table = _qmr_sums(env)
+    table = {k: Fraction(w, den * env.values.scale) for k, w in sums.items()}
     return QmrTable(k_star, table[k_star], table)
 
 

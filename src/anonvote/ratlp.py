@@ -5,25 +5,25 @@ over the unit box 0 <= x <= 1 subject to homogeneous rows a.x == 0 and
 a.x <= 0. x = 0 is always feasible and the box is bounded, so every
 program has an optimal vertex; there is no infeasible or unbounded case.
 
-* :func:`solve`: a bounded-variable simplex for maximization. Every row
-  gets one slack column, fixed at [0, 0] on an equality row and in
+* :func:`solve`: a bounded-variable dual simplex for maximization. Every
+  row gets one slack column, fixed at [0, 0] on an equality row and in
   [0, inf) on an inequality row, and the slacks form the starting basis.
   A structural variable at its upper bound 1 is complemented
   (x_j -> 1 - x_j, Dantzig's upper-bounding technique), so every nonbasic
-  variable sits at 0 and a variable only ever enters by rising. The start
-  is x = 0, or a feasible 0/1 vertex the caller passes: its ones are
-  complemented before the first pivot, so each slack starts at minus its
-  row's value there (0 on an equality row, >= 0 on an inequality row).
-  The entering column is the one with the largest positive reduced cost
-  (Dantzig's rule, lowest index on ties). After 50 degenerate
-  pivots in a row the solve switches to Bland's rule (lowest eligible
-  index enters) for good, which guarantees termination; the leaving
-  variable is always the lowest-index blocking one, so runs are
-  deterministic. Each tableau row, right-hand side included, is integers
-  over one positive denominator, divided by its gcd after every update, so
-  pricing and updates are integer arithmetic, as is the ratio test, which
-  compares steps by cross-multiplication; the first rows are the program's
-  own. No floating point and no tolerances appear anywhere.
+  variable sits at 0. The start is the box optimum, x_j = 1 iff c_j > 0:
+  every reduced cost is then <= 0, so it is dual feasible, and no caller
+  supplies it. The basic variable farthest outside its bounds leaves; the
+  long-step ratio test (Kostina, Math. Methods Oper. Res. 2002) walks the
+  breakpoints of the columns that move it toward its bound, lowest first,
+  flips each boxed column whose whole range leaves the row outside, and
+  lets the first unboxed or overshooting column enter. After 50
+  iterations of dual step 0 in a row the dual form of Bland's rule (lowest
+  index leaves, lowest index of least ratio enters, no flips) takes over
+  for good, which guarantees termination. Each tableau row, right-hand
+  side included, is integers over one positive denominator, divided by its
+  gcd after every update, so pricing and updates are integer arithmetic,
+  as is every comparison, by cross-multiplication; the first rows are the
+  program's own. No floating point and no tolerances appear anywhere.
 
 * :func:`certify`: the exact optimality proof every :func:`solve` result
   passes. The duals y are read off the final tableau's slack columns. In
@@ -38,10 +38,10 @@ program has an optimal vertex; there is no infeasible or unbounded case.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from .rationals import lowest_terms, pair_form
 
@@ -78,8 +78,9 @@ class LpSolution:
 
     ``x`` and ``duals``, one y_r per row, equality rows first, the certificate
     :func:`certify` accepted, are integer pairs in :func:`lowest_terms`.
-    ``degenerate_pivots`` counts pivots of step length 0, ``bound_flips``
-    those where the entering variable reaches its own bound, and
+    ``pivots`` counts dual iterations, ``degenerate_pivots`` those of dual
+    step 0, ``bound_flips`` the breakpoints flipped (not bounded by
+    ``pivots``), and
     ``max_den_bits`` is the bit length of the largest row denominator the
     tableau reached.
     """
@@ -101,7 +102,7 @@ class LpSolution:
         return f"LpSolution(value={self.objective_value}, pivots={self.pivots})"
 
 
-_BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
+_BLAND_AFTER = 50  # iterations of dual step 0 in a row before Bland's rule takes over
 
 
 class _Tableau:
@@ -112,9 +113,9 @@ class _Tableau:
     Each constraint row is a pair ``(integers, positive denominator)``
     standing for the exact rational row; its last integer is the row's
     right-hand side, so the row's basic variable is worth ``rhs / den``.
-    Every right-hand side starts at 0; :meth:`optimize` may then complement
-    the ones of a feasible 0/1 start, which leaves each slack at minus its
-    row's value there, still inside the slack's bounds.
+    Every right-hand side starts at 0; :meth:`optimize` then complements
+    the box optimum's ones, which leaves each slack at minus its row's
+    value there, possibly outside the slack's bounds.
 
     Every nonbasic variable is at 0: a structural variable that reaches 1 is
     replaced by its complement 1 - x_j, and ``flipped[j]`` records that.
@@ -151,70 +152,77 @@ class _Tableau:
                 a[j] = -a[j]
         self.z[0][j] = -self.z[0][j]
 
-    def optimize(self, cost: tuple[list[int], int], start=None):
-        """Price ``cost`` (an integer pair) over the slack basis,
-        complement the ones of ``start``, then pivot to optimality.
+    def optimize(self, cost: tuple[list[int], int]):
+        """Price ``cost`` (an integer pair) over the slack basis at the box
+        optimum, then run the dual simplex until every basic variable is
+        within its bounds.
 
-        Dantzig's rule picks the entering column until ``_BLAND_AFTER``
-        degenerate pivots in a row, and Bland's rule from then on.
+        The long-step ratio test picks the entering column until
+        ``_BLAND_AFTER`` iterations of dual step 0 in a row, and the dual
+        form of Bland's rule from then on.
         """
         num, den = cost
         self.z = (num + [0] * (len(self.ub) - len(num)), den)
         self.max_den = max([den] + [d for _, d in self.rows])
-        for j, v in enumerate(start or ()):
-            if v:
+        for j, c in enumerate(num):
+            if c > 0:
                 self._complement(j)
-        bland, stalled = False, 0
+        bland, stalled = _BLAND_AFTER == 0, 0
         while True:
-            # a basic column's z_j is 0; a column fixed at 0 cannot move
-            e, best = -1, 0
-            for j, zj in enumerate(self.z[0]):
-                if zj > best and self.ub[j] != 0:
-                    e, best = j, zj
-                    if bland:
-                        break
-            if e == -1:
+            # the basic variables outside their bounds: (distance, den, row)
+            out = []
+            for r, ((a, d), bv) in enumerate(zip(self.rows, self.basis)):
+                if a[-1] < 0:
+                    out.append((-a[-1], d, r))
+                elif self.ub[bv] is not None and a[-1] > self.ub[bv] * d:
+                    out.append((a[-1] - self.ub[bv] * d, d, r))
+            if not out:
                 return
-            # ratio test: how far can x[e] rise before a bound blocks it? The
-            # shortest step num / den (den > 0) wins, by cross-multiplication,
-            # and the lowest leaving index among equal steps
-            block = None if self.ub[e] is None else (1, 1, e, None)
-            for r, bv in enumerate(self.basis):
-                a, d = self.rows[r]
-                if a[e] > 0:  # x[bv] falls to 0
-                    num, den = a[-1], a[e]
-                elif a[e] < 0 and self.ub[bv] is not None:  # x[bv] rises to its bound
-                    num, den = self.ub[bv] * d - a[-1], -a[e]
-                else:
-                    continue
-                if block is None or (num * block[1], bv) < (block[0] * den, block[2]):
-                    block = (num, den, bv, r)
-            if block is None:
-                raise SimplexError("unbounded ray inside the unit box")
-            t_num, _, leaving, row_idx = block
+            if bland:  # the lowest-index variable leaves
+                gap, _, r = min(out, key=lambda o: self.basis[o[2]])
+            else:  # the farthest one, by cross-multiplication
+                gap, _, r = functools.reduce(lambda p, q: q if q[0] * p[1] > p[0] * q[1] else p, out)
+            (a, _), leaving = self.rows[r], self.basis[r]
+            s = 1 if a[-1] > 0 else -1  # x[leaving] must fall (1) or rise (-1)
+            # a column moves x[leaving] the right way iff w = s * a_j > 0; its
+            # breakpoint -z_j / w is taken from a heap, lowest first, ordered
+            # by cross-multiplication and then by index
+            z = self.z[0]
+            key = functools.cmp_to_key(lambda p, q: z[q[0]] * p[1] - z[p[0]] * q[1] or p[0] - q[0])
+            steps = [key((j, s * aj)) for j, aj in enumerate(a[:-1])
+                     if s * aj > 0 and self.ub[j] != 0 and j != leaving]
+            heapq.heapify(steps)
+            flips = []
+            while steps:
+                e, w = heapq.heappop(steps).obj
+                # flip a boxed column whose whole range leaves x[leaving] outside
+                if bland or self.ub[e] is None or w >= gap:
+                    break
+                gap -= w
+                flips.append(e)
+            else:
+                raise SimplexError(f"no column brings variable {leaving} within its bounds")
+            for j in flips:
+                self._complement(j)
             self.pivots += 1
-            if t_num == 0:
+            self.flips += len(flips)
+            if z[e] == 0:
                 self.degenerate += 1
                 stalled += 1
                 bland = bland or stalled >= _BLAND_AFTER
             else:
                 stalled = 0
-            if row_idx is None:
-                self.flips += 1
-                self._complement(e)
-                continue
-            self.basis[row_idx] = e
-            p = self.rows[row_idx][0]
-            piv = p[e]  # negative iff the leaving variable rises to its upper bound
-            # the pivot row divided by its entry e
-            self.rows[row_idx] = pivot = lowest_terms([a if piv > 0 else -a for a in p], abs(piv))
-            for r, row in enumerate(self.rows):
-                if r != row_idx and row[0][e] != 0:
-                    self.rows[r] = self._eliminate(row, pivot, e)
-            if self.z[0][e] != 0:
+            self.basis[r] = e
+            p = self.rows[r][0]
+            # the pivot row divided by its entry e, whose sign is s
+            self.rows[r] = pivot = lowest_terms([s * v for v in p], s * p[e])
+            for k, row in enumerate(self.rows):
+                if k != r and row[0][e] != 0:
+                    self.rows[k] = self._eliminate(row, pivot, e)
+            if z[e] != 0:
                 self.z = self._eliminate(self.z, pivot, e)
             self.max_den = max([self.max_den, self.z[1]] + [d for _, d in self.rows])
-            if piv < 0 and leaving < self.n_struct:
+            if s > 0 and leaving < self.n_struct:  # it left at its upper bound
                 self._complement(leaving)
 
     def point(self) -> tuple[list[int], int]:
@@ -229,28 +237,16 @@ class _Tableau:
                 "bound_flips": self.flips, "max_den_bits": self.max_den.bit_length()}
 
 
-def solve(lp: LinearProgram, start: Sequence | None = None) -> LpSolution:
-    """Exact simplex from the slack basis; returns the optimal vertex.
+def solve(lp: LinearProgram) -> LpSolution:
+    """Exact dual simplex from the box optimum; returns the optimal vertex.
 
-    The simplex starts at x = 0, or at ``start``: a 0/1 vector of length
-    ``lp.num_vars`` that satisfies every row, whose ones are complemented
-    before the first pivot. A start that is not such a vector raises
-    ``ValueError`` before any pivot. The vertex reached is checked feasible
-    and certified optimal by its duals before it is returned, whatever the
-    start; a failure of either raises :class:`SimplexError`.
+    The vertex reached is checked feasible and certified optimal by its
+    duals before it is returned; a failure of either raises
+    :class:`SimplexError`.
     """
-    if start is not None:
-        if len(start) != lp.num_vars:
-            raise ValueError(f"start has {len(start)} entries for {lp.num_vars} variables")
-        if any(type(v) is not int or v not in (0, 1) for v in start):  # refuses 1.0 and True
-            raise ValueError("start entries must be 0 or 1")
-        try:
-            _verify_point(lp, (list(start), 1))
-        except SimplexError as exc:
-            raise ValueError(f"infeasible start: {exc}") from None
     cost, cost_den = lp.objective
     tab = _Tableau(lp)
-    tab.optimize(lp.objective, start)
+    tab.optimize(lp.objective)
     x = tab.point()
     _verify_point(lp, x)
     value = Fraction(sum(map(mul, cost, x[0])), cost_den * x[1])

@@ -24,7 +24,6 @@ from .mechanisms import (
     AnonymousSCF,
     NotBicError,
     Record,
-    _qmr_sums,
     bic_conditions,
     check_bic,
     welfare,
@@ -72,15 +71,6 @@ def build_opt_lp(env: Environment):
     return LinearProgram(len(index), objective, eq_rows, ineq_rows), index
 
 
-def _best_qmr_start(env: Environment) -> list[int]:
-    """The 0/1 table of the best qualified majority rule, "reform iff at
-    least k_star reports are positive", with the k_star of :func:`qmr_best`,
-    in column order. Every such rule is anonymous and BIC, so its table is a
-    feasible start for :func:`solve`."""
-    k_star = _qmr_sums(env)[0]
-    return [int(k >= k_star) for k in env.columns()[2]]
-
-
 class OptimalMechanismReport(Record):
     """Solved program: optimal rule, its welfare, and per-agent interims."""
 
@@ -93,16 +83,14 @@ class OptimalMechanismReport(Record):
 def solve_opt(env: Environment) -> OptimalMechanismReport:
     """Solve the program and audit the returned vertex before reporting it.
 
-    The simplex starts at the best qualified majority rule's table, a
-    feasible 0/1 vertex that is often optimal or close to it.
-    :func:`solve` proves the vertex optimal by its dual bound
+    :func:`solve` starts at the box optimum of the welfare objective and
+    proves the vertex it reaches optimal by its dual bound
     (:func:`ratlp.certify`). The reconstructed mechanism is re-checked for
     incentive compatibility and its welfare is recomputed two independent
     ways; any disagreement raises :class:`SimplexError`.
     """
     lp, index = build_opt_lp(env)
-    start = _best_qmr_start(env)
-    solution = solve(lp, start)
+    solution = solve(lp)
     mechanism = AnonymousSCF.from_indices(env.values.values, env.n, index, solution.x)
     audit = check_bic(env, mechanism)
     if not audit.satisfied:
@@ -123,7 +111,6 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
         "bound_flips": solution.bound_flips,
         "max_den_bits": solution.max_den_bits,
         "certificate": "dual-bound",
-        "start": "qmr" if any(start) else "zero",
     }
     return OptimalMechanismReport(
         mechanism, direct, audit.c_minus, audit.c_plus, audit.interims, lp_stats

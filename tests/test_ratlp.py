@@ -124,10 +124,9 @@ def test_the_vertex_and_the_duals_are_integer_pairs_in_lowest_terms(monkeypatch)
 # ------------------------------------------------------------- degeneracy
 
 
-def test_blands_rule_terminates_on_the_classic_cycling_instance():
-    # Beale's instance, known to cycle under the largest-coefficient rule;
-    # its third row, x3 <= 1, is supplied by the unit box. Dantzig pricing
-    # cycles until 50 degenerate pivots in a row hand over to Bland's rule.
+def test_blands_rule_terminates_on_the_classic_cycling_instance(monkeypatch):
+    # Beale's instance, known to cycle under the primal's largest-coefficient
+    # rule; its third row, x3 <= 1, is supplied by the unit box
     lp = box_lp(
         [F(3) / 4, -150, Fraction(1, 50), -6],
         ineq=[
@@ -138,8 +137,37 @@ def test_blands_rule_terminates_on_the_classic_cycling_instance():
     sol = solve(lp)
     assert sol.objective_value == Fraction(1, 20)
     assert fractions_of(sol.x) == [Fraction(1, 25), F(0), F(1), F(0)]
-    assert (sol.pivots, sol.degenerate_pivots) == (54, 52)
+    assert (sol.pivots, sol.degenerate_pivots) == (1, 0)
     assert vertex_enumerate(lp).objective_value == Fraction(1, 20)
+    monkeypatch.setattr(ratlp, "_BLAND_AFTER", 0)
+    sol = solve(lp)
+    assert fractions_of(sol.x) == [Fraction(1, 25), F(0), F(1), F(0)]
+    assert (sol.pivots, sol.degenerate_pivots, sol.bound_flips) == (4, 0, 0)
+
+
+def test_blands_rule_alone_reaches_the_oracle_optimum(monkeypatch):
+    # the fallback from the first iteration: lowest-index leaving variable,
+    # lowest-index entering column of least ratio, no flips. Every vertex is
+    # certified by solve, and checked against the oracle where its guard
+    # (12 variables, here 2,000 nodes) admits the program
+    rng = random.Random(43)
+    lps = [rational_lp(rng) for _ in range(100)]
+    lps += [build_opt_lp(random_environment(rng, 2 + t % 3, 4))[0] for t in range(12)]
+    lps += [build_opt_lp(make_theorem2_env(n, 10, eps))[0]
+            for n in (3, 4) for eps in (0, Fraction(1, 1000))]
+    long_step = [solve(lp).objective_value for lp in lps]
+    monkeypatch.setattr(ratlp, "_BLAND_AFTER", 0)
+    checked = iterations = 0
+    for lp, optimum in zip(lps, long_step):
+        sol = solve(lp)
+        assert sol.objective_value == optimum and sol.bound_flips == 0
+        iterations += sol.pivots
+        try:
+            assert optimum == vertex_enumerate(lp, node_budget=2_000).objective_value
+            checked += 1
+        except GuardExceeded:
+            assert lp.num_vars >= 10
+    assert checked >= 100 and iterations >= 200
 
 
 # ------------------------------------------------------------ certificate
@@ -257,74 +285,17 @@ def test_row_scaling_keeps_the_optimum():
 
 
 def test_pivot_counters_are_bounded_by_the_pivot_count():
+    # a breakpoint passed is flipped inside an iteration, so flips are not
+    # bounded by iterations; iterations of dual step 0 are
     rng = random.Random(12)
     for _ in range(100):
         sol = solve(rational_lp(rng))
         assert 0 <= sol.degenerate_pivots <= sol.pivots
-        assert 0 <= sol.bound_flips <= sol.pivots
-        assert sol.max_den_bits >= 1
-    flip = solve(box_lp([1]))  # x enters and stops at its own upper bound
-    assert (flip.pivots, flip.degenerate_pivots, flip.bound_flips) == (1, 0, 1)
-
-
-# ------------------------------------------------------------ a 0/1 start
-
-
-def test_a_feasible_start_is_where_the_simplex_begins():
-    # x0 + x1 <= x2 with c = (1, 1, 0): the start (1, 0, 1) is optimal
-    # already, and the one pivot only proves it (step length 0)
-    lp = box_lp([1, 1, 0], ineq=[[1, 1, -1]])
-    sol = solve(lp, [1, 0, 1])
-    assert (fractions_of(sol.x), sol.pivots, sol.degenerate_pivots) == ([F(1), F(0), F(1)], 1, 1)
-    # an equality row's slack stays at 0; the climb from (1, 0, 1) takes
-    # two pivots, the climb from x = 0 three
-    lp = box_lp([1, 2, 0], eq=[[1, 1, -1]])
-    sol = solve(lp, [1, 0, 1])
-    assert (fractions_of(sol.x), sol.objective_value, sol.pivots) == ([F(0), F(1), F(1)], F(2), 2)
-    assert solve(lp).pivots == 3
-
-
-def test_a_start_reaches_the_cold_optimum_on_random_instances():
-    rng = random.Random(15)
-    started = 0
-    for _ in range(40):
-        lp = rational_lp(rng)
-        cold = solve(lp)
-        start = [int(v == 1) for v in fractions_of(cold.x)]
-        try:
-            warm = solve(lp, start)
-        except ValueError:
-            continue  # the rounded-down vertex is not always feasible
-        assert warm.objective_value == cold.objective_value
-        started += any(start)
-    assert started >= 5
-
-
-@pytest.mark.parametrize(
-    "start, message",
-    [
-        ([0, 0], "2 entries for 3 variables"),  # zip would truncate it to a feasible point
-        ([1, 0, 1, 0], "4 entries for 3 variables"),
-        ([Fraction(1, 2), Fraction(1, 2), 1], "0 or 1"),  # feasible, but not a 0/1 vector
-        ([0, 0, 1.0], "0 or 1"),  # feasible and equal to a 0/1 vector, but a float
-        ([False, False, True], "0 or 1"),  # the same, as bools
-        ([1, 1, 0], "infeasible start"),
-    ],
-    ids=["short", "long", "fractional", "float", "bool", "infeasible"],
-)
-def test_a_malformed_start_is_refused(start, message):
-    with pytest.raises(ValueError, match=message):
-        solve(box_lp([1, 1, 0], ineq=[[1, 1, -1]]), start)
-
-
-def test_a_start_that_is_not_bic_is_refused():
-    # reform only when all three reports are the top value: an agent who
-    # reports the top value is more likely to get reform than one who reports
-    # the other positive value, so the positive flatness row fails
-    lp, index = build_opt_lp(make_theorem2_env(3, 10, 0))
-    start = [int(m == max(index)) for m in index]
-    with pytest.raises(ValueError, match="infeasible start: point violates an equality row"):
-        solve(lp, start)
+        assert sol.bound_flips >= 0 and sol.max_den_bits >= 1
+    start = solve(box_lp([1]))  # the box optimum x = 1 is feasible: no iteration
+    assert (start.pivots, start.degenerate_pivots, start.bound_flips) == (0, 0, 0)
+    flip = solve(build_opt_lp(make_theorem2_env(4, 10, Fraction(1, 1000)))[0])
+    assert (flip.pivots, flip.degenerate_pivots, flip.bound_flips) == (5, 0, 14)
 
 
 @pytest.mark.parametrize(

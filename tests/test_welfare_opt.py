@@ -6,7 +6,7 @@ import pytest
 
 from _lpgen import exact_lp, rational_rows
 from _oracles import kept_columns, oracle_columns, random_symmetric_environment, vertex_enumerate
-from anonvote import mechanisms
+from anonvote import mechanisms, ratlp
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -34,7 +34,6 @@ from anonvote.rationals import integer_form
 from anonvote.ratlp import solve
 from anonvote.welfare_opt import (
     AuxPoint,
-    _best_qmr_start,
     aux_corners,
     build_opt_lp,
     lemma3_bounds,
@@ -206,34 +205,35 @@ def test_a_solve_never_rederives_its_optimums_integer_table(env, monkeypatch):
 
 
 PINNED = pytest.mark.parametrize(
-    "env, cold, warm, optimum",
+    "env, bland, long_step, optimum",
     [
-        (make_theorem2_env(3, 10, 0), 7, 5, F(5)),
+        (make_theorem2_env(3, 10, 0), 7, 6, F(5)),
         (
             make_theorem2_env(4, 10, Fraction(1, 1000)),
-            24,
-            16,
+            17,
+            5,
             Fraction(1235112064850635437915071771, 481490062905687875000000000),
         ),
-        (example1_fixture()[0], 6, 2, Fraction(1, 4)),
+        (example1_fixture()[0], 2, 2, Fraction(1, 4)),
     ],
     ids=["two-type-n3-limit", "two-type-n4", "example1"],
 )
 
 
 @PINNED
-def test_blands_path_is_pinned(env, cold, warm, optimum):
-    # a change of pivot rule or of the tableau's arithmetic shows up here first
+def test_blands_path_is_pinned(env, bland, long_step, optimum, monkeypatch):
+    # the dual Bland's rule from the first iteration; a change of pivot rule
+    # or of the tableau's arithmetic shows up here first
+    monkeypatch.setattr(ratlp, "_BLAND_AFTER", 0)
     solution = solve(build_opt_lp(env)[0])
-    assert solution.pivots == cold
+    assert solution.pivots == bland
     assert solution.objective_value == optimum
 
 
 @PINNED
-def test_qmr_start_path_is_pinned(env, cold, warm, optimum):
+def test_long_step_path_is_pinned(env, bland, long_step, optimum):
     report = solve_opt(env)
-    assert report.lp_stats["start"] == "qmr"
-    assert report.lp_stats["pivots"] == warm
+    assert report.lp_stats["pivots"] == long_step
     assert report.welfare == optimum
 
 
@@ -242,22 +242,14 @@ COUNTERS = ("pivots", "degenerate_pivots", "bound_flips", "max_den_bits")
 
 def test_pivot_counters_in_lp_stats():
     env = make_theorem2_env(3, 10, 0)
-    cold = solve(build_opt_lp(env)[0])
-    assert {k: getattr(cold, k) for k in COUNTERS} == {
-        "pivots": 7,
-        "degenerate_pivots": 4,
-        "bound_flips": 0,
-        "max_den_bits": 5,
-    }
     stats = solve_opt(env).lp_stats
-    assert stats["degenerate_pivots"] <= stats["pivots"]
-    assert stats["bound_flips"] <= stats["pivots"]
     assert {k: stats[k] for k in COUNTERS} == {
-        "pivots": 5,
-        "degenerate_pivots": 4,
-        "bound_flips": 0,
+        "pivots": 6,
+        "degenerate_pivots": 6,
+        "bound_flips": 1,
         "max_den_bits": 4,
     }
+    assert set(stats) == {"variables", "eq_rows", "ineq_rows", "certificate", *COUNTERS}
 
 
 def test_optimum_dominates_every_threshold_rule():
@@ -338,45 +330,12 @@ def test_worked_example_environment_optimum_is_a_majority_rule():
     assert welfare(env, rule) <= opt
 
 
-# ------------------------------------------------------- the QMR start
+# ------------------------------------------------------------ reach
 
 
-def start_threshold(start, index, env):
-    """The k of a qualified-majority table: its fewest positive reports at a one."""
-    counts = positive_counts(env, index)
-    ones = [k for k, x in zip(counts, start) if x]
-    assert start == [int(k >= min(ones, default=env.n + 1)) for k in counts]
-    return min(ones, default=env.n + 1)
-
-
-def test_qmr_start_and_cold_start_reach_one_certified_optimum():
-    # solve certifies both optima; the start reads qmr_best's k_star, and its
-    # value is summed here from the LP objective, not from the QMR buckets
-    rng = random.Random(83)
-    envs = [
-        random_environment(rng, n_agents=2 + t % 3, max_values=(6, 5, 4)[t % 3])
-        for t in range(180)
-    ]
-    envs += [random_environment(rng, n_agents=5, max_values=4) for _ in range(20)]
-    envs += [
-        make_theorem2_env(n, M, eps)
-        for n in range(3, 6)
-        for M in (10, 13)
-        for eps in (0, Fraction(1, 1000))
-    ]
-    assert len(envs) >= 200
-    for env in envs:
-        lp, index = build_opt_lp(env)
-        start = _best_qmr_start(env)
-        best = qmr_best(env)
-        assert start_threshold(start, index, env) == best.k_star
-        cost, den = lp.objective
-        assert Fraction(sum(c for c, x in zip(cost, start) if x), den) == best.best_welfare
-        assert solve(lp, start).objective_value == solve(lp).objective_value
-
-
-def test_reach_of_the_qmr_start():
-    # random n=5, |V|=6 (252 x 25): 1,454 pivots and about 30 s from x = 0
+def test_reach_of_the_box_start():
+    # random n=5, |V|=6 (252 x 25), which took the primal simplex about
+    # 30 s from x = 0
     rng = random.Random(1)
     env = random_environment(rng, 5, 6)
     while len(env.values) != 6:
@@ -384,8 +343,15 @@ def test_reach_of_the_qmr_start():
     report = solve_opt(env)
     stats = report.lp_stats
     assert (stats["variables"], stats["eq_rows"] + stats["ineq_rows"]) == (252, 25)
-    assert (stats["start"], stats["pivots"]) == ("qmr", 23)
-    assert report.welfare == Fraction(187052264518, 11024464419)  # the cold optimum
+    assert (stats["pivots"], stats["bound_flips"]) == (19, 55)
+    assert report.welfare == Fraction(187052264518, 11024464419)  # as the primal found it
+
+
+def test_the_long_step_passes_the_familys_breakpoints():
+    # two-type n=20, M=40 (1,771 x 6): most of the work is breakpoints,
+    # each flipped inside an iteration instead of costing a pivot
+    solution = solve(build_opt_lp(make_theorem2_env(20, 40, Fraction(1, 1000)))[0])
+    assert (solution.pivots, solution.degenerate_pivots, solution.bound_flips) == (19, 0, 1550)
 
 
 # ------------------------------------------------------------ properties
