@@ -12,10 +12,10 @@ decided once, when the rule is built:
   reporters clears a quorum, with a fixed tie allocation.
 * :class:`OrderedTableSCF`: an explicit table keyed by ordered profiles,
   used for rules that need not be anonymous (anonymity is then checked,
-  not assumed). Both tables keep ``allocation`` keyed by value index (sorted
-  for :class:`AnonymousSCF`) and share one body, which parses and checks
-  the table (rational keys exist only there and in JSON) and looks up a
-  profile's key.
+  not assumed). Both tables keep reduced integer pairs keyed by value
+  index (sorted for :class:`AnonymousSCF`) and share one body, which parses
+  and checks the table (rational keys exist only there and in JSON) and
+  looks up a profile's key.
 * :class:`OrdinalSCF`: one allocation per coalition of positive
   reporters, the form :func:`ordinal_projection` returns.
 
@@ -26,10 +26,11 @@ welfare two ways, the ordinal conditional-expectation projection, and the
 qualified/weighted majority benchmarks.
 
 Expectations are integer sums over two kernels, one ``Fraction`` per
-result; each rule is read into integers once and keeps them. A QMR, a WMR
-or an ordinal rule reads only signs: it is evaluated once per sign key (the
-count of positive reporters if anonymous, else their coalition), and summed
-over the others' key distribution, built from each agent's integer P(sign).
+result; each rule is read into integers once, without a Fraction, and
+keeps them. A QMR, a WMR or an ordinal rule reads only signs: it makes its
+table at each sign key (the count of positive reporters if anonymous, else
+their coalition), summed over the others' key distribution, built from
+each agent's integer P(sign).
 An anonymous table is kept in column order and read through the
 ``Environment``'s column map (``env.columns``), as the QMR table and the
 program are; a table that is not anonymous is read at ordered-profile codes.
@@ -47,7 +48,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .environments import Environment, ValueSet, multiset_distribution, refuse_above
-from .rationals import format_rational, integer_form, parse_rational
+from .rationals import format_rational, integer_form, pair_form, parse_pair, parse_rational
 
 __all__ = [
     "Record",
@@ -109,13 +110,14 @@ def coalition(profile: Sequence[Fraction]) -> frozenset[int]:
 
 
 class _TableSCF:
-    """The body both explicit tables share: a total map ``allocation`` from
-    the ``_key`` of every profile of n value indices (``_index`` of the
-    values) to an allocation in [0, 1]. A subclass gives ``_key``,
-    ``_domain`` (the key count and a lazy generator of the keys over given
-    value ranks) and the nouns of its messages and JSON form."""
+    """The body both explicit tables share: a total map ``_pairs`` from the
+    ``_key`` of every profile of n value indices (``_index`` of the values)
+    to an allocation in [0, 1], a reduced pair ``(a, b)`` (equal exactly when
+    the values are). A subclass gives ``_key``, ``_domain`` (the key count
+    and a lazy generator of the keys over given value ranks) and the nouns
+    of its messages and JSON form."""
 
-    __slots__ = ("values", "n", "allocation", "_index", "_table")
+    __slots__ = ("values", "n", "_pairs", "_index", "_table")
 
     def __init__(self, values, n: int, allocation: Mapping):
         self.values = tuple(sorted(parse_rational(v) for v in values))
@@ -131,7 +133,7 @@ class _TableSCF:
             if k in table:
                 shown = _multiset_key(ranked[r] for r in k)
                 raise ValueError(f"{self._what} table gives {self._noun} {shown} twice")
-            table[k] = parse_rational(prob)
+            table[k] = parse_pair(prob)
         # A table of the wrong size is refused before any key is enumerated;
         # at the right size, with distinct values, every key of n support
         # values means none is missing, and a foreign key means one is.
@@ -148,15 +150,20 @@ class _TableSCF:
             keys = min(foreign), next(k for k in expected if k not in table)
             foreign, missing = (_multiset_key(ranked[r] for r in k) for k in keys)
             raise ValueError(f"{self._what} table has foreign key {foreign} and lacks {missing}")
-        for k, p in table.items():
-            if not 0 <= p <= 1:
+        for k, (a, b) in table.items():
+            if not 0 <= a <= b:  # 0 <= a/b <= 1, in integers
                 shown = _multiset_key(self.values[j] for j in k)
-                raise ValueError(f"allocation at {shown} is {p}, outside [0, 1]")
-        self.allocation, self._table = table, None
+                raise ValueError(f"allocation at {shown} is {Fraction(a, b)}, outside [0, 1]")
+        self._pairs, self._table = table, None
+
+    @property
+    def allocation(self) -> dict:
+        """The allocation at each key as a Fraction, built on each read."""
+        return {k: Fraction(a, b) for k, (a, b) in self._pairs.items()}
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         try:
-            return self.allocation[tuple(self._key([self._index[v] for v in profile]))]
+            return Fraction(*self._pairs[tuple(self._key([self._index[v] for v in profile]))])
         except KeyError:  # str, which formats a Fraction as _multiset_key does, takes any entry
             shown = ",".join(map(str, profile))
             raise ValueError(f"profile {shown} not in this rule's domain") from None
@@ -166,7 +173,7 @@ class _TableSCF:
             type(other) is type(self)
             and self.values == other.values
             and self.n == other.n
-            and self.allocation == other.allocation
+            and self._pairs == other._pairs
         )
 
     def __repr__(self):
@@ -190,15 +197,16 @@ class AnonymousSCF(_TableSCF):
         """The rule over sorted ``values`` whose allocation at the j-th key of
         ``index`` (every sorted value-index tuple, in column order) is entry j
         of the integer pair ``x = (nums, den)`` in lowest terms, in [0, 1];
-        kept unchecked, with ``x`` as its :func:`_integer_table`."""
-        (nums, den), rule = x, cls.__new__(cls)
+        kept unchecked, each entry reduced by one ``gcd``, with ``x`` (their
+        :func:`pair_form`) as its :func:`_integer_table`."""
+        (nums, den), rule, gcd = x, cls.__new__(cls), math.gcd
         rule.values, rule.n, rule._index = values, n, {v: j for j, v in enumerate(values)}
-        rule.allocation = {k: Fraction(v, den) for k, v in zip(index, nums)}
+        rule._pairs = {k: (v // g, den // g) for k, v in zip(index, nums) for g in [gcd(v, den)]}
         rule._table = n, x
         return rule
 
     def __repr__(self):
-        nonzero = sum(1 for p in self.allocation.values() if p != 0)
+        nonzero = sum(1 for a, _ in self._pairs.values() if a)
         return f"AnonymousSCF(n={self.n}, |V|={len(self.values)}, nonzero={nonzero})"
 
 
@@ -219,6 +227,10 @@ class QualifiedMajorityRule:
 
     def evaluate(self, profile: Sequence[Fraction]) -> Fraction:
         return Fraction(1) if len(coalition(profile)) >= self.k else Fraction(0)
+
+    def _signs(self, n: int) -> tuple:
+        """The sign table at each count of positive reporters, 0 to n."""
+        return [int(c >= self.k) for c in range(n + 1)], 1
 
     def __eq__(self, other):
         return isinstance(other, QualifiedMajorityRule) and self.k == other.k
@@ -262,6 +274,18 @@ class WeightedMajorityRule:
             return Fraction(0)
         return self.tie_value
 
+    def _signs(self, n: int) -> tuple:
+        """The sign table at each count of positive reporters (the first
+        agents) if anonymous, else at each bitmask, whose support is that of
+        the mask without its top agent plus that agent's weight."""
+        if n != len(self._nums):
+            raise ValueError(f"profile has {n} entries, rule has {len(self._nums)} weights")
+        support = [0]
+        for w in self._nums:
+            support += [support[-1] + w] if self.anonymous else [s + w for s in support]
+        tie, q = (self.tie_value.numerator, self.tie_value.denominator), self._quorum
+        return pair_form([(1, 1) if s > q else tie if s == q else (0, 1) for s in support])
+
     def __eq__(self, other):
         return (
             isinstance(other, WeightedMajorityRule)
@@ -291,10 +315,10 @@ class OrderedTableSCF(_TableSCF):
 
     def __init__(self, values, n: int, table: Mapping):
         super().__init__(values, n, table)
-        groups: dict[tuple, Fraction] = {}
+        groups: dict[tuple, tuple] = {}
         self.anonymous = all(
             groups.setdefault(tuple(sorted(key)), p) == p
-            for key, p in self.allocation.items()
+            for key, p in self._pairs.items()
         )
 
 
@@ -323,6 +347,15 @@ class OrdinalSCF:
             raise ValueError(f"profile has {len(profile)} entries, rule has {self.n} agents")
         return self.by_coalition[coalition(profile)]
 
+    def _signs(self, n: int) -> tuple:
+        """The sign table at each coalition size if anonymous (every
+        coalition of a size gives its value), else at each bitmask."""
+        if n != self.n:
+            raise ValueError(f"profile has {n} entries, rule has {self.n} agents")
+        key = len if self.anonymous else lambda t: sum(1 << i for i in t)
+        pairs = {key(t): (p.numerator, p.denominator) for t, p in self.by_coalition.items()}
+        return pair_form([pairs[k] for k in range(len(pairs))])
+
     def __repr__(self):
         return f"OrdinalSCF(n={self.n})"
 
@@ -331,23 +364,23 @@ _SIGN_RULES = (QualifiedMajorityRule, WeightedMajorityRule, OrdinalSCF)
 
 
 def _integers(rule, n: int) -> tuple:
-    """A rule's values as integers over one denominator, ``(nums, den)``: a
-    sign rule (a QMR, a WMR or an :class:`OrdinalSCF`) evaluated once per
-    sign key, the count of positive reporters if it is anonymous, else their
-    bitmask (bit i for agent i), 2^n keys refused past ``MAX_ENTRIES`` (see
-    :func:`refuse_above`); a table in column order (see
-    ``Environment.columns``) if it is anonymous, else at each ordered
-    profile's code, the sum of j * |V|^i over its reports j at positions i
-    (see :func:`multiset_distribution`)."""
-    if isinstance(rule, _SIGN_RULES):  # the same at any reports of the same signs, so at +-1
-        masks = ([(1 << c) - 1 for c in range(n + 1)] if rule.anonymous else
-                 range(refuse_above(1 << n, f"sign keys of {n} agents (the rule is not anonymous)")))
-        return integer_form([rule.evaluate([(-1, 1)[m >> i & 1] for i in range(n)]) for m in masks])
-    ranks, table = range(len(rule.values)), rule.allocation
+    """A rule's values as integers over one denominator, ``(nums, den)``,
+    never through ``evaluate`` or a Fraction: a sign rule's (a QMR, a WMR or
+    an :class:`OrdinalSCF`) ``_signs`` at each count of positive reporters
+    if it is anonymous, else at their bitmask (bit i for agent i), 2^n keys
+    refused past ``MAX_ENTRIES`` (:func:`refuse_above`); a table's
+    :func:`pair_form` of ``_pairs`` in column order (``Environment.columns``)
+    if it is anonymous, else at each ordered profile's code, the sum of
+    j * |V|^i over its reports j at positions i (:func:`multiset_distribution`)."""
+    if isinstance(rule, _SIGN_RULES):
+        if not rule.anonymous:
+            refuse_above(1 << n, f"sign keys of {n} agents (the rule is not anonymous)")
+        return rule._signs(n)
+    ranks, table = range(len(rule.values)), rule._pairs
     if rule.anonymous:
-        return integer_form([table[m] for m in itertools.combinations_with_replacement(ranks, n)])
+        return pair_form([table[m] for m in itertools.combinations_with_replacement(ranks, n)])
     # codes count up in the product order of the reversed profiles: digit i is position i
-    return integer_form([table[p[::-1]] for p in itertools.product(ranks, repeat=n)])
+    return pair_form([table[p[::-1]] for p in itertools.product(ranks, repeat=n)])
 
 
 def _integer_table(env: Environment, rule) -> tuple:
@@ -644,7 +677,8 @@ def _multiset_key(multiset: tuple) -> str:
 
 
 def mechanism_to_json(rule) -> dict:
-    """Serialize any rule kind to its JSON object form."""
+    """Serialize any rule kind to its JSON object form (a table's entries
+    from their pairs, as ``"a"`` or ``"a/b"``)."""
     if isinstance(rule, _TableSCF):
         names = [format_rational(v) for v in rule.values]
         return {
@@ -652,8 +686,8 @@ def mechanism_to_json(rule) -> dict:
             "n": rule.n,
             "values": names,
             rule._field: {
-                ",".join([names[j] for j in k]): format_rational(p)
-                for k, p in sorted(rule.allocation.items())
+                ",".join([names[j] for j in k]): f"{a}/{b}" if b != 1 else str(a)
+                for k, (a, b) in sorted(rule._pairs.items())
             },
         }
     if isinstance(rule, QualifiedMajorityRule):

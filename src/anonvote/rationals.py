@@ -26,13 +26,8 @@ class RationalParseError(ValueError):
 def parse_pair(token) -> tuple[int, int]:
     """Parse an integer, a ``"p"`` / ``"p/q"`` string or a Fraction into the
     reduced integer pair ``(num, den)``, ``den > 0``; floats and decimal
-    strings are rejected."""
-    if isinstance(token, Fraction):
-        return token.numerator, token.denominator
-    if isinstance(token, int) and not isinstance(token, bool):
-        return token, 1
-    if isinstance(token, float):
-        raise RationalParseError(f"decimal input rejected, use p/q strings: {token!r}")
+    strings are rejected. A string, the form of JSON tokens, is tested first:
+    ``isinstance(token, Fraction)`` runs ``ABCMeta.__instancecheck__``."""
     if isinstance(token, str):
         text = token.strip()
         if not text or not set(text) <= _ALLOWED_CHARS:
@@ -45,6 +40,12 @@ def parse_pair(token) -> tuple[int, int]:
             raise RationalParseError(f"not an exact rational: {token!r}")
         g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
         return num // g, den // g
+    if isinstance(token, Fraction):
+        return token.numerator, token.denominator
+    if isinstance(token, int) and not isinstance(token, bool):
+        return token, 1
+    if isinstance(token, float):
+        raise RationalParseError(f"decimal input rejected, use p/q strings: {token!r}")
     raise RationalParseError(f"not an exact rational: {token!r}")
 
 

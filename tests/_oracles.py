@@ -23,6 +23,9 @@
 * :func:`wmr_by_fractions`: a weighted majority rule's allocation at one
   profile from Fraction sums of its weights, against which
   ``WeightedMajorityRule.evaluate`` is checked.
+* :func:`sign_table_by_evaluate`: a sign rule's integer table from one
+  Fraction allocation per sign key, against which the table the rule makes
+  from integers (``mechanisms._integers``) is checked.
 * :func:`oracle_columns`: the column map by enumerating ordered profiles
   with Fraction probabilities, against which ``Environment.columns``, read
   back by :func:`kept_columns`, is checked.
@@ -42,7 +45,7 @@ from typing import Sequence
 
 from _lpgen import rational_rows
 from anonvote.environments import AgentDistribution, Environment, ValueSet
-from anonvote.mechanisms import coalition
+from anonvote.mechanisms import WeightedMajorityRule, coalition
 from anonvote.rationals import integer_form
 from anonvote.ratlp import LinearProgram, LpSolution, _verify_point
 
@@ -180,6 +183,18 @@ def wmr_by_fractions(rule, profile: Sequence) -> Fraction:
     if support == rule.quorum:
         return rule.tie_value
     return Fraction(1) if support > rule.quorum else Fraction(0)
+
+
+def sign_table_by_evaluate(rule, n: int) -> tuple:
+    """The ``integer_form`` of a sign rule's allocation at one +-1 profile
+    of n agents per sign key: the count of positive reporters (the first c
+    agents) if the rule is anonymous, else their bitmask (bit i for agent
+    i). A weighted rule is read through :func:`wmr_by_fractions`, any other
+    through its ``evaluate``."""
+    masks = [(1 << c) - 1 for c in range(n + 1)] if rule.anonymous else range(1 << n)
+    weighted = isinstance(rule, WeightedMajorityRule)
+    at = (lambda profile: wmr_by_fractions(rule, profile)) if weighted else rule.evaluate
+    return integer_form([at([(-1, 1)[m >> i & 1] for i in range(n)]) for m in masks])
 
 
 def _gauss_unique(matrix: list[list[Fraction]], rhs: list[Fraction]):

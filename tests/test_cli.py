@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import mixed_denominator_env
+from _oracles import mixed_denominator_env, sign_table_by_evaluate
 from anonvote import (cli, environment_to_json, environments, experiments, make_theorem2_env,
                       mechanism_to_json, wmr_build)
 from anonvote.cli import main
@@ -103,18 +103,26 @@ def test_solve_and_compare_report_the_same_certified_lp(gamma0_file, capsys):
 
 
 def test_a_check_of_a_sign_rule_evaluates_it_once_per_sign_key(tmp_path, monkeypatch, capsys):
-    # the audit, the welfare and the projection share one table of the rule:
-    # the utilitarian WMR of six agents is not anonymous, so 2^6 coalitions
+    # the audit, the welfare and the projection share one table of the rule,
+    # made from integers without a call to evaluate: the utilitarian WMR of
+    # six agents is not anonymous, so one entry per each of 2^6 coalitions,
+    # equal to one evaluate per coalition
     env = make_theorem2_env(6, 13, Fraction(1, 1000))
     env_path, mech_path = tmp_path / "env.json", tmp_path / "wmr.json"
     env_path.write_text(json.dumps(environment_to_json(env)))
     mech_path.write_text(json.dumps(mechanism_to_json(wmr_build(env))))
-    calls, evaluate = [], WeightedMajorityRule.evaluate
-    monkeypatch.setattr(WeightedMajorityRule, "evaluate",
-                        lambda rule, profile: calls.append(profile) or evaluate(rule, profile))
+    calls, made, signs = [], [], WeightedMajorityRule._signs
+    monkeypatch.setattr(WeightedMajorityRule, "evaluate", lambda rule, p: calls.append(p))
+    monkeypatch.setattr(WeightedMajorityRule, "_signs",
+                        lambda rule, n: made.append((rule, signs(rule, n))) or made[-1][1])
     assert main(["check", "--env", str(env_path), "--mech", str(mech_path)]) == 0
     assert "incentive compatible" in capsys.readouterr().out
-    assert len(calls) == 64
+    assert calls == []
+    monkeypatch.undo()
+    [(rule, table)] = made
+    assert rule == wmr_build(env)
+    assert table == sign_table_by_evaluate(rule, env.n)
+    assert len(table[0]) == 64
 
 
 def test_check_and_hatf_on_the_worked_example(example1_files, capsys):

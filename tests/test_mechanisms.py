@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -8,10 +9,12 @@ import pytest
 
 from _oracles import (
     anonymous_by_permutation,
+    fractions_of,
     mixed_denominator_env,
     oracle_projection,
     profile_probability,
     random_symmetric_environment,
+    sign_table_by_evaluate,
     wmr_by_fractions,
 )
 from anonvote import mechanisms
@@ -56,8 +59,10 @@ from anonvote.mechanisms import (
     welfare_via_interims,
     wmr_build,
 )
+from anonvote.rationals import format_rational, lowest_terms, pair_form
+from anonvote.ratlp import solve
 from anonvote.welfare_opt import (AuxCorners, AuxPoint, Lemma3Report, OptimalMechanismReport,
-                                  solve_opt)
+                                  build_opt_lp, solve_opt)
 
 
 def F(x):
@@ -271,27 +276,74 @@ SIGN_WORK = {
 
 @pytest.mark.parametrize("work", SIGN_WORK)
 def test_a_sign_rule_is_evaluated_once_per_sign_key(work, monkeypatch):
-    # a rule that reads only signs is evaluated at most once per count of
-    # positive reporters if it is anonymous, once per coalition otherwise,
-    # and never at two profiles with the same key, however often it is read:
-    # the expected result comes from an equal rule, since a rule keeps its table
+    # a rule that reads only signs makes its table, one entry per count of
+    # positive reporters if it is anonymous, per coalition otherwise, from
+    # integers: evaluate is never called, however often the rule is read, and
+    # the table equals one evaluate per sign key; the expected result comes
+    # from an equal rule, since a rule keeps its table
     env = make_theorem2_env(6, 13, Fraction(1, 1000))
     for rule, fresh in zip(sign_rules(env), sign_rules(env)):
-        evaluations = []
-        evaluate = type(rule).evaluate
-
-        def counted(self, profile, evaluate=evaluate):
-            evaluations.append(coalition(profile))
-            return evaluate(self, profile)
-
+        evaluations, oracle = [], sign_table_by_evaluate(rule, env.n)
         expected = SIGN_WORK[work](env, rule)
         with monkeypatch.context() as patch:
-            patch.setattr(type(rule), "evaluate", counted)
+            patch.setattr(type(rule), "evaluate", lambda self, profile: evaluations.append(profile))
             assert SIGN_WORK[work](env, fresh) == expected
             assert SIGN_WORK[work](env, fresh) == expected
-        keys = [len(t) if rule.anonymous else t for t in evaluations]
-        assert len(keys) == len(set(keys)) <= (env.n + 1 if rule.anonymous else 2**env.n)
-        assert keys
+        assert evaluations == []
+        assert fresh._table == rule._table == (env.n, oracle)
+        assert len(oracle[0]) == (env.n + 1 if rule.anonymous else 2**env.n)
+
+
+def test_each_sign_rule_makes_the_table_of_one_evaluate_per_sign_key(monkeypatch):
+    # seeded rules at n = 1 to 7: weighted rules with distinct, equal
+    # (anonymous) and zero (limit-mode) weights, each also with the quorum met
+    # exactly by a random coalition, at tie values 0, 1/3, 1 and of mixed
+    # denominators; every qualified majority threshold; ordinal rules by size
+    # and by coalition
+    grid = [Fraction(k, d) for d in (1, 2, 3, 5, 7) for k in range(1, 8)]
+    tie_of = [lambda rng: Fraction(0), lambda rng: Fraction(1, 3), lambda rng: Fraction(1),
+              lambda rng: Fraction(rng.randint(0, 6), 6)]
+    rules, exact_ties = [], []
+    for n in range(1, 8):
+        rng = random.Random(100 + n)
+        for weights in ([rng.choice(grid) for _ in range(n)], [rng.choice(grid)] * n, [0] * n,
+                        [rng.choice(grid) if i % 2 else 0 for i in range(n)]):
+            for exact in (False, True):
+                members = [w for w in weights if rng.random() < 0.5]
+                quorum = sum(members, Fraction(0)) if exact else rng.choice(grid)
+                for tie in tie_of:
+                    rules.append((n, WeightedMajorityRule(weights, quorum, tie(rng))))
+                    if exact and 0 < rules[-1][1].tie_value < 1:
+                        exact_ties.append(rules[-1])
+        rules += [(n, QualifiedMajorityRule(k)) for k in range(n + 2)]
+        coalitions = [frozenset(itertools.compress(range(n), bits))
+                      for bits in itertools.product((0, 1), repeat=n)]
+        draw = [Fraction(rng.randint(0, d), d) for d in rng.choices((2, 3, 5), k=2**n + n + 1)]
+        rules.append((n, OrdinalSCF(n, {t: draw[len(t)] for t in coalitions})))
+        rules.append((n, OrdinalSCF(n, dict(zip(coalitions, draw[n + 1:])))))
+    expected = [sign_table_by_evaluate(rule, n) for n, rule in rules]
+    for cls in (QualifiedMajorityRule, WeightedMajorityRule, OrdinalSCF):
+        monkeypatch.setattr(cls, "evaluate", None)
+    assert [mechanisms._integers(rule, n) for n, rule in rules] == expected
+    flags = {(type(rule), rule.anonymous) for _, rule in rules}
+    assert len(flags) == 5  # anonymous and not, but for the QMR
+    # the coalition that meets the quorum gets the tie value
+    assert len(exact_ties) > 40
+    assert all(rule.tie_value in fractions_of(mechanisms._integers(rule, n))
+               for n, rule in exact_ties)
+    # a rule built for another agent count is refused before any key is
+    # made; 2^13 keys are refused first, as for a rule of 13 agents
+    monkeypatch.setattr(mechanisms, "pair_form", None)
+    refused = [
+        (WeightedMajorityRule(range(1, 9), 9), 3, "profile has 3 entries, rule has 8 weights"),
+        (WeightedMajorityRule([2] * 8, 9), 3, "profile has 3 entries, rule has 8 weights"),
+        (rules[-1][1], 3, "profile has 3 entries, rule has 7 agents"),
+        (rules[-2][1], 6, "profile has 6 entries, rule has 7 agents"),
+        (WeightedMajorityRule([1, 2, 3], 2), 13, "too large: 8192 sign keys of 13 agents"),
+    ]
+    for rule, n, message in refused:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mechanisms._integers(rule, n)
 
 
 def test_sign_rules_stream_no_profiles_and_the_optimum_projects_per_type_count(monkeypatch):
@@ -836,6 +888,60 @@ def test_index_keyed_tables_evaluate_by_value():
         for profile in (outside, rule.values[:2], rule.values[:1] * (rule.n + 1)):
             with pytest.raises(ValueError, match="not in this rule's domain"):
                 rule.evaluate(profile)
+
+
+def test_tables_keep_reduced_pairs_and_write_their_json_from_them():
+    # unreduced and Fraction tokens, ordered tables and a solved optimum keep
+    # each entry as a reduced integer pair, read as Fractions by allocation,
+    # and write the JSON that formatting those Fractions writes
+    values, tokens = (F(-1), F(1)), {("-1", "-1"): "2/4", ("-1", "1"): "0/3", ("1", "1"): "6/6"}
+    unreduced = AnonymousSCF(values, 2, tokens)
+    assert unreduced.allocation == {(0, 0): F("1/2"), (0, 1): F(0), (1, 1): F(1)}
+    assert mechanism_to_json(unreduced)["allocation"] == {"-1,-1": "1/2", "-1,1": "0", "1,1": "1"}
+    fractions = AnonymousSCF(values, 2, {k: Fraction(p) for k, p in tokens.items()})
+    assert fractions == unreduced
+    for rule in [unreduced, fractions] + [rule for rule, _, _ in index_keyed_tables()]:
+        assert all(type(a) is type(b) is int and b > 0 and math.gcd(a, b) == 1
+                   for a, b in rule._pairs.values())
+        assert rule.allocation == {k: Fraction(a, b) for k, (a, b) in rule._pairs.items()}
+        names = [format_rational(v) for v in rule.values]
+        by_fractions = {",".join([names[j] for j in k]): format_rational(p)
+                        for k, p in sorted(rule.allocation.items())}
+        assert json.dumps(mechanism_to_json(rule)[rule._field]) == json.dumps(by_fractions)
+    # an entry outside [0, 1], a repeated key and a foreign key are refused
+    # with the messages the Fraction entries gave
+    values = ("-1/2", "3/4")
+    good = {("-1/2", "-1/2"): "0", ("-1/2", "3/4"): "1", ("3/4", "3/4"): "1"}
+    cases = [({**good, ("3/4", "3/4"): p}, f"allocation at 3/4,3/4 is {q}, outside [0, 1]")
+             for p, q in (("-1/3", "-1/3"), (Fraction(4, 3), "4/3"), ("8/6", "4/3"), (-2, "-2"))]
+    cases += [
+        ({**good, ("6/8", "-2/4"): "0"}, "allocation table gives multiset -1/2,3/4 twice"),
+        ({**{k: p for k, p in good.items() if k != ("3/4", "3/4")}, ("3/4", "5/4"): "1"},
+         "allocation table has foreign key 3/4,5/4 and lacks 3/4,3/4"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AnonymousSCF(values, 2, table)
+
+
+def test_the_optimum_keeps_the_vertex_entries_reduced():
+    # from_indices reduces each vertex entry by its own gcd, and the
+    # pair_form of the reduced entries gives back the lowest-terms vertex
+    env = random_environment(random.Random(71), 3, 4)
+    lp, index = build_opt_lp(env)
+    x = solve(lp).x
+    rule = AnonymousSCF.from_indices(env.values.values, env.n, index, x)
+    reduced = [(q.numerator, q.denominator) for q in fractions_of(x)]
+    assert [rule._pairs[k] for k in index] == reduced
+    assert rule._table == (env.n, x) and pair_form([rule._pairs[k] for k in index]) == x
+    rng = random.Random(73)
+    for _ in range(2000):
+        den = rng.randint(1, 360)
+        x = lowest_terms([rng.randint(0, den) for _ in range(rng.randint(1, 8))], den)
+        keys = range(len(x[0]))
+        rule = AnonymousSCF.from_indices((F(0),), 1, keys, x)
+        assert pair_form([rule._pairs[k] for k in keys]) == x
+        assert rule.allocation == dict(zip(keys, fractions_of(x)))
 
 
 def test_a_table_over_other_values_or_agents_is_refused_by_the_audits():

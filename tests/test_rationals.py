@@ -1,8 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from anonvote.rationals import RationalParseError, format_rational, parse_rational
+from anonvote.rationals import RationalParseError, format_rational, parse_pair, parse_rational
 
 
 def test_parse_accepts_integers_strings_and_fractions():
@@ -20,6 +21,31 @@ def test_parse_accepts_integers_strings_and_fractions():
 def test_parse_rejects_inexact_or_malformed(bad):
     with pytest.raises(RationalParseError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (0.5, "decimal input rejected, use p/q strings: 0.5"),
+        (True, "not an exact rational: True"),
+        (None, "not an exact rational: None"),
+        ([1], "not an exact rational: [1]"),
+        ("1.5", "not an exact rational: '1.5'"),
+    ],
+)
+def test_parse_pair_names_the_refused_token(bad, message):
+    # a string is tested first; every other token is refused as before
+    with pytest.raises(RationalParseError, match=f"^{re.escape(message)}$"):
+        parse_pair(bad)
+
+
+def test_parse_pair_reduces_each_token_kind():
+    class Token(str):
+        pass
+
+    assert parse_pair(" -6/4 ") == parse_pair(Token("3/-2")) == (-3, 2)
+    assert parse_pair(Fraction(6, 4)) == (3, 2)
+    assert parse_pair(-7) == parse_pair("-7") == (-7, 1)
 
 
 def test_format_round_trips_lowest_terms():
