@@ -16,9 +16,9 @@ import random
 from fractions import Fraction
 
 from .environments import AgentDistribution, Environment, ValueSet
-from .mechanisms import (AnonymousSCF, OrderedTableSCF, Record, all_multisets, qmr_best,
+from .mechanisms import (AnonymousSCF, OrderedTableSCF, all_multisets, qmr_best,
                          welfare, wmr_build)
-from .rationals import parse_rational
+from .rationals import Record, parse_rational
 from .welfare_opt import build_opt_lp, solve_opt
 from .ratlp import solve
 
@@ -129,12 +129,6 @@ class Theorem2Report(Record):
         if self.qmr.best_welfare == 0:
             return None
         return self.opt.welfare / self.qmr.best_welfare
-
-    def __repr__(self):
-        return (
-            f"Theorem2Report(n={self.n}, M={self.M}, eps={self.eps}, "
-            f"qmr={self.qmr.best_welfare}, opt={self.opt.welfare})"
-        )
 
 
 def run_theorem2_demo(n: int, M, eps) -> Theorem2Report:

@@ -48,7 +48,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .environments import Environment, ValueSet, multiset_distribution, refuse_above
-from .rationals import format_rational, integer_form, pair_form, parse_pair, parse_rational
+from .rationals import Record, format_rational, integer_form, pair_form, parse_pair, parse_rational
 
 __all__ = [
     "Record",
@@ -78,25 +78,6 @@ __all__ = [
     "mechanism_from_json",
     "mechanism_to_json",
 ]
-
-
-class Record:
-    """Base of the result records: ``__init__`` sets the ``__slots__``
-    fields, each given by position or by name, and raises ``TypeError``
-    naming the class unless every field is given exactly once."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **named):
-        fields = self.__slots__
-        given = dict(zip(fields, args))
-        if len(args) > len(fields) or given.keys() & named or {*given, *named} != {*fields}:
-            raise TypeError(
-                f"{type(self).__name__} takes the fields ({', '.join(fields)}), "
-                f"got {len(args)} by position and {sorted(named)} by name"
-            )
-        for name, value in {**given, **named}.items():
-            setattr(self, name, value)
 
 
 def all_multisets(values: Iterable[Fraction], n: int) -> list[tuple]:
@@ -453,11 +434,6 @@ class BicReport(Record):
     def __bool__(self):
         return self.satisfied
 
-    def __repr__(self):
-        if self.satisfied:
-            return f"BicReport(satisfied, c_minus={self.c_minus}, c_plus={self.c_plus})"
-        return f"BicReport(violated, witness={self.witness})"
-
 
 class NotBicError(ValueError):
     """Operation requires an incentive-compatible rule but got a witness."""
@@ -608,9 +584,6 @@ class QmrTable(Record):
 
     __slots__ = ("k_star", "best_welfare", "table")
 
-    def __repr__(self):
-        return f"QmrTable(k_star={self.k_star}, best={self.best_welfare})"
-
 
 def qmr_best(env: Environment) -> QmrTable:
     """Exact welfare of f^(k) for k = 0..n+1, from one integer sum per count
@@ -630,9 +603,6 @@ class SymmetricThreshold(Record):
     """Closed-form optimal threshold for ex-ante identical agents."""
 
     __slots__ = ("k_bar", "boundary", "tie")
-
-    def __repr__(self):
-        return f"SymmetricThreshold(k_bar={self.k_bar}, tie={self.tie})"
 
 
 def symmetric_threshold(env: Environment) -> SymmetricThreshold:

@@ -1,10 +1,12 @@
-"""Exact rational parsing and formatting.
+"""Exact rational parsing and formatting, and the base of the result records.
 
 Every probability, value, allocation, and welfare figure in this package is
 a ``fractions.Fraction``. Decimal input is rejected on purpose: exactness
 requires integer or ``p/q`` forms, and base-10 rounding must never leak
 into a computation path. Input is read once into reduced integer pairs
-(:func:`parse_pair`); long sums run on :func:`integer_form`.
+(:func:`parse_pair`); long sums run on :func:`integer_form`. Every
+result record derives from :class:`Record`, here because every module
+imports this one.
 """
 
 from __future__ import annotations
@@ -13,10 +15,36 @@ import functools
 import math
 from fractions import Fraction
 
-__all__ = ["RationalParseError", "parse_pair", "parse_rational", "format_rational",
+__all__ = ["Record", "RationalParseError", "parse_pair", "parse_rational", "format_rational",
            "integer_form", "pair_form", "lowest_terms"]
 
 _ALLOWED_CHARS = set("0123456789+-/ ")
+
+
+class Record:
+    """Base of the result records: ``__init__`` sets the ``__slots__``
+    fields, each given by position or by name, and raises ``TypeError``
+    naming the class unless every field is given exactly once. The repr is
+    ``Name(field=value, ...)`` over ``__slots__`` in order, each value by
+    ``str``, leaving out fields that hold a list, tuple or dict."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **named):
+        fields = self.__slots__
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or given.keys() & named or {*given, *named} != {*fields}:
+            raise TypeError(
+                f"{type(self).__name__} takes the fields ({', '.join(fields)}), "
+                f"got {len(args)} by position and {sorted(named)} by name"
+            )
+        for name, value in {**given, **named}.items():
+            setattr(self, name, value)
+
+    def __repr__(self):
+        shown = [f"{name}={value}" for name in self.__slots__ for value in (getattr(self, name),)
+                 if not isinstance(value, (list, tuple, dict))]
+        return f"{type(self).__name__}({', '.join(shown)})"
 
 
 class RationalParseError(ValueError):

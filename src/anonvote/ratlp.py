@@ -43,7 +43,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .rationals import lowest_terms, pair_form
+from .rationals import Record, lowest_terms, pair_form
 
 __all__ = ["LinearProgram", "LpSolution", "SimplexError", "solve", "certify"]
 
@@ -73,8 +73,9 @@ class LinearProgram:
                 raise ValueError(f"{what} is not a list of {num_vars} ints over a positive int")
 
 
-class LpSolution:
-    """An exact optimal vertex, its duals and the pivot counters that reached it.
+class LpSolution(Record):
+    """An exact optimal vertex, its duals and the pivot counters that reached
+    it, built from all seven fields, as :func:`solve` passes them.
 
     ``x`` and ``duals``, one y_r per row, equality rows first, the certificate
     :func:`certify` accepted, are integer pairs in :func:`lowest_terms`.
@@ -87,19 +88,6 @@ class LpSolution:
 
     __slots__ = ("x", "objective_value", "duals", "pivots",
                  "degenerate_pivots", "bound_flips", "max_den_bits")
-
-    def __init__(self, x, objective_value, duals=(), pivots=0,
-                 degenerate_pivots=0, bound_flips=0, max_den_bits=0):
-        self.x = x
-        self.objective_value = objective_value
-        self.duals = duals
-        self.pivots = pivots
-        self.degenerate_pivots = degenerate_pivots
-        self.bound_flips = bound_flips
-        self.max_den_bits = max_den_bits
-
-    def __repr__(self):
-        return f"LpSolution(value={self.objective_value}, pivots={self.pivots})"
 
 
 _BLAND_AFTER = 50  # iterations of dual step 0 in a row before Bland's rule takes over

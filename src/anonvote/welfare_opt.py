@@ -23,13 +23,12 @@ from .environments import Environment
 from .mechanisms import (
     AnonymousSCF,
     NotBicError,
-    Record,
     bic_conditions,
     check_bic,
     welfare,
     welfare_via_interims,
 )
-from .rationals import lowest_terms
+from .rationals import Record, lowest_terms
 from .ratlp import LinearProgram, SimplexError, solve
 
 __all__ = [
@@ -75,9 +74,6 @@ class OptimalMechanismReport(Record):
     """Solved program: optimal rule, its welfare, and per-agent interims."""
 
     __slots__ = ("mechanism", "welfare", "c_minus", "c_plus", "interims", "lp_stats")
-
-    def __repr__(self):
-        return f"OptimalMechanismReport(welfare={self.welfare})"
 
 
 def solve_opt(env: Environment) -> OptimalMechanismReport:
@@ -128,9 +124,6 @@ class AuxPoint(Record):
     def __eq__(self, other):
         return isinstance(other, AuxPoint) and self.as_tuple() == other.as_tuple()
 
-    def __repr__(self):
-        return f"AuxPoint{self.as_tuple()}"
-
 
 class AuxCorners(Record):
     """The two corner candidates of the interim relaxation and their values."""
@@ -145,12 +138,6 @@ class AuxCorners(Record):
 
     def best_value(self):
         return max(self.value_first, self.value_second)
-
-    def __repr__(self):
-        return (
-            f"AuxCorners(first={self.value_first}, second={self.value_second}, "
-            f"winner={self.winner})"
-        )
 
 
 def aux_corners(env: Environment) -> AuxCorners:
@@ -188,22 +175,8 @@ class Lemma3Report(Record):
     __slots__ = ("lhs1", "bound1", "lhs2", "bound2")
 
     @property
-    def ok1(self):
-        return self.lhs1 <= self.bound1
-
-    @property
-    def ok2(self):
-        return self.lhs2 <= self.bound2
-
-    @property
     def satisfied(self):
-        return self.ok1 and self.ok2
-
-    def __repr__(self):
-        return (
-            f"Lemma3Report({self.lhs1} <= {self.bound1}: {self.ok1}, "
-            f"{self.lhs2} <= {self.bound2}: {self.ok2})"
-        )
+        return self.lhs1 <= self.bound1 and self.lhs2 <= self.bound2
 
 
 def lemma3_bounds(env: Environment, rule) -> Lemma3Report:

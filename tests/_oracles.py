@@ -395,7 +395,7 @@ def vertex_enumerate(lp: LinearProgram, max_vars: int = 12,
     value = best["value"] + loose_value
     x = integer_form(x)  # in lowest terms, the form solve returns
     _verify_point(lp, x)
-    return LpSolution(x, value)
+    return LpSolution(x, value, (), 0, 0, 0, 0)  # no duals, no pivots
 
 
 def oracle_columns(env: Environment, without: int | None = None):

@@ -31,6 +31,7 @@ from anonvote.experiments import (
     make_theorem2_env,
     random_environment,
     random_feasible_mechanism,
+    run_theorem2_demo,
 )
 from anonvote.mechanisms import (
     AnonymousSCF,
@@ -60,9 +61,9 @@ from anonvote.mechanisms import (
     wmr_build,
 )
 from anonvote.rationals import format_rational, lowest_terms, pair_form
-from anonvote.ratlp import solve
+from anonvote.ratlp import LpSolution, solve
 from anonvote.welfare_opt import (AuxCorners, AuxPoint, Lemma3Report, OptimalMechanismReport,
-                                  build_opt_lp, solve_opt)
+                                  aux_corners, build_opt_lp, solve_opt)
 
 
 def F(x):
@@ -974,8 +975,8 @@ def test_a_table_over_other_values_or_agents_is_refused_by_the_audits():
 
 
 def test_every_record_is_built_by_position_or_by_name():
-    records = [BicViolation, BicReport, QmrTable, SymmetricThreshold,
-               OptimalMechanismReport, AuxPoint, AuxCorners, Lemma3Report, Theorem2Report]
+    records = [BicViolation, BicReport, QmrTable, SymmetricThreshold, OptimalMechanismReport,
+               AuxPoint, AuxCorners, Lemma3Report, Theorem2Report, LpSolution]
     assert set(Record.__subclasses__()) == set(records)
     for cls in records:
         fields = cls.__slots__
@@ -1003,3 +1004,27 @@ def test_every_record_is_built_by_position_or_by_name():
     assert [getattr(again, name) for name in BicViolation.__slots__] == list(shown.values())
     assert repr(again) == repr(witness)
     assert repr(again) == "BicViolation(agent=0, flatness: interim(-2)=1/3 vs interim(-1)=0)"
+    # every other record has the one repr: fields in order, each by str, a
+    # nested record by its own repr, lists, tuples and dicts left out
+    assert [cls for cls in records if "__repr__" in vars(cls)] == [BicViolation]
+    assert repr(check_bic(env, rule)) == (
+        f"BicReport(satisfied=False, c_minus=None, c_plus=None, witness={witness!r})")
+    satisfied = check_bic(uniform_env(), QualifiedMajorityRule(2))
+    assert repr(satisfied) == "BicReport(satisfied=True, witness=None)"
+    report = run_theorem2_demo(3, 10, 0)
+    qmr = "QmrTable(k_star=3, best_welfare=21/8)"
+    opt = "OptimalMechanismReport(mechanism=AnonymousSCF(n=3, |V|=4, nonzero=6), welfare=5)"
+    assert (repr(report.qmr), repr(report.opt)) == (qmr, opt)
+    assert repr(report) == (f"Theorem2Report(n=3, M=10, eps=0, qmr={qmr}, opt={opt}, "
+                            "fstar_welfare=5, wmr_welfare=5)")
+    first = "AuxPoint(c1_plus=1, c1_minus=1/2, c2_plus=1, c2_minus=1/2)"
+    second = "AuxPoint(c1_plus=1/2, c1_minus=0, c2_plus=1/2, c2_minus=0)"
+    assert repr(aux_corners(uniform_env())) == (
+        f"AuxCorners(first={first}, second={second}, value_first=1/2, value_second=1/2)")
+    bounds = Lemma3Report(Fraction(1, 4), Fraction(1, 4), Fraction(-1, 6), Fraction(1, 9))
+    assert repr(bounds) == "Lemma3Report(lhs1=1/4, bound1=1/4, lhs2=-1/6, bound2=1/9)"
+    threshold = SymmetricThreshold(2, Fraction(3, 2), False)
+    assert repr(threshold) == "SymmetricThreshold(k_bar=2, boundary=3/2, tie=False)"
+    solution = LpSolution(([1, 2], 3), Fraction(1, 3), ([0], 1), 4, 1, 2, 5)
+    assert repr(solution) == ("LpSolution(objective_value=1/3, pivots=4, degenerate_pivots=1, "
+                              "bound_flips=2, max_den_bits=5)")

@@ -210,7 +210,8 @@ def test_certify_sums_duals_and_rows_of_several_denominators():
     value = sum(d)
     certify(lp, integer_form(y), value)
     assert solve(lp).objective_value == value
-    mutations = list(_mutated_certificates(lp, LpSolution(([1] * 3, 1), value, integer_form(y))))
+    solution = LpSolution(([1] * 3, 1), value, integer_form(y), 0, 0, 0, 0)
+    mutations = list(_mutated_certificates(lp, solution))
     assert len(mutations) == 4
     for duals, wrong in mutations:
         with pytest.raises(SimplexError):

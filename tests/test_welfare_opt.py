@@ -6,7 +6,7 @@ import pytest
 
 from _lpgen import exact_lp, rational_rows
 from _oracles import kept_columns, oracle_columns, random_symmetric_environment, vertex_enumerate
-from anonvote import mechanisms, ratlp
+from anonvote import mechanisms, ratlp, welfare_opt
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -31,9 +31,10 @@ from anonvote.mechanisms import (
     welfare,
 )
 from anonvote.rationals import integer_form
-from anonvote.ratlp import solve
+from anonvote.ratlp import SimplexError, solve
 from anonvote.welfare_opt import (
     AuxPoint,
+    Lemma3Report,
     aux_corners,
     build_opt_lp,
     lemma3_bounds,
@@ -132,6 +133,23 @@ def test_returned_mechanism_is_audited_and_consistent():
     assert check_bic(env, report.mechanism).satisfied
     assert welfare(env, report.mechanism) == report.welfare
     assert report.lp_stats["variables"] == 20
+
+
+def test_solve_opt_refuses_a_vertex_that_fails_the_audit_or_the_welfare_check(monkeypatch):
+    env = uniform_env()
+    true = solve(build_opt_lp(env)[0])
+    # column 0 is the multiset (-1, -1): reform only when both oppose, which is not BIC
+    backwards = ratlp.LpSolution(([1, 0, 0], 1), F(0), true.duals, 0, 0, 0, 0)
+    monkeypatch.setattr(welfare_opt, "solve", lambda lp: backwards)
+    message = r"^optimal vertex fails the incentive audit: BicViolation\("
+    with pytest.raises(SimplexError, match=message):
+        solve_opt(env)
+    value = true.objective_value
+    true.objective_value += 1
+    monkeypatch.setattr(welfare_opt, "solve", lambda lp: true)
+    with pytest.raises(SimplexError) as raised:
+        solve_opt(env)
+    assert str(raised.value) == f"welfare mismatch: direct {value}, interim {value}, lp {value + 1}"
 
 
 def _three_types():
@@ -462,6 +480,12 @@ def test_unanimity_bound_is_tight_in_the_uniform_pair():
     report = lemma3_bounds(env, QualifiedMajorityRule(2))
     assert report.lhs1 == report.bound1 == Fraction(1, 4)
     assert report.satisfied
+    # either bound failing alone fails the report
+    fields = [report.lhs1, report.bound1, report.lhs2, report.bound2]
+    for lhs in (0, 2):
+        over = list(fields)
+        over[lhs] = over[lhs + 1] + Fraction(1, 100)
+        assert not Lemma3Report(*over).satisfied
 
 
 def test_zero_rule_and_example_rule_bounds():
