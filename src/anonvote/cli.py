@@ -87,6 +87,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or too deep
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _load_environment(path: str):

@@ -20,7 +20,7 @@ from .mechanisms import (AnonymousSCF, OrderedTableSCF, all_multisets, qmr_best,
                          welfare, wmr_build)
 from .rationals import Record, parse_rational
 from .welfare_opt import build_opt_lp, solve_opt
-from .ratlp import solve
+from .ratlp import LinearProgram, solve
 
 __all__ = [
     "family_conditions",
@@ -187,7 +187,8 @@ def random_feasible_mechanism(env: Environment, rng: random.Random) -> Anonymous
     :func:`solve_opt`'s.
     """
     lp, index = build_opt_lp(env)
-    lp.objective = ([rng.randint(-10, 10) for _ in range(lp.num_vars)], 1)
+    objective = [rng.randint(-10, 10) for _ in range(lp.num_vars)]
+    lp = LinearProgram(lp.num_vars, (objective, 1), lp.eq_rows, lp.ineq_rows)
     return AnonymousSCF.from_indices(env.values.values, env.n, index, solve(lp).x)
 
 

@@ -93,156 +93,125 @@ class LpSolution(Record):
 _BLAND_AFTER = 50  # iterations of dual step 0 in a row before Bland's rule takes over
 
 
-class _Tableau:
-    """Mutable simplex state, starting from the all-slack basis.
-
-    Columns are the structural variables (bounds [0, 1]), then one slack per
-    row (bounds [0, 0] on an equality row, [0, inf) on an inequality row).
-    Each constraint row is a pair ``(integers, positive denominator)``
-    standing for the exact rational row; its last integer is the row's
-    right-hand side, so the row's basic variable is worth ``rhs / den``.
-    Every right-hand side starts at 0; :meth:`optimize` then complements
-    the box optimum's ones, which leaves each slack at minus its row's
-    value there, possibly outside the slack's bounds.
-
-    Every nonbasic variable is at 0: a structural variable that reaches 1 is
-    replaced by its complement 1 - x_j, and ``flipped[j]`` records that.
-    Slacks are never complemented, so the slack entries of the reduced-cost
-    row ``z`` (which has no right-hand side) are minus the row duals.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        n, m = lp.num_vars, len(lp.eq_rows) + len(lp.ineq_rows)
-        self.n_struct = n
-        self.ub: list = [1] * n + [0] * len(lp.eq_rows) + [None] * len(lp.ineq_rows)
-        self.flipped = [False] * n
-        self.basis: list[int] = list(range(n, n + m))
-        self.rows: list[tuple[list[int], int]] = []
-        self.pivots = self.degenerate = self.flips = 0
-        for r, (num, den) in enumerate(lp.eq_rows + lp.ineq_rows):
-            row = num + [0] * (m + 1)
-            row[n + r] = den
-            self.rows.append((row, den))
-
-    def _eliminate(self, row, pivot, e: int):
-        """row - row[e] * pivot, where pivot's entry e is 1 (``z`` stops
-        before the pivot's right-hand side)."""
-        (a, d), (q, dq) = row, pivot
-        f = a[e]
-        return lowest_terms([ai * dq - f * qi for ai, qi in zip(a, q)], d * dq)
-
-    def _complement(self, j: int):
-        """Substitute 1 - x_j for x_j: negate column j and take it off each rhs."""
-        self.flipped[j] = not self.flipped[j]
-        for a, _ in self.rows:
-            if a[j]:
-                a[-1] -= a[j]
-                a[j] = -a[j]
-        self.z[0][j] = -self.z[0][j]
-
-    def optimize(self, cost: tuple[list[int], int]):
-        """Price ``cost`` (an integer pair) over the slack basis at the box
-        optimum, then run the dual simplex until every basic variable is
-        within its bounds.
-
-        The long-step ratio test picks the entering column until
-        ``_BLAND_AFTER`` iterations of dual step 0 in a row, and the dual
-        form of Bland's rule from then on.
-        """
-        num, den = cost
-        self.z = (num + [0] * (len(self.ub) - len(num)), den)
-        self.max_den = max([den] + [d for _, d in self.rows])
-        for j, c in enumerate(num):
-            if c > 0:
-                self._complement(j)
-        bland, stalled = _BLAND_AFTER == 0, 0
-        while True:
-            # the basic variables outside their bounds: (distance, den, row)
-            out = []
-            for r, ((a, d), bv) in enumerate(zip(self.rows, self.basis)):
-                if a[-1] < 0:
-                    out.append((-a[-1], d, r))
-                elif self.ub[bv] is not None and a[-1] > self.ub[bv] * d:
-                    out.append((a[-1] - self.ub[bv] * d, d, r))
-            if not out:
-                return
-            if bland:  # the lowest-index variable leaves
-                gap, _, r = min(out, key=lambda o: self.basis[o[2]])
-            else:  # the farthest one, by cross-multiplication
-                gap, _, r = functools.reduce(lambda p, q: q if q[0] * p[1] > p[0] * q[1] else p, out)
-            (a, _), leaving = self.rows[r], self.basis[r]
-            s = 1 if a[-1] > 0 else -1  # x[leaving] must fall (1) or rise (-1)
-            # a column moves x[leaving] the right way iff w = s * a_j > 0; its
-            # breakpoint -z_j / w is taken from a heap, lowest first, ordered
-            # by cross-multiplication and then by index
-            z = self.z[0]
-            key = functools.cmp_to_key(lambda p, q: z[q[0]] * p[1] - z[p[0]] * q[1] or p[0] - q[0])
-            steps = [key((j, s * aj)) for j, aj in enumerate(a[:-1])
-                     if s * aj > 0 and self.ub[j] != 0 and j != leaving]
-            heapq.heapify(steps)
-            flips = []
-            while steps:
-                e, w = heapq.heappop(steps).obj
-                # flip a boxed column whose whole range leaves x[leaving] outside
-                if bland or self.ub[e] is None or w >= gap:
-                    break
-                gap -= w
-                flips.append(e)
-            else:
-                raise SimplexError(f"no column brings variable {leaving} within its bounds")
-            for j in flips:
-                self._complement(j)
-            self.pivots += 1
-            self.flips += len(flips)
-            if z[e] == 0:
-                self.degenerate += 1
-                stalled += 1
-                bland = bland or stalled >= _BLAND_AFTER
-            else:
-                stalled = 0
-            self.basis[r] = e
-            p = self.rows[r][0]
-            # the pivot row divided by its entry e, whose sign is s
-            self.rows[r] = pivot = lowest_terms([s * v for v in p], s * p[e])
-            for k, row in enumerate(self.rows):
-                if k != r and row[0][e] != 0:
-                    self.rows[k] = self._eliminate(row, pivot, e)
-            if z[e] != 0:
-                self.z = self._eliminate(self.z, pivot, e)
-            self.max_den = max([self.max_den, self.z[1]] + [d for _, d in self.rows])
-            if s > 0 and leaving < self.n_struct:  # it left at its upper bound
-                self._complement(leaving)
-
-    def point(self) -> tuple[list[int], int]:
-        """The structural values as one integer pair ``(nums, den)`` in
-        :func:`lowest_terms`, complements undone."""
-        basic = {bv: (a[-1], d) for (a, d), bv in zip(self.rows, self.basis) if bv < self.n_struct}
-        x, den = pair_form([basic.get(j, (0, 1)) for j in range(self.n_struct)])
-        return lowest_terms([den - v if flip else v for v, flip in zip(x, self.flipped)], den)
-
-    def counters(self) -> dict:
-        return {"pivots": self.pivots, "degenerate_pivots": self.degenerate,
-                "bound_flips": self.flips, "max_den_bits": self.max_den.bit_length()}
+def _eliminate(row, pivot, e: int):
+    """row - row[e] * pivot, where pivot's entry e is 1 (``z`` stops
+    before the pivot's right-hand side)."""
+    (a, d), (q, dq) = row, pivot
+    f = a[e]
+    return lowest_terms([ai * dq - f * qi for ai, qi in zip(a, q)], d * dq)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Exact dual simplex from the box optimum; returns the optimal vertex.
 
+    The tableau lives in locals. Columns are the structural variables, then
+    one slack per row, with bounds ``ub``. Each row is a pair ``(integers,
+    positive denominator)`` whose last integer is its right-hand side, so
+    the row's basic variable is worth ``rhs / den``. Every right-hand side
+    starts at 0; complementing the box optimum's ones leaves each slack at
+    minus its row's value there, possibly outside its bounds. ``flipped[j]``
+    records that column j stands for 1 - x_j, so every nonbasic variable is
+    at 0. The reduced-cost row ``z`` prices ``lp.objective`` and has no
+    right-hand side; slacks are never complemented, so its slack entries
+    are minus the row duals.
+
     The vertex reached is checked feasible and certified optimal by its
     duals before it is returned; a failure of either raises
     :class:`SimplexError`.
     """
-    cost, cost_den = lp.objective
-    tab = _Tableau(lp)
-    tab.optimize(lp.objective)
-    x = tab.point()
+    n, (cost, cost_den) = lp.num_vars, lp.objective
+    n_eq, m = len(lp.eq_rows), len(lp.eq_rows) + len(lp.ineq_rows)
+    ub = [1] * n + [0] * n_eq + [None] * len(lp.ineq_rows)
+    flipped = [False] * n
+    basis = list(range(n, n + m))
+    rows = []
+    for r, (num, den) in enumerate(lp.eq_rows + lp.ineq_rows):
+        row = num + [0] * (m + 1)
+        row[n + r] = den
+        rows.append((row, den))
+    z = (cost + [0] * m, cost_den)
+    max_den = max([cost_den] + [d for _, d in rows])
+    pivots = degenerate = bound_flips = 0
+
+    def complement(j: int):
+        """Substitute 1 - x_j for x_j: negate column j and take it off each rhs."""
+        flipped[j] = not flipped[j]
+        for a, _ in rows:
+            if a[j]:
+                a[-1] -= a[j]
+                a[j] = -a[j]
+        z[0][j] = -z[0][j]
+
+    for j, c in enumerate(cost):
+        if c > 0:
+            complement(j)
+    bland, stalled = _BLAND_AFTER == 0, 0
+    while True:
+        # the basic variables outside their bounds: (distance, den, row)
+        out = []
+        for r, ((a, d), bv) in enumerate(zip(rows, basis)):
+            if a[-1] < 0:
+                out.append((-a[-1], d, r))
+            elif ub[bv] is not None and a[-1] > ub[bv] * d:
+                out.append((a[-1] - ub[bv] * d, d, r))
+        if not out:
+            break
+        if bland:  # the lowest-index variable leaves
+            gap, _, r = min(out, key=lambda o: basis[o[2]])
+        else:  # the farthest one, by cross-multiplication
+            gap, _, r = functools.reduce(lambda p, q: q if q[0] * p[1] > p[0] * q[1] else p, out)
+        (a, _), leaving = rows[r], basis[r]
+        s = 1 if a[-1] > 0 else -1  # x[leaving] must fall (1) or rise (-1)
+        # a column moves x[leaving] the right way iff w = s * a_j > 0; its
+        # breakpoint -z_j / w is taken from a heap, lowest first, ordered
+        # by cross-multiplication and then by index
+        zs = z[0]
+        key = functools.cmp_to_key(lambda p, q: zs[q[0]] * p[1] - zs[p[0]] * q[1] or p[0] - q[0])
+        steps = [key((j, s * aj)) for j, aj in enumerate(a[:-1])
+                 if s * aj > 0 and ub[j] != 0 and j != leaving]
+        heapq.heapify(steps)
+        flips = []
+        while steps:
+            e, w = heapq.heappop(steps).obj
+            # flip a boxed column whose whole range leaves x[leaving] outside
+            if bland or ub[e] is None or w >= gap:
+                break
+            gap -= w
+            flips.append(e)
+        else:
+            raise SimplexError(f"no column brings variable {leaving} within its bounds")
+        for j in flips:
+            complement(j)
+        pivots += 1
+        bound_flips += len(flips)
+        if zs[e] == 0:
+            degenerate += 1
+            stalled += 1
+            bland = bland or stalled >= _BLAND_AFTER
+        else:
+            stalled = 0
+        basis[r] = e
+        p = rows[r][0]
+        # the pivot row divided by its entry e, whose sign is s
+        rows[r] = pivot = lowest_terms([s * v for v in p], s * p[e])
+        for k, row in enumerate(rows):
+            if k != r and row[0][e] != 0:
+                rows[k] = _eliminate(row, pivot, e)
+        if zs[e] != 0:
+            z = _eliminate(z, pivot, e)
+        max_den = max([max_den, z[1]] + [d for _, d in rows])
+        if s > 0 and leaving < n:  # it left at its upper bound
+            complement(leaving)
+    # the structural values, complements undone
+    basic = {bv: (a[-1], d) for (a, d), bv in zip(rows, basis) if bv < n}
+    x, den = pair_form([basic.get(j, (0, 1)) for j in range(n)])
+    x = lowest_terms([den - v if flip else v for v, flip in zip(x, flipped)], den)
     _verify_point(lp, x)
     value = Fraction(sum(map(mul, cost, x[0])), cost_den * x[1])
-    z, den = tab.z
     # slacks cost 0, so a slack's reduced cost is minus its row's dual
-    duals = lowest_terms([-zj for zj in z[tab.n_struct:]], den)
+    duals = lowest_terms([-zj for zj in z[0][n:]], z[1])
     certify(lp, duals, value)
-    return LpSolution(x, value, duals, **tab.counters())
+    return LpSolution(x, value, duals, pivots, degenerate, bound_flips, max_den.bit_length())
 
 
 def certify(lp: LinearProgram, duals: tuple[list[int], int], value: Fraction):

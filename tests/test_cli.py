@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -885,15 +884,28 @@ def test_a_repeated_json_key_is_an_input_error(env_text, mech_text, named, tmp_p
     assert named in err
 
 
-def test_one_decoder_serves_every_load_with_the_same_messages(tmp_path):
-    # the duplicate-key decoder is built once: 100 loads keep no block that
-    # json's decoder allocated (a decoder built per load leaves about 300)
+def _json_loads_error(text):
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError(f"json.loads accepted {text[:20]!r}")
+
+
+def test_one_decoder_serves_every_load_with_the_same_messages(tmp_path, monkeypatch, capsys):
+    # the duplicate-key decoder is built once: 100 loads construct no
+    # json.JSONDecoder (a decoder built per load constructs 100)
+    too_long, too_deep = "1" * 4301, "[" * 100_000
     cases = [
         ('{"kind": "qmr", "k": 1, "k": 2}', 'key "k" given twice in one object'),
         ('{"a": {"x": 1, "y": 2, "x": 3}}', 'key "x" given twice in one object'),
         ('\ufeff{"kind": "qmr", "k": 1}',
          "invalid JSON at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
         ('{"kind": "qmr",\n "k": }', "invalid JSON at line 2: Expecting value"),
+        # past Python's integer digit limit (ValueError), past the recursion
+        # limit (RecursionError): json.loads's own words
+        (too_long, f"invalid JSON: {_json_loads_error(too_long)}"),
+        (too_deep, f"invalid JSON: {_json_loads_error(too_deep)}"),
     ]
     for text, message in cases:
         path = tmp_path / "bad.json"
@@ -901,20 +913,22 @@ def test_one_decoder_serves_every_load_with_the_same_messages(tmp_path):
         with pytest.raises(cli.InputError) as refused:
             cli._load_json(str(path))
         assert str(refused.value) == f"{path}: {message}"
+    assert main(["solve", "--env", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {cases[-1][1]}\n"
     path = tmp_path / "env.json"
     env_json = environment_to_json(make_theorem2_env(3, 10, 0))
     path.write_text(json.dumps(env_json))
     assert cli._load_json(str(path)) == env_json
-    only = [tracemalloc.Filter(True, "*json/decoder.py")]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot().filter_traces(only)
-        for _ in range(100):
-            cli._load_json(str(path))
-        after = tracemalloc.take_snapshot().filter_traces(only)
-    finally:
-        tracemalloc.stop()
-    assert [s for s in after.compare_to(before, "filename") if s.count_diff > 0] == []
+    built, init = [], json.JSONDecoder.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "__init__", counted_init)
+    for _ in range(100):
+        assert cli._load_json(str(path)) == env_json
+    assert len(built) == 0
 
 
 def _check_two_halves(mech, tmp_path, capsys):

@@ -145,29 +145,40 @@ def test_blands_rule_terminates_on_the_classic_cycling_instance(monkeypatch):
     assert (sol.pivots, sol.degenerate_pivots, sol.bound_flips) == (4, 0, 0)
 
 
-def test_blands_rule_alone_reaches_the_oracle_optimum(monkeypatch):
-    # the fallback from the first iteration: lowest-index leaving variable,
-    # lowest-index entering column of least ratio, no flips. Every vertex is
-    # certified by solve, and checked against the oracle where its guard
-    # (12 variables, here 2,000 nodes) admits the program
+@pytest.mark.parametrize("bland_after", [0, 1])
+def test_blands_rule_alone_reaches_the_oracle_optimum(monkeypatch, bland_after):
+    # the fallback from the first iteration (0): lowest-index leaving
+    # variable, lowest-index entering column of least ratio, no flips; or
+    # from the first iteration of dual step 0 (1), after any long-step flips
+    # before it. Every vertex is certified by solve, and checked against the
+    # oracle where its guard (12 variables, here 2,000 nodes) admits the
+    # program
     rng = random.Random(43)
     lps = [rational_lp(rng) for _ in range(100)]
     lps += [build_opt_lp(random_environment(rng, 2 + t % 3, 4))[0] for t in range(12)]
     lps += [build_opt_lp(make_theorem2_env(n, 10, eps))[0]
             for n in (3, 4) for eps in (0, Fraction(1, 1000))]
-    long_step = [solve(lp).objective_value for lp in lps]
-    monkeypatch.setattr(ratlp, "_BLAND_AFTER", 0)
-    checked = iterations = 0
-    for lp, optimum in zip(lps, long_step):
-        sol = solve(lp)
-        assert sol.objective_value == optimum and sol.bound_flips == 0
+    long_step = [solve(lp) for lp in lps]
+    monkeypatch.setattr(ratlp, "_BLAND_AFTER", bland_after)
+    checked = iterations = switched = 0
+    for lp, first in zip(lps, long_step):
+        sol, optimum = solve(lp), first.objective_value
+        assert sol.objective_value == optimum
+        assert sol.bound_flips == 0 or bland_after > 0
+        # a run that flipped bounds, stalled and so left the long-step path
+        switched += (sol.bound_flips > 0 and sol.degenerate_pivots > 0
+                     and sol.pivots != first.pivots)
         iterations += sol.pivots
         try:
             assert optimum == vertex_enumerate(lp, node_budget=2_000).objective_value
             checked += 1
         except GuardExceeded:
             assert lp.num_vars >= 10
-    assert checked >= 100 and iterations >= 200
+    assert checked >= 100
+    if bland_after == 0:
+        assert iterations >= 200
+    else:  # 2 of the programs flip bounds and then switch to Bland's rule
+        assert switched >= 1
 
 
 # ------------------------------------------------------------ certificate
