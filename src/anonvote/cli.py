@@ -47,7 +47,7 @@ from .mechanisms import (
     welfare,
     wmr_build,
 )
-from .rationals import RationalParseError, format_rational, parse_rational
+from .rationals import RationalParseError, format_pair, format_rational, parse_rational
 from .welfare_opt import aux_corners, lemma3_bounds, solve_opt
 
 import random
@@ -115,8 +115,11 @@ def _pair(q: Fraction | None) -> dict | None:
     return None if q is None else {"exact": format_rational(q), "decimal": float(q)}
 
 
-def _rational_table(table: dict) -> dict:
-    return {format_rational(v): format_rational(q) for v, q in table.items()}
+def _interims(env, audit) -> list[tuple]:
+    """Per agent audited, (c-, c+, interim table) as strings of its pair."""
+    names = [format_pair(*v) for v in env.values.pairs]
+    return [(table[names[0]], table[names[-1]], table) for sums, den in audit.sums
+            for table in [{name: format_pair(s, den) for name, s in zip(names, sums)}]]
 
 
 def _fmt(q) -> str:
@@ -200,13 +203,8 @@ def cmd_solve(args, env) -> dict:
     return {
         "welfare": _pair(report.welfare),
         "interims": [
-            {
-                "agent": i,
-                "c_minus": format_rational(report.c_minus[i]),
-                "c_plus": format_rational(report.c_plus[i]),
-                "table": _rational_table(report.interims[i]),
-            }
-            for i in range(env.n)
+            {"agent": i, "c_minus": c_minus, "c_plus": c_plus, "table": table}
+            for i, (c_minus, c_plus, table) in enumerate(_interims(env, report.audit))
         ],
         "lp": report.lp_stats,
         "mechanism": mechanism_to_json(report.mechanism),
@@ -273,7 +271,7 @@ def cmd_check(args, env, rule) -> dict:
         hat = _projection_json(ordinal_projection(env, rule))
     except ValueError as exc:  # ZeroProbabilityCoalition or TooLarge
         hat = {"error": str(exc)}
-    witness = audit.witness
+    witness, interims = audit.witness, _interims(env, audit)
     return {
         "anonymous": rule.anonymous,
         "bic": {
@@ -285,15 +283,11 @@ def cmd_check(args, env, rule) -> dict:
                 for name in witness.__slots__
                 for v in (getattr(witness, name),)
             },
-            "c_minus": None
-            if not audit.satisfied
-            else [format_rational(c) for c in audit.c_minus],
-            "c_plus": None
-            if not audit.satisfied
-            else [format_rational(c) for c in audit.c_plus],
+            "c_minus": [row[0] for row in interims] if audit.satisfied else None,
+            "c_plus": [row[1] for row in interims] if audit.satisfied else None,
         },
         "welfare": _pair(w),
-        "interims": [_rational_table(t) for t in audit.interims],
+        "interims": [row[2] for row in interims],
         "hat": hat,
     }
 

@@ -4,8 +4,9 @@ An environment is a finite value set V (the shared support, 0 excluded) and
 one discrete distribution over V per agent. Agents draw values independently.
 Everything downstream (interim allocations, welfare, the optimization) is
 computed from these objects with exact rationals. Each
-:class:`AgentDistribution` is read once into integers and carries its sign
-statistics (p, U+ and U-), set when it is built; equal ones are one type.
+:class:`AgentDistribution` is read once into integers and keeps its sign
+sums, from which its sign statistics (p, U+ and U-) are made when read;
+equal ones are one type.
 An :class:`Environment` keeps its column map (``columns``) in integers, each
 part made when first used: per report multiset of all agents, an LP column,
 and per agent type the others' multiset weights and the columns they reach,
@@ -27,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import format_rational, integer_form, pair_form, parse_pair, parse_rational
+from .rationals import TooLarge, format_pair, pair_form, parse_pair
 
 __all__ = [
     "MAX_ENTRIES",
@@ -46,10 +47,6 @@ __all__ = [
 MAX_ENTRIES = math.comb(15, 8)  # 6,435 columns at n = |V| = 8; 2^12 <= 6,435 < 2^13
 
 
-class TooLarge(ValueError):
-    """An enumeration would make more than ``MAX_ENTRIES`` entries."""
-
-
 def refuse_above(count: int, what: str) -> int:
     """``count``, the size of the enumeration ``what``, if it is at most
     ``MAX_ENTRIES``; else :class:`TooLarge` naming both is raised."""
@@ -64,22 +61,24 @@ class InvalidEnvironment(ValueError):
 
 class ValueSet:
     """Strictly increasing rational values, the common support V, their
-    reduced integer pairs ``pairs`` and their :func:`integer_form`
-    ``(scaled, scale)``."""
+    reduced integer pairs ``pairs`` and their :func:`pair_form`
+    ``(scaled, scale)``, on which they are sorted, checked and split by
+    sign; each value is made a Fraction once."""
 
     __slots__ = ("values", "pairs", "negatives", "positives", "scaled", "scale")
 
     def __init__(self, values: Iterable):
-        vals = tuple(parse_rational(v) for v in values)
-        if not vals:
+        pairs = [parse_pair(v) for v in values]
+        if not pairs:
             raise InvalidEnvironment("value set is empty")
-        if len(set(vals)) != len(vals):
+        if len(set(pairs)) != len(pairs):  # reduced pairs are equal when the values are
             raise InvalidEnvironment("value set contains duplicates")
-        self.values = tuple(sorted(vals))
-        self.pairs = tuple((v.numerator, v.denominator) for v in self.values)
-        self.negatives = tuple(v for v in self.values if v < 0)
-        self.positives = tuple(v for v in self.values if v > 0)
-        self.scaled, self.scale = integer_form(self.values)
+        scaled, self.scale = pair_form(pairs)
+        rows = sorted(zip(scaled, pairs))
+        self.scaled, self.pairs = [x for x, _ in rows], tuple(v for _, v in rows)
+        self.values = tuple(Fraction(*v) for v in self.pairs)
+        self.negatives = self.values[:sum(x < 0 for x in self.scaled)]
+        self.positives = self.values[sum(x <= 0 for x in self.scaled):]
 
     def __iter__(self):
         return iter(self.values)
@@ -108,37 +107,42 @@ class AgentDistribution:
     probability) Fraction pairs in the same order, and the mapping
     ``probs`` are made when read.
 
-    The sign statistics are set once, here, each one Fraction of integer
-    sums: ``p`` is P(v > 0), ``u_plus`` is E[v | v > 0] and ``u_minus`` is
+    The sign sums are integers, set once, here: ``mass`` is the weight over
+    ``den`` of each sign, (negative, positive), and ``value_sums`` the sums
+    of |v| times weight over each sign, (negative, positive), over ``scale *
+    den``. The sign statistics are each one Fraction of those, made when
+    read: ``p`` is P(v > 0), ``u_plus`` is E[v | v > 0] and ``u_minus`` is
     E[|v| | v < 0]; either mean is None when its conditioning event has
     probability zero (limit mode), and callers must check before using it.
     ``pos_mass``/``neg_mass`` are the unconditional sign expectations
-    p*u_plus and (1-p)*u_minus, which are always defined. ``mass`` is the
-    integer weight over ``den`` of each sign, (negative, positive).
+    p*u_plus and (1-p)*u_minus, which are always defined.
     """
 
-    __slots__ = ("keys", "weights", "den", "name", "p", "mass", "pos_mass", "neg_mass",
-                 "u_plus", "u_minus", "_items")
+    __slots__ = ("keys", "weights", "den", "name", "mass", "value_sums", "scale", "_items")
+    p = property(lambda self: Fraction(self.mass[1], self.den))
+    pos_mass = property(lambda self: Fraction(self.value_sums[1], self.scale * self.den))
+    neg_mass = property(lambda self: Fraction(self.value_sums[0], self.scale * self.den))
+    u_plus = property(lambda self: Fraction(self.value_sums[1], self.scale * self.mass[1])
+                      if self.mass[1] > 0 else None)
+    u_minus = property(lambda self: Fraction(self.value_sums[0], self.scale * self.mass[0])
+                       if self.mass[0] > 0 else None)
 
     def __init__(self, probs: Mapping, name: str | None = None):
         parsed = {}
         for key, p in probs.items():
             v = parse_pair(key)
             if v in parsed:
-                raise InvalidEnvironment(f"probs give value {format_rational(Fraction(*v))} twice")
+                raise InvalidEnvironment(f"probs give value {format_pair(*v)} twice")
             parsed[v] = parse_pair(p)
         scaled, scale = pair_form(list(parsed))
         weights, den = pair_form(list(parsed.values()))
         rows = sorted(zip(scaled, parsed, weights))
         self.keys, self.weights = tuple(v for _, v, _ in rows), tuple(w for _, _, w in rows)
-        self.den, self.name, self._items = den, name, None
+        self.den, self.name, self._items, self.scale = den, name, None, scale
         mass = sum(w for x, _, w in rows if x > 0)
-        up = sum(x * w for x, _, w in rows if x > 0)
-        down = -sum(x * w for x, _, w in rows if x < 0)
-        self.p, self.mass = Fraction(mass, den), (den - mass, mass)
-        self.pos_mass, self.neg_mass = Fraction(up, scale * den), Fraction(down, scale * den)
-        self.u_plus = Fraction(up, scale * mass) if mass > 0 else None
-        self.u_minus = Fraction(down, scale * (den - mass)) if mass < den else None
+        self.mass = den - mass, mass
+        self.value_sums = (-sum(x * w for x, _, w in rows if x < 0),
+                           sum(x * w for x, _, w in rows if x > 0))
 
     @property
     def items(self) -> tuple:
@@ -210,7 +214,7 @@ class Environment:
             zeros = [str(v) for v, w in zip(values, agent.weights) if w == 0]
             if zeros:
                 flags.append(f"{label}: zero probability on {{{', '.join(zeros)}}}")
-            if agent.p.denominator == 1:  # p is 0 or 1, as it lies in [0, 1] here
+            if 0 in agent.mass:  # p is 0 or 1
                 flags.append(f"{label}: deterministic value sign (p={agent.p})")
         if errors:
             raise InvalidEnvironment("; ".join(errors))
@@ -343,13 +347,12 @@ def environment_to_json(env: Environment) -> dict:
     """Inverse of :func:`environment_from_json` (exact round trip)."""
     agents = []
     for agent in env.agents:
-        entry = {
-            "probs": {format_rational(v): format_rational(p) for v, p in agent.items}
-        }
+        probs = zip(agent.keys, agent.weights)
+        entry = {"probs": {format_pair(*v): format_pair(w, agent.den) for v, w in probs}}
         if agent.name:
             entry["name"] = agent.name
         agents.append(entry)
     return {
-        "values": [format_rational(v) for v in env.values],
+        "values": [format_pair(*v) for v in env.values.pairs],
         "agents": agents,
     }

@@ -27,10 +27,10 @@ qualified/weighted majority benchmarks.
 
 Expectations are integer sums over two kernels, one ``Fraction`` per
 result; each rule is read into integers once, without a Fraction, and
-keeps them. A QMR, a WMR or an ordinal rule reads only signs: it makes its
-table at each sign key (the count of positive reporters if anonymous, else
-their coalition), summed over the others' key distribution, built from
-each agent's integer P(sign).
+keeps them, and the audit keeps its interims so. A QMR, a WMR or an
+ordinal rule reads only signs: it makes its table at each sign key (the
+count of positive reporters if anonymous, else their coalition), summed
+over the others' key distribution, built from each agent's integer P(sign).
 An anonymous table is kept in column order and read through the
 ``Environment``'s column map (``env.columns``), as the QMR table and the
 program are; a table that is not anonymous is read at ordered-profile codes.
@@ -48,7 +48,8 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .environments import Environment, ValueSet, multiset_distribution, refuse_above
-from .rationals import Record, format_rational, integer_form, pair_form, parse_pair, parse_rational
+from .rationals import (Record, format_pair, format_rational, integer_form, pair_form, parse_pair,
+                        parse_rational)
 
 __all__ = [
     "Record",
@@ -425,14 +426,25 @@ class BicViolation(Record):
 
 
 class BicReport(Record):
-    """Result of the incentive audit: either satisfied with the per-agent
-    interim constants, or violated with the first witness in canonical
-    (agent, report) order."""
+    """Result of the incentive audit: satisfied, or violated with the first
+    witness in canonical (agent, report) order. ``sums`` holds the
+    :func:`_interim_sums` pair of each agent audited, over the sorted
+    ``values``; ``interims`` and the per-agent constants ``c_minus`` and
+    ``c_plus`` (None unless satisfied) are Fractions made when read."""
 
-    __slots__ = ("satisfied", "c_minus", "c_plus", "interims", "witness")
+    __slots__ = ("satisfied", "witness", "values", "sums")
+    c_minus = property(lambda self: self._constant(0))
+    c_plus = property(lambda self: self._constant(-1))
 
     def __bool__(self):
         return self.satisfied
+
+    @property
+    def interims(self) -> list:
+        return [{v: Fraction(s, den) for v, s in zip(self.values, sums)} for sums, den in self.sums]
+
+    def _constant(self, end: int):  # a sign's flat interim, read at its end report
+        return [Fraction(s[end], d) for s, d in self.sums] if self.satisfied else None
 
 
 class NotBicError(ValueError):
@@ -461,27 +473,26 @@ def check_bic(env: Environment, rule) -> BicReport:
     constraints are enforced at every support value, including reports of
     probability zero.
 
-    The conditions compare the integers of :func:`_interim_sums`. Under an
-    anonymous rule an agent's interim depends only on the others'
-    distributions, so an agent of an earlier agent's type reuses a copy of
-    that agent's table; other rules get one table per agent.
+    The conditions compare the integers of :func:`_interim_sums`, which the
+    report keeps. Under an anonymous rule an agent's interim depends only on
+    the others' distributions, so an agent of an earlier agent's type shares
+    that agent's pair; other rules get one pair per agent.
     """
     conditions = list(bic_conditions(env.values))
-    table, values, interims = _integer_table(env, rule), env.values.values, []
+    table, values, kept = _integer_table(env, rule), env.values.values, []
     for i in range(env.n):
         first = env.types[i] if rule.anonymous else i
         if first < i:  # an earlier agent's interims, which passed
-            interims.append(dict(interims[first]))
+            kept.append(kept[first])
             continue
-        sums, den = _interim_sums(env, rule, table, i)
-        interims.append({v: Fraction(x, den) for v, x in zip(values, sums)})
+        kept.append(_interim_sums(env, rule, table, i))
+        sums, den = kept[i]
         for a, b, kind in conditions:
             if (sums[a] != sums[b]) if kind == "flatness" else (sums[a] > sums[b]):
-                lo, hi = values[a], values[b]
-                witness = BicViolation(i, lo, hi, interims[i][lo], interims[i][hi], kind)
-                return BicReport(False, None, None, interims, witness)
-    lo, hi = (values[j] for j in conditions[-1][:2])  # monotonicity reads both constants
-    return BicReport(True, [t[lo] for t in interims], [t[hi] for t in interims], interims, None)
+                witness = BicViolation(i, values[a], values[b], Fraction(sums[a], den),
+                                       Fraction(sums[b], den), kind)
+                return BicReport(False, witness, values, kept)
+    return BicReport(True, None, values, kept)
 
 
 def welfare(env: Environment, rule) -> Fraction:
@@ -509,14 +520,19 @@ def welfare_via_interims(env: Environment, rule) -> Fraction:
 
     Equals :func:`welfare` exactly for incentive-compatible rules; raises
     :class:`NotBicError` otherwise (the decomposition needs flat interims).
+    The sum of c+ times ``pos_mass`` less c- times ``neg_mass`` over the
+    agents runs in integers, on the audit's pairs and each agent's
+    ``value_sums``, over one denominator.
     """
     report = check_bic(env, rule)
     if not report.satisfied:
         raise NotBicError(f"rule is not incentive compatible: {report.witness}")
-    total = Fraction(0)
-    for i, agent in enumerate(env.agents):
-        total += report.c_plus[i] * agent.pos_mass - report.c_minus[i] * agent.neg_mass
-    return total
+    dens = [den * agent.scale * agent.den for (_, den), agent in zip(report.sums, env.agents)]
+    common, total = math.lcm(*dens), 0
+    for (sums, _), agent, den in zip(report.sums, env.agents, dens):
+        down, up = agent.value_sums
+        total += (sums[-1] * up - sums[0] * down) * (common // den)
+    return Fraction(total, common)
 
 
 class ZeroProbabilityCoalition(ValueError):
@@ -656,7 +672,7 @@ def mechanism_to_json(rule) -> dict:
             "n": rule.n,
             "values": names,
             rule._field: {
-                ",".join([names[j] for j in k]): f"{a}/{b}" if b != 1 else str(a)
+                ",".join([names[j] for j in k]): format_pair(a, b)
                 for k, (a, b) in sorted(rule._pairs.items())
             },
         }

@@ -4,9 +4,9 @@ Every probability, value, allocation, and welfare figure in this package is
 a ``fractions.Fraction``. Decimal input is rejected on purpose: exactness
 requires integer or ``p/q`` forms, and base-10 rounding must never leak
 into a computation path. Input is read once into reduced integer pairs
-(:func:`parse_pair`); long sums run on :func:`integer_form`. Every
-result record derives from :class:`Record`, here because every module
-imports this one.
+(:func:`parse_pair`), long sums run on :func:`integer_form` and reports
+are written by :func:`format_pair`. :class:`Record`, the base of every
+result, and :class:`TooLarge` are here because every module imports this.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import functools
 import math
 from fractions import Fraction
 
-__all__ = ["Record", "RationalParseError", "parse_pair", "parse_rational", "format_rational",
-           "integer_form", "pair_form", "lowest_terms"]
+__all__ = ["Record", "TooLarge", "RationalParseError", "parse_pair", "parse_rational",
+           "format_pair", "format_rational", "integer_form", "pair_form", "lowest_terms"]
 
 _ALLOWED_CHARS = set("0123456789+-/ ")
 
@@ -45,6 +45,10 @@ class Record:
         shown = [f"{name}={value}" for name in self.__slots__ for value in (getattr(self, name),)
                  if not isinstance(value, (list, tuple, dict))]
         return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class TooLarge(ValueError):
+    """An enumeration or a number past a size limit."""
 
 
 class RationalParseError(ValueError):
@@ -82,9 +86,21 @@ def parse_rational(token) -> Fraction:
     return token if isinstance(token, Fraction) else Fraction(*parse_pair(token))
 
 
+def format_pair(num: int, den: int) -> str:
+    """``num / den``, ``den > 0``, as ``"p"`` or ``"p/q"`` in lowest terms; past
+    the interpreter's digit limit for integer strings, :class:`TooLarge`."""
+    g = math.gcd(num, den)
+    try:
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
+    except ValueError:  # str of an int raises it only past the interpreter's digit limit
+        import sys
+        raise TooLarge(f"too large: an exact result has more than {sys.get_int_max_str_digits()} "
+                       "digits, the limit of Python's integer string conversion") from None
+
+
 def format_rational(value: Fraction) -> str:
-    """Render as ``"p"`` or ``"p/q"`` in lowest terms with positive denominator."""
-    return str(value if isinstance(value, Fraction) else Fraction(value))
+    """:func:`format_pair` of a Fraction or an int."""
+    return format_pair(value.numerator, value.denominator)
 
 
 def integer_form(values) -> tuple[list[int], int]:

@@ -95,9 +95,11 @@ _BLAND_AFTER = 50  # iterations of dual step 0 in a row before Bland's rule take
 
 def _eliminate(row, pivot, e: int):
     """row - row[e] * pivot, where pivot's entry e is 1 (``z`` stops
-    before the pivot's right-hand side)."""
+    before the pivot's right-hand side). ``gcd(row[e], pivot's den)`` is
+    divided out of both first, which leaves the lowest terms as they are."""
     (a, d), (q, dq) = row, pivot
-    f = a[e]
+    g = math.gcd(a[e], dq)
+    f, dq = a[e] // g, dq // g
     return lowest_terms([ai * dq - f * qi for ai, qi in zip(a, q)], d * dq)
 
 

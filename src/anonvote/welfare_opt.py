@@ -71,9 +71,9 @@ def build_opt_lp(env: Environment):
 
 
 class OptimalMechanismReport(Record):
-    """Solved program: optimal rule, its welfare, and per-agent interims."""
+    """Solved program: optimal rule, its welfare, and its incentive audit."""
 
-    __slots__ = ("mechanism", "welfare", "c_minus", "c_plus", "interims", "lp_stats")
+    __slots__ = ("mechanism", "welfare", "audit", "lp_stats")
 
 
 def solve_opt(env: Environment) -> OptimalMechanismReport:
@@ -108,9 +108,7 @@ def solve_opt(env: Environment) -> OptimalMechanismReport:
         "max_den_bits": solution.max_den_bits,
         "certificate": "dual-bound",
     }
-    return OptimalMechanismReport(
-        mechanism, direct, audit.c_minus, audit.c_plus, audit.interims, lp_stats
-    )
+    return OptimalMechanismReport(mechanism, direct, audit, lp_stats)
 
 
 class AuxPoint(Record):

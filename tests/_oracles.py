@@ -8,6 +8,8 @@
   incumbent, so the returned maximum is exact.
 * :func:`profile_probability`: the probability of one ordered profile, a
   product over agents, against which the probability kernels are checked.
+* :func:`oracle_welfare` and :func:`oracle_interims`: welfare and one
+  agent's interim allocations by enumerating every ordered profile.
 * :func:`oracle_projection`: the ordinal projection by enumerating every
   ordered profile and conditioning on its coalition of positive reporters.
 * :func:`anonymous_by_permutation`: whether a rule evaluates every ordered
@@ -97,6 +99,34 @@ def profile_probability(agents: Sequence[AgentDistribution], profile: Sequence[F
         if result == 0:
             return Fraction(0)
     return result
+
+
+def oracle_welfare(env: Environment, rule) -> Fraction:
+    """Expected total value on the reform event, from all |V|^n ordered
+    profiles and the rule's ``evaluate``."""
+    return sum(
+        (
+            profile_probability(env.agents, p) * sum(p, Fraction(0)) * rule.evaluate(p)
+            for p in itertools.product(env.values.values, repeat=env.n)
+        ),
+        Fraction(0),
+    )
+
+
+def oracle_interims(env: Environment, rule, i: int) -> dict:
+    """Agent ``i``'s interim allocation at each support value, from all
+    |V|^(n-1) ordered profiles of the others and the rule's ``evaluate``."""
+    others = env.agents[:i] + env.agents[i + 1 :]
+    return {
+        v: sum(
+            (
+                profile_probability(others, rest) * rule.evaluate(rest[:i] + (v,) + rest[i:])
+                for rest in itertools.product(env.values.values, repeat=env.n - 1)
+            ),
+            Fraction(0),
+        )
+        for v in env.values
+    }
 
 
 def oracle_projection(env: Environment, rule) -> dict:

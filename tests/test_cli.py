@@ -267,6 +267,37 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's limit on the digits of an integer string, set to its
+    default, 4,300, for one test and restored after it."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on integer string digits")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("command", ["qmr", "compare"])
+def test_a_result_past_the_digit_limit_exits_2_naming_it(command, fmt, digit_limit, tmp_path,
+                                                          capsys):
+    # five agents whose probabilities have 1,001-digit denominators: the
+    # exact threshold welfares pass the limit, which solve's outputs do not
+    d = 10**1000 + 1
+    agents = [{"probs": {"-1": f"{d // (k + 2)}/{d}", "1": f"{d - d // (k + 2)}/{d}"}}
+              for k in range(5)]
+    path = tmp_path / "bigden.json"
+    path.write_text(json.dumps({"values": ["-1", "1"], "agents": agents}))
+    assert main(["solve", "--env", str(path), "--format", fmt]) == 0
+    capsys.readouterr()
+    assert main([command, "--env", str(path), "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", f"error: too large: an exact result has more than "
+                                       f"{digit_limit} digits, the limit of Python's integer "
+                                       "string conversion\n")
+
+
 def test_an_environment_error_names_the_agent_index(tmp_path, capsys):
     # two agents share a name, so only the index says which one is at fault
     path = tmp_path / "named.json"

@@ -33,10 +33,18 @@ def uniform_pair_env():
 
 def test_value_set_sorts_and_rejects_duplicates():
     assert ValueSet([3, -1, 2]).values == (Fraction(-1), Fraction(2), Fraction(3))
-    with pytest.raises(InvalidEnvironment):
+    with pytest.raises(InvalidEnvironment, match="^value set contains duplicates$"):
         ValueSet([1, "2/2"])
-    with pytest.raises(InvalidEnvironment):
+    with pytest.raises(InvalidEnvironment, match="^value set contains duplicates$"):
+        ValueSet(["1/2", "-1", "2/4"])  # equal as rationals, told apart by no string
+    with pytest.raises(InvalidEnvironment, match="^value set is empty$"):
         ValueSet([])
+    # sorted and split by sign on the integer form, one Fraction per value
+    values = ValueSet(["5/2", "-7/3", "3/4", "-1/2"])
+    assert values.values == tuple(map(Fraction, ("-7/3", "-1/2", "3/4", "5/2")))
+    assert values.pairs == ((-7, 3), (-1, 2), (3, 4), (5, 2))
+    assert (values.scaled, values.scale) == ([-28, -6, 9, 30], 12)
+    assert (values.negatives, values.positives) == (values.values[:2], values.values[2:])
 
 
 def test_environment_rejects_support_mismatch():

@@ -11,14 +11,15 @@ from _oracles import (
     anonymous_by_permutation,
     fractions_of,
     mixed_denominator_env,
+    oracle_interims,
     oracle_projection,
-    profile_probability,
+    oracle_welfare,
     random_symmetric_environment,
     sign_table_by_evaluate,
     wmr_by_fractions,
 )
 from anonvote import mechanisms
-from anonvote.cli import cmd_check
+from anonvote.cli import cmd_check, cmd_solve
 from anonvote.environments import (
     AgentDistribution,
     Environment,
@@ -411,6 +412,63 @@ def test_interim_decomposition_matches_enumeration_on_random_rules():
         env = random_environment(rng, n_agents=2, max_values=4)
         mech = random_feasible_mechanism(env, rng)
         assert welfare(env, mech) == welfare_via_interims(env, mech)
+    # limit-mode agents (u_plus or u_minus None) and full-support ones, under
+    # BIC rules of every kind: thresholds, the utilitarian weighted rule (not
+    # anonymous), random vertices and the optimum
+    envs = [deterministic_sign_env("+", "-", "~"), deterministic_sign_env("~", "-", "~"),
+            make_theorem2_env(3, 10, 0), mixed_denominator_env()]
+    undefined = 0
+    for env in envs:
+        undefined += sum(a.u_plus is None or a.u_minus is None for a in env.agents)
+        rules = [QualifiedMajorityRule(k) for k in range(env.n + 2)] + [wmr_build(env)]
+        rules += [random_feasible_mechanism(env, rng) for _ in range(3)]
+        for rule in rules + [solve_opt(env).mechanism]:
+            assert check_bic(env, rule).satisfied
+            assert welfare_via_interims(env, rule) == welfare(env, rule) == oracle_welfare(env, rule)
+    assert undefined == 3
+
+
+def test_solve_and_check_write_the_enumerated_interims_and_welfare():
+    # the reports write interims, c- and c+ from the audit's integer pairs:
+    # each string is format_rational of the enumeration, on seeded draws, the
+    # mixed-denominator environment and two limit-mode ones (zero
+    # probabilities, deterministic signs), under the optimum, every sign rule
+    # kind, random vertices and an ordered table
+    rng, table_rng = random.Random(41), random.Random(43)
+    envs = [random_environment(rng, n_agents=n, max_values=v) for n, v in ((2, 5), (3, 4))]
+    envs += [mixed_denominator_env(), deterministic_sign_env("+", "-", "~"),
+             make_theorem2_env(3, 10, 0)]
+    seen = set()
+    for env in envs:
+        low, high = env.values.values[0], env.values.values[-1]
+        solved = cmd_solve(None, env)
+        rules = [mechanism_from_json(solved["mechanism"])] + oracle_rules(env, rng)
+        for k, rule in enumerate(rules + [scrambled_table(env, table_rng)]):
+            tables = [oracle_interims(env, rule, i) for i in range(env.n)]
+            shown = [{format_rational(v): format_rational(q) for v, q in t.items()} for t in tables]
+            checked = cmd_check(None, env, rule)
+            bic, audited = checked["bic"], len(checked["interims"])
+            assert checked["interims"] == shown[:audited]
+            assert checked["welfare"]["exact"] == format_rational(oracle_welfare(env, rule))
+            if bic["satisfied"]:
+                assert audited == env.n
+                assert bic["c_minus"] == [format_rational(t[low]) for t in tables]
+                assert bic["c_plus"] == [format_rational(t[high]) for t in tables]
+            else:
+                assert bic["c_minus"] is bic["c_plus"] is None
+                assert int(bic["witness"]["agent"]) == audited - 1
+            if k == 0:  # the optimum, as solve wrote it
+                rows = solved["interims"]
+                assert solved["welfare"]["exact"] == checked["welfare"]["exact"]
+                assert [row["table"] for row in rows] == shown
+                assert [row["c_minus"] for row in rows] == bic["c_minus"]
+                assert [row["c_plus"] for row in rows] == bic["c_plus"]
+            seen.add((type(rule).__name__, bic["satisfied"]))
+    kinds = {"AnonymousSCF", "QualifiedMajorityRule", "WeightedMajorityRule", "OrdinalSCF",
+             "OrderedTableSCF"}
+    assert {kind for kind, _ in seen} == kinds
+    assert {(kind, True) for kind in kinds - {"OrderedTableSCF"}} <= seen
+    assert ("OrderedTableSCF", False) in seen
 
 
 def test_interim_decomposition_rejects_non_bic():
@@ -594,30 +652,6 @@ def test_two_agent_balance_identity():
 
 
 # ------------------------------------------ probability kernels vs. oracle
-
-
-def oracle_welfare(env, rule):
-    return sum(
-        (
-            profile_probability(env.agents, p) * sum(p, Fraction(0)) * rule.evaluate(p)
-            for p in itertools.product(env.values.values, repeat=env.n)
-        ),
-        Fraction(0),
-    )
-
-
-def oracle_interims(env, rule, i):
-    others = env.agents[:i] + env.agents[i + 1 :]
-    return {
-        v: sum(
-            (
-                profile_probability(others, rest) * rule.evaluate(rest[:i] + (v,) + rest[i:])
-                for rest in itertools.product(env.values.values, repeat=env.n - 1)
-            ),
-            Fraction(0),
-        )
-        for v in env.values
-    }
 
 
 def random_ordinal_rule(n, rng, by_size=False):
@@ -1008,12 +1042,13 @@ def test_every_record_is_built_by_position_or_by_name():
     # nested record by its own repr, lists, tuples and dicts left out
     assert [cls for cls in records if "__repr__" in vars(cls)] == [BicViolation]
     assert repr(check_bic(env, rule)) == (
-        f"BicReport(satisfied=False, c_minus=None, c_plus=None, witness={witness!r})")
+        f"BicReport(satisfied=False, witness={witness!r})")  # values and sums left out
     satisfied = check_bic(uniform_env(), QualifiedMajorityRule(2))
     assert repr(satisfied) == "BicReport(satisfied=True, witness=None)"
     report = run_theorem2_demo(3, 10, 0)
     qmr = "QmrTable(k_star=3, best_welfare=21/8)"
-    opt = "OptimalMechanismReport(mechanism=AnonymousSCF(n=3, |V|=4, nonzero=6), welfare=5)"
+    opt = ("OptimalMechanismReport(mechanism=AnonymousSCF(n=3, |V|=4, nonzero=6), welfare=5, "
+           f"audit={satisfied!r})")
     assert (repr(report.qmr), repr(report.opt)) == (qmr, opt)
     assert repr(report) == (f"Theorem2Report(n=3, M=10, eps=0, qmr={qmr}, opt={opt}, "
                             "fstar_welfare=5, wmr_welfare=5)")

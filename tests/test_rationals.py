@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from anonvote.rationals import RationalParseError, format_rational, parse_pair, parse_rational
+from anonvote.rationals import (RationalParseError, format_pair, format_rational, parse_pair,
+                                parse_rational)
 
 
 def test_parse_accepts_integers_strings_and_fractions():
@@ -52,3 +53,6 @@ def test_format_round_trips_lowest_terms():
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(-499, 1000)) == "-499/1000"
     assert parse_rational(format_rational(Fraction(12, 8))) == Fraction(3, 2)
+    # a pair need not be reduced: it is written as its Fraction would be
+    for num, den in [(6, 4), (-8, 2), (0, 7), (35, 1), (-21, 35), (10**40, 3 * 10**39)]:
+        assert format_pair(num, den) == str(Fraction(num, den))

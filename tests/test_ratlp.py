@@ -8,7 +8,7 @@ from _lpgen import exact_lp, fractional_optimum, random_lp, rational_lp, rationa
 from _oracles import GuardExceeded, fractions_of, vertex_enumerate
 from anonvote import ratlp
 from anonvote.experiments import make_theorem2_env, random_environment
-from anonvote.rationals import integer_form
+from anonvote.rationals import integer_form, lowest_terms
 from anonvote.ratlp import (
     LinearProgram,
     LpSolution,
@@ -119,6 +119,27 @@ def test_the_vertex_and_the_duals_are_integer_pairs_in_lowest_terms(monkeypatch)
             fractional[name] += den > 1
         assert integer_form(fractions_of(sol.x)) == sol.x
     assert fractional["x"] >= 10 and fractional["duals"] >= 10
+
+
+def test_eliminate_equals_the_plain_update_in_lowest_terms():
+    # row - row[e] * pivot, pivot[e] == 1, with gcd(row[e], pivot den) taken
+    # out first; rows share factors with the pivot, some have row[e] == 0,
+    # and z rows stop before the pivot's right-hand side
+    rng, shared, zeros = random.Random(37), 0, 0
+    factors = [1, 2, 3, 4, 6, 10, 12, 35]
+    for _ in range(400):
+        width, scale = rng.randint(2, 7), rng.choice(factors)
+        e = rng.randrange(width - 1)
+        nums = [rng.randint(-9, 9) * rng.choice(factors) for _ in range(width)]
+        nums[e] = rng.randint(1, 9) * scale
+        q, dq = pivot = lowest_terms(nums, nums[e])
+        nums = [rng.choice([0, rng.randint(-9, 9)]) * rng.choice(factors) for _ in range(width)]
+        a, d = row = lowest_terms(nums[: width - rng.randint(0, 1)], rng.randint(1, 9) * scale)
+        shared += a[e] != 0 and math.gcd(a[e], dq) > 1
+        zeros += a[e] == 0
+        assert ratlp._eliminate(row, pivot, e) == lowest_terms(
+            [ai * dq - a[e] * qi for ai, qi in zip(a, q)], d * dq)
+    assert shared >= 100 and zeros >= 50
 
 
 # ------------------------------------------------------------- degeneracy
