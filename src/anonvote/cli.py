@@ -2,9 +2,10 @@
 
 Every data command (``solve``, ``compare``, ``check``, ``hatf``, ``qmr``,
 ``wmr``, ``demo-theorem2``) computes one JSON payload: ``--format json``
-prints it, and ``--format table`` (the default) prints a text view of that
-same payload. ``verify`` runs a named assertion suite and prints one
-PASS/FAIL line.
+prints it on one line through the C encoder (pipe it through
+``python -m json.tool`` for an indented view), and ``--format table`` (the
+default) prints a text view of that same payload. ``verify`` runs a named
+assertion suite and prints one PASS/FAIL line.
 
 Exit codes: 0 on success/pass, 1 when a verify suite fails an assertion
 or the reader of stdout has closed it (nothing more is printed), 2 on
@@ -554,7 +555,7 @@ def main(argv=None) -> int:
                 inputs.append(_load_mechanism(args.mech, inputs[0]))
             payload = args.func(args, *inputs)
             if args.format == "json":
-                print(json.dumps(payload, indent=2))
+                print(json.dumps(payload))  # an indent or json.dump would run the Python encoder
             else:
                 args.render(payload)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -60,7 +60,6 @@ __all__ = [
     "WeightedMajorityRule",
     "OrderedTableSCF",
     "OrdinalSCF",
-    "interim_table",
     "BicViolation",
     "BicReport",
     "NotBicError",
@@ -403,13 +402,6 @@ def _interim_sums(env: Environment, rule, table, i: int) -> tuple[list, int]:
     pairs = multiset_distribution([list(zip(units[k], env.agents[k].weights)) for k in others])
     den *= math.prod(env.agents[k].den for k in others)
     return [sum(w * nums[code + unit] for code, w in pairs.items()) for unit in units[i]], den
-
-
-def interim_table(env: Environment, rule, i: int) -> dict:
-    """Interim allocation of agent ``i`` at every report in the support, one
-    Fraction per :func:`_interim_sums` entry."""
-    sums, den = _interim_sums(env, rule, _integer_table(env, rule), i)
-    return {v: Fraction(s, den) for v, s in zip(env.values, sums)}
 
 
 class BicViolation(Record):

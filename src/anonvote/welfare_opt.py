@@ -128,12 +128,6 @@ class AuxCorners(Record):
 
     __slots__ = ("first", "second", "value_first", "value_second")
 
-    @property
-    def winner(self) -> str:
-        """The corner worth more, "first" or "second", or "both" on a tie."""
-        first, second = self.value_first, self.value_second
-        return "first" if first > second else "second" if second > first else "both"
-
     def best_value(self):
         return max(self.value_first, self.value_second)
 

@@ -93,6 +93,36 @@ def test_compare_reports_ratios(gamma0_file, capsys):
     assert payload["ratios"]["qmr_over_wmr"]["exact"] == "21/40"
 
 
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+@pytest.mark.parametrize("name", ["gamma0", "mixed"])
+def test_json_reports_are_one_line_from_the_c_encoder(name, tmp_path, monkeypatch, capsys):
+    # the pure-Python encoder (the one json.dumps uses given an indent, and
+    # json.dump always) raises, so every report must come from the C encoder
+    env = make_theorem2_env(3, 10, 0) if name == "gamma0" else mixed_denominator_env()
+    env_path, mech_path = tmp_path / "env.json", tmp_path / "opt.json"
+    env_path.write_text(json.dumps(environment_to_json(env)))
+    mech_path.write_text(json.dumps(mechanism_to_json(solve_opt(env).mechanism)))
+
+    def pure_python(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python)
+    data = ["--env", str(env_path)]
+    commands = [["solve", *data], ["compare", *data], ["qmr", *data], ["wmr", *data],
+                ["check", *data, "--mech", str(mech_path)],
+                ["hatf", *data, "--mech", str(mech_path)], ["demo-theorem2"]]
+    for argv in commands:
+        argv = [*argv, "--format", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        args = cli._build_parser().parse_args(argv)
+        inputs = [cli._load_environment(args.env)] if "env" in args else []
+        if "mech" in args:
+            inputs.append(cli._load_mechanism(args.mech, inputs[0]))
+        assert json.loads(out) == json.loads(json.dumps(args.func(args, *inputs)))
+
+
 def test_solve_and_compare_report_the_same_certified_lp(gamma0_file, capsys):
     _, solved = run_json(capsys, ["solve", "--env", gamma0_file, "--format", "json"])
     _, compared = run_json(capsys, ["compare", "--env", gamma0_file, "--format", "json"])

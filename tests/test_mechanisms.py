@@ -51,7 +51,6 @@ from anonvote.mechanisms import (
     all_multisets,
     check_bic,
     coalition,
-    interim_table,
     mechanism_from_json,
     mechanism_to_json,
     ordinal_projection,
@@ -69,6 +68,13 @@ from anonvote.welfare_opt import (AuxCorners, AuxPoint, Lemma3Report, OptimalMec
 
 def F(x):
     return Fraction(x)
+
+
+def interim_table(env, rule, i):
+    """Agent ``i``'s interim at every support value, one Fraction per entry
+    of the fast path's ``_interim_sums``."""
+    sums, den = mechanisms._interim_sums(env, rule, mechanisms._integer_table(env, rule), i)
+    return {v: Fraction(s, den) for v, s in zip(env.values, sums)}
 
 
 def uniform_env(n=2, values=(-1, 1)):

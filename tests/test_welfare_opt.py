@@ -464,7 +464,6 @@ def test_uniform_corners_tie():
     corners = aux_corners(env)
     assert corners.value_first == corners.value_second == Fraction(1, 2)
     assert corners.value_first == welfare(env, QualifiedMajorityRule(1))
-    assert corners.winner == "both"
 
 
 def test_aux_corners_need_two_agents():
