@@ -34,7 +34,6 @@ from .mechanisms import (
     mechanism_to_json,
     ordinal_projection,
     qmr_best,
-    symmetric_threshold,
     welfare,
     welfare_via_interims,
     wmr_build,

@@ -34,9 +34,9 @@ over the others' key distribution, built from each agent's integer P(sign).
 An anonymous table is kept in column order and read through the
 ``Environment``'s column map (``env.columns``), as the QMR table and the
 program are; a table that is not anonymous is read at ordered-profile codes.
-The audit of an anonymous rule computes one interim table per agent type,
-and the projection of an anonymous table sums once per count of positive
-agents of each type.
+The audit and welfare of an anonymous rule take one interim table per
+agent type, and the projection of an anonymous table sums once per count
+of positive agents of each type.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .rationals import (Record, format_pair, format_rational, integer_form, pair
                         parse_rational)
 
 __all__ = [
-    "Record",
     "all_multisets",
     "coalition",
     "AnonymousSCF",
@@ -71,9 +70,6 @@ __all__ = [
     "ordinal_projection",
     "QmrTable",
     "qmr_best",
-    "NotSymmetric",
-    "SymmetricThreshold",
-    "symmetric_threshold",
     "wmr_build",
     "mechanism_from_json",
     "mechanism_to_json",
@@ -428,9 +424,6 @@ class BicReport(Record):
     c_minus = property(lambda self: self._constant(0))
     c_plus = property(lambda self: self._constant(-1))
 
-    def __bool__(self):
-        return self.satisfied
-
     @property
     def interims(self) -> list:
         return [{v: Fraction(s, den) for v, s in zip(self.values, sums)} for sums, den in self.sums]
@@ -493,16 +486,20 @@ def welfare(env: Environment, rule) -> Fraction:
     An anonymous table is summed against the ``value`` of ``env.columns()``;
     any other rule in integers, over agents i and reports j, as j's weight
     and value times i's :func:`_interim_sums` at j (the agents are
-    independent).
+    independent). Under an anonymous rule, as in :func:`check_bic`, the
+    agents of one type share the first one's interims, taken once and
+    counted once per agent of the type.
     """
     table, scaled = _integer_table(env, rule), env.values.scaled
     if rule.anonymous and not isinstance(rule, _SIGN_RULES):
         (alloc, alloc_den), (_, value, _, den, _) = table, env.columns()
         return Fraction(sum(map(mul, value, alloc)), den * alloc_den * env.values.scale)
-    total = 0
+    total, types = 0, env.types if rule.anonymous else range(env.n)
     for i, agent in enumerate(env.agents):
+        if types[i] < i:  # counted with the first agent of its type
+            continue
         sums, _ = _interim_sums(env, rule, table, i)
-        total += sum(w * x * s for w, x, s in zip(agent.weights, scaled, sums))
+        total += types.count(i) * sum(w * x * s for w, x, s in zip(agent.weights, scaled, sums))
     den = table[1] * math.prod(agent.den for agent in env.agents)
     return Fraction(total, den * env.values.scale)
 
@@ -601,35 +598,6 @@ def qmr_best(env: Environment) -> QmrTable:
     k_star = min(sums, key=lambda k: (-sums[k], k))
     table = {k: Fraction(w, den * env.values.scale) for k, w in sums.items()}
     return QmrTable(k_star, table[k_star], table)
-
-
-class NotSymmetric(ValueError):
-    """Operation requires all agents to share one distribution."""
-
-
-class SymmetricThreshold(Record):
-    """Closed-form optimal threshold for ex-ante identical agents."""
-
-    __slots__ = ("k_bar", "boundary", "tie")
-
-
-def symmetric_threshold(env: Environment) -> SymmetricThreshold:
-    """Optimal qualified-majority threshold in a symmetric environment.
-
-    The threshold is the least k with k > n*U-/(U+ + U-). When that boundary
-    is an integer, allocating either way at exactly-boundary coalitions does
-    not change welfare; the ``tie`` flag reports this.
-    """
-    first = env.agents[0]
-    if any(agent != first for agent in env.agents[1:]):
-        raise NotSymmetric("agents do not share one distribution")
-    if first.u_plus is None or first.u_minus is None:
-        raise NotSymmetric(
-            "threshold formula needs both conditional means (p in (0,1))"
-        )
-    boundary = env.n * first.u_minus / (first.u_plus + first.u_minus)
-    k_bar = next(k for k in range(1, env.n + 1) if k > boundary)
-    return SymmetricThreshold(k_bar, boundary, boundary.denominator == 1)
 
 
 def wmr_build(env: Environment, tie_value=Fraction(1, 2)) -> WeightedMajorityRule:

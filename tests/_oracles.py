@@ -17,6 +17,9 @@
   ``anonymous`` flags are checked.
 * :func:`random_symmetric_environment`: seeded draws of environments whose
   agents share one distribution.
+* :func:`symmetric_threshold`: the closed-form optimal threshold of such an
+  environment (Schmitz & Tröger, GEB 2012), against which ``qmr_best`` and the
+  optimum are checked.
 * :func:`mixed_denominator_env`: a fixed environment over values and
   probabilities of several denominators.
 * :func:`fraction_environment`: an environment's sign statistics, types and
@@ -48,7 +51,7 @@ from typing import Sequence
 from _lpgen import rational_rows
 from anonvote.environments import AgentDistribution, Environment, ValueSet
 from anonvote.mechanisms import WeightedMajorityRule, coalition
-from anonvote.rationals import integer_form
+from anonvote.rationals import Record, integer_form
 from anonvote.ratlp import LinearProgram, LpSolution, _verify_point
 
 
@@ -175,6 +178,35 @@ def random_symmetric_environment(rng: random.Random, n_agents: int) -> Environme
     total = sum(weights)
     agent = AgentDistribution({v: Fraction(w, total) for v, w in zip(values, weights)})
     return Environment(ValueSet(values), [agent] * n_agents)
+
+
+class NotSymmetric(ValueError):
+    """Operation requires all agents to share one distribution."""
+
+
+class SymmetricThreshold(Record):
+    """Closed-form optimal threshold for ex-ante identical agents."""
+
+    __slots__ = ("k_bar", "boundary", "tie")
+
+
+def symmetric_threshold(env: Environment) -> SymmetricThreshold:
+    """Optimal qualified-majority threshold in a symmetric environment.
+
+    The threshold is the least k with k > n*U-/(U+ + U-). When that boundary
+    is an integer, allocating either way at exactly-boundary coalitions does
+    not change welfare; the ``tie`` flag reports this.
+    """
+    first = env.agents[0]
+    if any(agent != first for agent in env.agents[1:]):
+        raise NotSymmetric("agents do not share one distribution")
+    if first.u_plus is None or first.u_minus is None:
+        raise NotSymmetric(
+            "threshold formula needs both conditional means (p in (0,1))"
+        )
+    boundary = env.n * first.u_minus / (first.u_plus + first.u_minus)
+    k_bar = next(k for k in range(1, env.n + 1) if k > boundary)
+    return SymmetricThreshold(k_bar, boundary, boundary.denominator == 1)
 
 
 def mixed_denominator_env() -> Environment:

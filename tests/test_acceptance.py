@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from _lpgen import exact_lp, fractional_optimum, random_lp
-from _oracles import random_symmetric_environment, vertex_enumerate
+from _oracles import random_symmetric_environment, symmetric_threshold, vertex_enumerate
 from anonvote.cli import main as cli_main
 from anonvote.environments import environment_to_json
 from anonvote.experiments import (
@@ -32,7 +32,6 @@ from anonvote.mechanisms import (
     check_bic,
     ordinal_projection,
     qmr_best,
-    symmetric_threshold,
     welfare,
     welfare_via_interims,
     wmr_build,

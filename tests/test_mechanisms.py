@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from _oracles import (
+    NotSymmetric,
+    SymmetricThreshold,
     anonymous_by_permutation,
     fractions_of,
     mixed_denominator_env,
@@ -16,6 +18,7 @@ from _oracles import (
     oracle_welfare,
     random_symmetric_environment,
     sign_table_by_evaluate,
+    symmetric_threshold,
     wmr_by_fractions,
 )
 from anonvote import mechanisms
@@ -39,13 +42,10 @@ from anonvote.mechanisms import (
     BicReport,
     BicViolation,
     NotBicError,
-    NotSymmetric,
     OrderedTableSCF,
     OrdinalSCF,
     QmrTable,
     QualifiedMajorityRule,
-    Record,
-    SymmetricThreshold,
     WeightedMajorityRule,
     ZeroProbabilityCoalition,
     all_multisets,
@@ -55,12 +55,11 @@ from anonvote.mechanisms import (
     mechanism_to_json,
     ordinal_projection,
     qmr_best,
-    symmetric_threshold,
     welfare,
     welfare_via_interims,
     wmr_build,
 )
-from anonvote.rationals import format_rational, lowest_terms, pair_form
+from anonvote.rationals import Record, format_rational, lowest_terms, pair_form
 from anonvote.ratlp import LpSolution, solve
 from anonvote.welfare_opt import (AuxCorners, AuxPoint, Lemma3Report, OptimalMechanismReport,
                                   aux_corners, build_opt_lp, solve_opt)
@@ -263,6 +262,31 @@ def test_an_anonymous_rule_is_audited_once_per_agent_type(monkeypatch):
     calls.clear()
     check_bic(env, wmr_build(env))
     assert calls == [0, 1, 2, 3, 4]
+
+
+def test_welfare_of_an_anonymous_sign_rule_takes_interims_once_per_agent_type(monkeypatch):
+    # as in the audit, the agents of one type share the first one's interims,
+    # counted once per agent of the type; the value is the enumeration's
+    calls, interim_sums = [], mechanisms._interim_sums
+
+    def counted(env, rule, table, i):
+        calls.append(i)
+        return interim_sums(env, rule, table, i)
+
+    monkeypatch.setattr(mechanisms, "_interim_sums", counted)
+    for env in (mixed_denominator_env(), make_theorem2_env(5, 13, Fraction(1, 1000))):
+        firsts, agents = sorted(set(env.types)), list(range(env.n))
+        assert len(firsts) < env.n  # some type has more than one agent
+        by_size = OrdinalSCF(env.n, {frozenset(itertools.compress(agents, b)): Fraction(sum(b), 8)
+                                     for b in itertools.product((0, 1), repeat=env.n)})
+        unequal = WeightedMajorityRule(range(1, env.n + 1), env.n)
+        rules = [(QualifiedMajorityRule(2), firsts), (WeightedMajorityRule([2] * env.n, 3), firsts),
+                 (by_size, firsts), (unequal, agents), (wmr_build(env), agents)]
+        for rule, expected in rules:
+            assert rule.anonymous == (expected is firsts)
+            calls.clear()
+            assert welfare(env, rule) == oracle_welfare(env, rule)
+            assert calls == expected
 
 
 def sign_rules(env):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from _lpgen import exact_lp, rational_rows
-from _oracles import kept_columns, oracle_columns, random_symmetric_environment, vertex_enumerate
+from _oracles import (kept_columns, oracle_columns, random_symmetric_environment, symmetric_threshold,
+                      vertex_enumerate)
 from anonvote import mechanisms, ratlp, welfare_opt
 from anonvote.environments import (
     AgentDistribution,
@@ -27,7 +28,6 @@ from anonvote.mechanisms import (
     all_multisets,
     check_bic,
     qmr_best,
-    symmetric_threshold,
     welfare,
 )
 from anonvote.rationals import integer_form
